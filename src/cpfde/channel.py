@@ -12,8 +12,7 @@ instances only; the streaming path never forms them.
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -231,6 +230,28 @@ def freq_channel(taps: ChannelTaps, N_b: int, rho_q: float = 0.0) -> FreqChannel
     return FreqChannel(subbands=sub, includes_bussgang_gain=rho_q != 0.0)
 
 
+def _next_pow2(n: int) -> int:
+    return 1 << (n - 1).bit_length()
+
+
+def add_noise(
+    y: np.ndarray, noise_std: float, rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """Add receiver noise to the complex stream y in place and return it.
+
+    Noise is i.i.d. circularly symmetric complex Gaussian with total variance
+    noise_std^2 per sample: (noise_std/sqrt(2)) * (N_1 + j N_2), where the real
+    draws N_1 (shape of y) come from rng before the imaginary draws N_2.
+    """
+    if noise_std > 0:
+        if rng is None:
+            raise ConfigurationError("rng required when noise_std > 0")
+        scale = noise_std / np.sqrt(2.0)
+        y.real += scale * rng.standard_normal(y.shape)
+        y.imag += scale * rng.standard_normal(y.shape)
+    return y
+
+
 def convolve_transmit(
     taps: ChannelTaps,
     x: np.ndarray,
@@ -239,28 +260,34 @@ def convolve_transmit(
 ) -> np.ndarray:
     """Pass a K x T symbol stream through the channel: y[n] = sum_l H_l x[n-l] + eta[n].
 
-    Symbols before the stream start are zero.  Noise is i.i.d. circularly
-    symmetric complex Gaussian with total variance noise_std^2 per antenna.
+    Symbols before the stream start are zero.  The convolution is an FFT
+    overlap-add over time: input blocks of nfft - L samples are transformed,
+    multiplied by the tap spectra per frequency bin and transformed back, and
+    each block's L-sample tail is added to the head of the next.  Noise is
+    added by add_noise.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 2 or x.shape[0] != taps.n_users:
         raise DimensionError(f"x must be K x T with K={taps.n_users}")
-    T = x.shape[1]
+    K, T = x.shape
     if T < 1:
         raise DimensionError("stream length must be >= 1")
-    M = taps.n_rx
-    y = np.zeros((M, T), dtype=np.complex128)
-    for l in range(taps.memory + 1):
-        if l >= T:
-            break
-        y[:, l:] += taps.taps[l] @ x[:, : T - l]
-    if noise_std > 0:
-        if rng is None:
-            raise ConfigurationError("rng required when noise_std > 0")
-        y += (noise_std / np.sqrt(2.0)) * (
-            rng.standard_normal((M, T)) + 1j * rng.standard_normal((M, T))
-        )
-    return y
+    L, M = taps.memory, taps.n_rx
+    # Power-of-2 transform of at least 4(L+1) (64 minimum) points, or one block
+    # covering the whole stream when that is shorter.
+    nfft = min(_next_pow2(max(4 * (L + 1), 64)), _next_pow2(T + L))
+    step = nfft - L
+    n_blk = -(-T // step)
+    xb = np.zeros((K, n_blk * step), dtype=np.complex128)
+    xb[:, :T] = x
+    Xf = np.fft.fft(xb.reshape(K, n_blk, step), n=nfft, axis=-1)
+    Hf = np.fft.fft(taps.taps, n=nfft, axis=0)
+    yb = np.fft.ifft(Hf @ Xf.transpose(2, 0, 1), axis=0).transpose(1, 2, 0)
+    y = np.ascontiguousarray(yb[:, :, :step])
+    if n_blk > 1:
+        y[:, 1:, :L] += yb[:, :-1, step:]
+    y = y.reshape(M, n_blk * step)[:, :T]
+    return add_noise(y, noise_std, rng)
 
 
 def write_taps_csv(taps: ChannelTaps, path_or_file) -> None:

@@ -141,7 +141,7 @@ def _sim_config(args) -> simulate.SimConfig:
             K=kwargs["K"], M=kwargs["M"], L_prime=L, T_c=kwargs["T_c"]
         )
         opt = blockopt.optimal_block_length(p)
-        kwargs["block_lens"] = (opt.n_opt_pow2, kwargs["T_c"])
+        kwargs["block_lens"] = tuple(dict.fromkeys((opt.n_opt_pow2, kwargs["T_c"])))
     methods = getattr(args, "methods", None) or file_cfg.get("methods")
     if methods:
         kwargs["methods"] = _parse_methods(methods)

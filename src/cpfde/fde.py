@@ -14,8 +14,7 @@ F[a, b] = exp(+2j pi a b / N) / sqrt(N); its conjugate maps back to time.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,12 +129,12 @@ def build_filter_bank(
     if np.any(diag <= 0):
         raise ConfigurationError("effective-noise diagonal must be strictly positive")
     K = H.shape[2]
-    Hh = H.conj().transpose(0, 2, 1)
-    O = Hh * (1.0 / diag)[None, None, :]
+    O = H.conj().transpose(0, 2, 1)  # H^H D^-1, scaled in place
+    O *= (1.0 / diag)[None, None, :]
     gram = O @ H + (1.0 / cfg.sigma_x2) * np.eye(K)[None]
-    # Hermitian positive definite for any finite sigma_x2; Cholesky solve.
-    chol = np.linalg.cholesky(gram)
-    G = np.linalg.solve(chol.conj().transpose(0, 2, 1), np.linalg.solve(chol, O))
+    # Hermitian positive definite for any finite sigma_x2, so invertible; one
+    # batched K x K inverse serves all M right-hand sides of a subband.
+    G = np.linalg.inv(gram) @ O
     return SubbandFilterBank(filters=G, sigma_x2=cfg.sigma_x2, rho_q=bm.rho_q)
 
 

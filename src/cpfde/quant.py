@@ -13,10 +13,10 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .channel import ChannelTaps
-from .errors import ConfigurationError, UnsupportedResolutionError
+from .errors import ConfigurationError, DimensionError, UnsupportedResolutionError
 
 MAX_BITS = 16
 
@@ -47,27 +47,27 @@ class BussgangModel:
     sigma_eta2: float
 
 
-def _gaussian_partial_moments(lo, hi, sigma):
-    """P, E[y 1], E[y^2 1] of N(0, sigma^2) over the interval (lo, hi]."""
-    a = lo / sigma
-    b = hi / sigma
-    P = norm.cdf(b) - norm.cdf(a)
-    pa = norm.pdf(a) if np.isfinite(a) else 0.0
-    pb = norm.pdf(b) if np.isfinite(b) else 0.0
-    m1 = sigma * (pa - pb)
-    apa = a * pa if np.isfinite(a) else 0.0
-    bpb = b * pb if np.isfinite(b) else 0.0
-    m2 = sigma**2 * (P + apa - bpb)
+def _gaussian_partial_moments(thresholds, sigma):
+    """P, E[y 1], E[y^2 1] of N(0, sigma^2) over every cell (t_j, t_{j+1}].
+
+    Arrays over the cells; pdf terms at infinite thresholds are zero.
+    """
+    t = np.asarray(thresholds, dtype=np.float64) / sigma
+    pdf = np.exp(-0.5 * t**2) / np.sqrt(2.0 * np.pi)
+    tpdf = np.where(np.isfinite(t), t, 0.0) * pdf
+    P = np.diff(ndtr(t))
+    m1 = sigma * (pdf[:-1] - pdf[1:])
+    m2 = sigma**2 * (P + tpdf[:-1] - tpdf[1:])
     return P, m1, m2
 
 
 def gaussian_quant_mse(thresholds: np.ndarray, levels: np.ndarray, sigma: float) -> float:
     """Exact quantization MSE for a zero-mean Gaussian input of std sigma."""
-    mse = 0.0
-    for j, q in enumerate(levels):
-        P, m1, m2 = _gaussian_partial_moments(thresholds[j], thresholds[j + 1], sigma)
-        mse += q * q * P - 2.0 * q * m1 + m2
-    return mse
+    P, m1, m2 = _gaussian_partial_moments(thresholds, sigma)
+    q = np.asarray(levels, dtype=np.float64)
+    # Accumulated in cell order (not pairwise) so that designs, whose optimal
+    # step sits on a flat minimum, reproduce those of a scalar loop over cells.
+    return float(np.cumsum(q * q * P - 2.0 * q * m1 + m2)[-1])
 
 
 def _uniform_grid(bits: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -121,16 +121,13 @@ def _design_unit(b: int, uniform: bool):
 
 def _lloyd_max_unit(b: int, max_iter: int = 500, tol: float = 1e-13):
     """Lloyd-Max design for N(0,1): alternate centroid and midpoint conditions."""
-    n = 2**b
     _, levels = _uniform_grid(b, 1.0)
     levels = levels.copy()
     for _ in range(max_iter):
         mids = 0.5 * (levels[:-1] + levels[1:])
         thresholds = np.concatenate(([-np.inf], mids, [np.inf]))
-        new = np.empty(n)
-        for j in range(n):
-            P, m1, _ = _gaussian_partial_moments(thresholds[j], thresholds[j + 1], 1.0)
-            new[j] = m1 / P if P > 0 else levels[j]
+        P, m1, _ = _gaussian_partial_moments(thresholds, 1.0)
+        new = np.divide(m1, P, out=levels.copy(), where=P > 0)
         if np.max(np.abs(new - levels)) < tol:
             levels = new
             break
@@ -146,21 +143,30 @@ def _quantize_real(v: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
     return spec.levels[idx]
 
 
-def quantize(y: np.ndarray, specs: list[QuantizerSpec] | QuantizerSpec) -> np.ndarray:
+def quantize(
+    y: np.ndarray,
+    specs: list[QuantizerSpec] | QuantizerSpec,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Quantize real and imaginary parts element-wise, one spec per receive antenna.
 
     y is an M-vector or an M x T stream; a single spec is broadcast over antennas.
+    out, if given, is a complex array of y's shape that receives the result;
+    it may be y itself (each antenna row is read before it is written).
     """
     y = np.asarray(y, dtype=np.complex128)
+    if out is None:
+        out = np.empty_like(y)
+    elif out.shape != y.shape or out.dtype != np.complex128:
+        raise DimensionError(f"out must be complex128 of shape {y.shape}")
     squeeze = y.ndim == 1
     if squeeze:
-        y = y[:, None]
+        y, out = y[:, None], out[:, None]
     M = y.shape[0]
     if isinstance(specs, QuantizerSpec):
         specs = [specs] * M
     if len(specs) != M:
         raise ConfigurationError(f"need one QuantizerSpec per antenna ({M})")
-    out = np.empty_like(y)
     for m, spec in enumerate(specs):
         out[m] = _quantize_real(y[m].real, spec) + 1j * _quantize_real(y[m].imag, spec)
     return out[:, 0] if squeeze else out

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cpfde.channel import (
     ChannelTaps,
     PowerDelayProfile,
+    add_noise,
     build_block_circulant,
     build_block_toeplitz,
     convolve_transmit,
@@ -223,6 +224,62 @@ class TestConvolveTransmit:
         taps = ChannelTaps(np.ones((1, 1, 1), dtype=complex))
         with pytest.raises(ConfigurationError):
             convolve_transmit(taps, np.zeros((1, 4)), 1.0, rng=None)
+
+    @staticmethod
+    def direct_convolution(taps, x):
+        """Per-tap time-domain sum y[:, n] = sum_l H_l x[:, n - l]."""
+        T = x.shape[1]
+        y = np.zeros((taps.n_rx, T), dtype=complex)
+        for l in range(min(taps.memory + 1, T)):
+            y[:, l:] += taps.taps[l] @ x[:, : T - l]
+        return y
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        M=st.integers(1, 5),
+        K=st.integers(1, 3),
+        L=st.integers(0, 40),
+        T=st.integers(1, 300),
+        seed=st.integers(0, 10**6),
+    )
+    def test_fft_overlap_add_matches_direct_sum(self, M, K, L, T, seed):
+        rng = np.random.default_rng(seed)
+        taps = random_taps(rng, L, M, K)
+        x = rng.standard_normal((K, T)) + 1j * rng.standard_normal((K, T))
+        y = convolve_transmit(taps, x, 0.0)
+        expected = self.direct_convolution(taps, x)
+        assert y.shape == (M, T)
+        assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_multi_block_stream_matches_direct_sum(self):
+        # Long enough for many overlap-add blocks, with a ragged last block.
+        rng = np.random.default_rng(15)
+        taps = random_taps(rng, 31, 3, 2)
+        x = rng.standard_normal((2, 5001)) + 1j * rng.standard_normal((2, 5001))
+        y = convolve_transmit(taps, x, 0.0)
+        expected = self.direct_convolution(taps, x)
+        assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_noise_draw_order(self):
+        rng = np.random.default_rng(16)
+        taps = random_taps(rng, 5, 3, 2)
+        x = rng.standard_normal((2, 200)) + 1j * rng.standard_normal((2, 200))
+        s = 0.3
+        noisy = convolve_transmit(taps, x, s, np.random.default_rng(99))
+        clean = convolve_transmit(taps, x, 0.0)
+        fresh = np.random.default_rng(99)
+        n1 = fresh.standard_normal((3, 200))
+        n2 = fresh.standard_normal((3, 200))
+        np.testing.assert_allclose(
+            noisy - clean, (s / np.sqrt(2.0)) * (n1 + 1j * n2), rtol=0, atol=1e-12
+        )
+
+    def test_add_noise_in_place(self):
+        y = np.ones((2, 7), dtype=complex)
+        out = add_noise(y, 0.5, np.random.default_rng(17))
+        assert out is y and np.all(y != 1.0)
+        z = np.ones((2, 7), dtype=complex)
+        assert add_noise(z, 0.0) is z and np.all(z == 1.0)
 
 
 class TestCsvRoundTrip:

@@ -100,6 +100,33 @@ class TestFilterBank:
             lhs = (A @ H + np.eye(2) / cfg.sigma_x2) @ bank.filters[i]
             assert np.linalg.norm(lhs - A) / np.linalg.norm(A) < 1e-10
 
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("account", [False, True])
+    def test_matches_textbook_per_subband_solve(self, K, account):
+        rng = np.random.default_rng(20 + K)
+        taps = random_taps(rng, 3, 5, K)
+        rho, s2, sx2 = 0.25, 0.6, 1.7
+        bank, bm, _ = make_bank(taps, 8, rho, s2, sx2, account=account)
+        H = np.fft.fft(taps.taps, n=8, axis=0) * ((1.0 - rho) if account else 1.0)
+        d = bm.eff_noise_diag if account else np.full(5, s2)
+        Dinv = np.diag(1.0 / d)
+        for i in range(8):
+            Hi = H[i]
+            A = Hi.conj().T @ Dinv
+            expected = np.linalg.solve(A @ Hi + np.eye(K) / sx2, A)
+            np.testing.assert_allclose(bank.filters[i], expected, rtol=1e-12, atol=1e-14)
+
+    def test_gain_applied_once_for_gain_free_subbands(self):
+        # WF_Q from the gain-free subbands equals WF_Q from the gain-scaled ones.
+        rng = np.random.default_rng(5)
+        taps = random_taps(rng, 2, 4, 2)
+        rho = 0.36
+        bm = bussgang_model(taps, rho, 0.8, 1.4)
+        cfg = FdeConfig(block_len=16, overlap=2, sigma_x2=1.4)
+        with_gain = build_filter_bank(freq_channel(taps, 16, rho), bm, cfg)
+        gain_free = build_filter_bank(freq_channel(taps, 16, 0.0), bm, cfg)
+        np.testing.assert_array_equal(gain_free.filters, with_gain.filters)
+
     def test_block_len_mismatch_rejected(self):
         rng = np.random.default_rng(4)
         taps = random_taps(rng, 0, 2, 1)

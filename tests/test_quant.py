@@ -1,16 +1,22 @@
 """Quantizer design, quantization, and Bussgang linearization tests."""
 
+import time
+
 import numpy as np
 import pytest
+from scipy.stats import norm
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cpfde.channel import ChannelTaps
-from cpfde.errors import ConfigurationError, UnsupportedResolutionError
+from cpfde.errors import ConfigurationError, DimensionError, UnsupportedResolutionError
 from cpfde.quant import (
+    MAX_BITS,
+    _design_unit,
     bussgang_model,
     design_quantizer,
     distortion_factor,
+    gaussian_quant_mse,
     per_antenna_agc,
     quantize,
 )
@@ -47,6 +53,35 @@ class TestDesign:
             lm = design_quantizer(b, 1.0, uniform=False).rho_q
             assert lm <= uni + 1e-12
 
+    def test_max_bits_designable_and_rho_decreasing(self):
+        _design_unit.cache_clear()
+        t0 = time.perf_counter()
+        spec = design_quantizer(MAX_BITS, 1.0)
+        assert time.perf_counter() - t0 < 10.0
+        assert spec.levels.size == 2**MAX_BITS and 0.0 < spec.rho_q < 1e-8
+        rhos = [design_quantizer(b, 1.0).rho_q for b in range(1, MAX_BITS + 1)]
+        assert all(a > b for a, b in zip(rhos, rhos[1:]))
+
+    @pytest.mark.parametrize("b", [1, 3, 6])
+    def test_mse_matches_cellwise_integration(self, b):
+        # Oracle: the per-cell scalar moments of N(0, sigma^2), summed in a loop.
+        sigma = 1.3
+        spec = design_quantizer(b, sigma)
+        t, q = spec.thresholds, spec.levels
+        expected = 0.0
+        for j in range(q.size):
+            a, c = t[j] / sigma, t[j + 1] / sigma
+            P = norm.cdf(c) - norm.cdf(a)
+            pa = norm.pdf(a) if np.isfinite(a) else 0.0
+            pc = norm.pdf(c) if np.isfinite(c) else 0.0
+            apa = a * pa if np.isfinite(a) else 0.0
+            cpc = c * pc if np.isfinite(c) else 0.0
+            m1 = sigma * (pa - pc)
+            m2 = sigma**2 * (P + apa - cpc)
+            expected += q[j] ** 2 * P - 2.0 * q[j] * m1 + m2
+        assert gaussian_quant_mse(t, q, sigma) == pytest.approx(expected, rel=1e-12)
+        assert spec.rho_q == pytest.approx(expected / sigma**2, rel=1e-12)
+
     def test_resolution_cap(self):
         with pytest.raises(UnsupportedResolutionError):
             design_quantizer(17, 1.0)
@@ -82,6 +117,17 @@ class TestQuantize:
         q = quantize(y[None, :] / np.sqrt(2), [spec])  # unit complex variance
         mse = np.mean(np.abs(q - y[None, :] / np.sqrt(2)) ** 2)
         assert mse < 1e-5
+
+    def test_in_place_output(self):
+        rng = np.random.default_rng(3)
+        specs = [design_quantizer(2, s) for s in (0.5, 1.0, 2.0)]
+        y = rng.standard_normal((3, 50)) + 1j * rng.standard_normal((3, 50))
+        expected = quantize(y, specs)
+        out = quantize(y, specs, out=y)
+        assert out is y
+        np.testing.assert_array_equal(y, expected)
+        with pytest.raises(DimensionError):
+            quantize(y, specs, out=np.empty((3, 49), dtype=complex))
 
     def test_one_spec_per_antenna_enforced(self):
         spec = design_quantizer(1, 1.0)

@@ -143,6 +143,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SimConfig(L=3, block_lens=(8,), T_c=64, pdp=PowerDelayProfile.uniform(3))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(N_sim=0),
+            dict(K=0),
+            dict(M=0),
+            dict(workers=0),
+            dict(ebn0_grid=()),
+            dict(ebn0_grid=(5.0, float("nan"))),
+            dict(ebn0_grid=(float("inf"),)),
+            dict(ebn0_grid=(5.0, 5.0)),
+            dict(block_lens=(8, 8)),
+            dict(methods=("WF", "WF")),
+            dict(sigma_eta2=0.0),
+            dict(sigma_eta2=-1.0),
+        ],
+        ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()),
+    )
+    def test_bad_input_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            SimConfig(**{**dict(L=3, block_lens=(8,), T_c=64), **bad})
+
     def test_overlap_defaults_to_memory(self):
         cfg = SimConfig(L=3, block_lens=(8,), T_c=64)
         assert cfg.overlap == 3
