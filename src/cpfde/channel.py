@@ -219,14 +219,18 @@ def build_block_circulant(
 def freq_channel(taps: ChannelTaps, N_b: int, rho_q: float = 0.0) -> FreqChannel:
     """Per-subband channel matrices H_fi = (1-rho_q) * sum_l H_l e^{-j 2pi l i / N_b}.
 
-    The tap-wise transform is the unnormalized DFT over the tap index.
+    The tap-wise transform is the unnormalized DFT over the tap index.  It runs
+    along the contiguous last axis of the (M, K, L+1) taps; the gain is applied
+    while the result is laid out subband-major.
     """
     L = taps.memory
     if N_b < L + 1:
         raise DimensionError(f"N_b={N_b} must be >= L+1={L + 1}")
     if not (0.0 <= rho_q < 1.0):
         raise ConfigurationError("rho_q must lie in [0, 1)")
-    sub = np.fft.fft(taps.taps, n=N_b, axis=0) * (1.0 - rho_q)
+    spectra = np.fft.fft(np.ascontiguousarray(taps.taps.transpose(1, 2, 0)), n=N_b, axis=-1)
+    sub = np.empty((N_b, taps.n_rx, taps.n_users), dtype=np.complex128)
+    np.multiply(spectra.transpose(2, 0, 1), 1.0 - rho_q, out=sub)
     return FreqChannel(subbands=sub, includes_bussgang_gain=rho_q != 0.0)
 
 
@@ -314,7 +318,12 @@ def read_taps_csv(
     M: int | None = None,
     K: int | None = None,
 ) -> ChannelTaps:
-    """Import channel taps from CSV; dimensions inferred from indices unless given."""
+    """Import channel taps from CSV; dimensions inferred from indices unless given.
+
+    Every row must name a distinct (tap, rx, user) entry with non-negative
+    indices inside the dimensions and a finite value; anything else raises
+    ConfigurationError.
+    """
     if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
         with open(path_or_file, newline="") as f:
             rows = list(csv.DictReader(f))
@@ -322,14 +331,34 @@ def read_taps_csv(
         rows = list(csv.DictReader(path_or_file))
     if not rows:
         raise ConfigurationError("empty channel CSV")
-    entries = [
-        (int(r["tap"]), int(r["rx"]), int(r["user"]), float(r["re"]), float(r["im"]))
-        for r in rows
-    ]
-    total_taps = total_taps or (max(e[0] for e in entries) + 1)
-    M = M or (max(e[1] for e in entries) + 1)
-    K = K or (max(e[2] for e in entries) + 1)
-    taps = np.zeros((total_taps, M, K), dtype=np.complex128)
-    for l, m, k, re, im in entries:
-        taps[l, m, k] = re + 1j * im
+    try:
+        entries = [
+            (int(r["tap"]), int(r["rx"]), int(r["user"]), complex(float(r["re"]), float(r["im"])))
+            for r in rows
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed channel CSV row: {exc}") from exc
+    given = {"total_taps": total_taps, "M": M, "K": K}
+    dims = []
+    for axis, (name, size) in enumerate(given.items()):
+        indices = [e[axis] for e in entries]
+        if min(indices) < 0:
+            raise ConfigurationError(f"negative {name} index {min(indices)} in channel CSV")
+        if size is None:
+            size = max(indices) + 1
+        elif max(indices) >= size:  # also rejects a given size < 1
+            raise ConfigurationError(
+                f"{name} index {max(indices)} out of range for {name}={size}"
+            )
+        dims.append(size)
+    taps = np.zeros(dims, dtype=np.complex128)
+    seen = set()
+    for l, m, k, value in entries:
+        where = f"(tap={l}, rx={m}, user={k})"
+        if (l, m, k) in seen:
+            raise ConfigurationError(f"duplicate channel CSV entry {where}")
+        if not np.isfinite(value):
+            raise ConfigurationError(f"non-finite channel CSV value at {where}")
+        seen.add((l, m, k))
+        taps[l, m, k] = value
     return ChannelTaps(taps)

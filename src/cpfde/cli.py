@@ -321,42 +321,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-curve", metavar="FILE.csv")
     p.set_defaults(func=cmd_optimize_block)
 
+    def simulation(p):
+        p.add_argument("--users", type=int)
+        p.add_argument("--antennas", type=int)
+        p.add_argument("--taps", type=int, help="channel impulse response length L+1")
+        p.add_argument("--channel", choices=["uniform", "eva"])
+        p.add_argument("--modulation", type=int)
+        p.add_argument("--coherence", type=int)
+        p.add_argument("--realizations", type=int)
+        p.add_argument("--bits", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--workers", type=int)
+        p.add_argument("--ebn0", help="comma-separated Eb/N0 grid in dB")
+        p.add_argument("--block-lens", help="comma-separated block lengths")
+        p.add_argument("--methods", help="comma-separated subset of wf,wfq")
+
     p = sub.add_parser("sweep", help="Monte-Carlo MSE/BER sweep")
     common(p)
-    p.add_argument("--users", type=int)
-    p.add_argument("--antennas", type=int)
-    p.add_argument("--taps", type=int, help="channel impulse response length L+1")
-    p.add_argument("--channel", choices=["uniform", "eva"])
-    p.add_argument("--modulation", type=int)
-    p.add_argument("--coherence", type=int)
-    p.add_argument("--realizations", type=int)
-    p.add_argument("--bits", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--ebn0", help="comma-separated Eb/N0 grid in dB")
-    p.add_argument("--block-lens", help="comma-separated block lengths")
-    p.add_argument("--methods", help="comma-separated subset of wf,wfq")
+    simulation(p)
     p.add_argument("--paper-scale", action="store_true")
     p.add_argument("--output", default="report.csv")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bathtub", help="per-position error profile (discard disabled)")
     common(p)
-    p.add_argument("--users", type=int)
-    p.add_argument("--antennas", type=int)
-    p.add_argument("--taps", type=int)
-    p.add_argument("--channel", choices=["uniform", "eva"])
-    p.add_argument("--modulation", type=int)
-    p.add_argument("--coherence", type=int)
-    p.add_argument("--realizations", type=int)
-    p.add_argument("--bits", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--ebn0", help="unused grid placeholder")
-    p.add_argument("--block-lens", help="comma-separated block lengths")
-    p.add_argument("--methods", help="comma-separated subset of wf,wfq")
+    simulation(p)
     p.add_argument("--block-len", type=int)
-    p.add_argument("--ebn0-point", type=float)
+    p.add_argument("--ebn0-point", type=float, help="profiled Eb/N0 in dB (default 10)")
     p.add_argument("--output", default="bathtub.csv")
     p.set_defaults(func=cmd_bathtub)
 

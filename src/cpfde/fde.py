@@ -10,10 +10,18 @@ Convention: blocks are newest-sample-first (column 0 holds time n).  With that
 ordering a delay by l taps is a cyclic shift by +l columns, so the unitary
 transform that diagonalizes the circulant onto the tap-wise DFT subbands is
 F[a, b] = exp(+2j pi a b / N) / sqrt(N); its conjugate maps back to time.
+
+Large filter-bank builds and overlap-save streams are cut into chunks that fit
+in cache and mapped over one shared thread pool (numpy's FFT, matmul, einsum
+and inv release the GIL).  Every chunk runs the same arithmetic as a one-shot
+call, so results are bit-identical for any thread count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +31,64 @@ from .errors import ConfigurationError, DimensionError, SizeGuardError
 from .quant import BussgangModel
 
 DENSE_SIZE_CAP = 4096
+
+# A call that touches fewer bytes than this (filter bank, or receive stream)
+# runs serially in the calling thread; desk-scale calls (1-2 MB) stay below it.
+_PARALLEL_MIN_BYTES = 4 << 20
+# Filter-bank subbands are built in chunks of about this many bytes of filters.
+_CHUNK_BYTES = 2 << 20
+
+# Work on the pool calls only private helpers: a tracer may wrap the public
+# functions of this module, and a wrapper keeps a single span stack.
+_threads: int | None = None  # equalizer threads; None means every usable CPU
+_pool: ThreadPoolExecutor | None = None  # created on first use
+_pool_lock = threading.Lock()
+
+
+def _thread_count() -> int:
+    if _threads is not None:
+        return _threads
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity query on this platform
+        return os.cpu_count() or 1
+
+
+def _set_threads(n: int) -> None:
+    """Process-pool initializer: give this worker process n equalizer threads."""
+    global _threads
+    _threads = n
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but none of its threads; work
+    # submitted to it would never run.  The child builds its own on first use.
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _map(fn, jobs: list[tuple]) -> None:
+    """Run fn(*job) for every job: on the pool, or inline with one thread or job.
+
+    Every future's result is read, so an exception in any job is raised here.
+    """
+    global _pool
+    n = _thread_count() if len(jobs) > 1 else 1
+    if n < 2:
+        for job in jobs:
+            fn(*job)
+        return
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=n, thread_name_prefix="cpfde-fde")
+        pool = _pool
+    for future in [pool.submit(fn, *job) for job in jobs]:
+        future.result()
 
 
 @dataclass(frozen=True)
@@ -118,24 +184,45 @@ def build_filter_bank(
             f"frequency channel block_len {fc.block_len} != config {cfg.block_len}"
         )
     H = fc.subbands
+    rescale = None  # (ufunc, gain) applied elementwise to each chunk of H
     if cfg.account_quantization:
         if fc.includes_bussgang_gain is False and bm.rho_q != 0.0:
-            H = H * bm.gain
+            rescale = (np.multiply, bm.gain)
         diag = np.asarray(bm.eff_noise_diag, dtype=np.float64)
     else:
         if fc.includes_bussgang_gain:
-            H = H / bm.gain
+            rescale = (np.divide, bm.gain)
         diag = np.full(fc.subbands.shape[1], bm.sigma_eta2)
     if np.any(diag <= 0):
         raise ConfigurationError("effective-noise diagonal must be strictly positive")
-    K = H.shape[2]
+    N_b, M, K = H.shape
+    G = np.empty((N_b, K, M), dtype=np.complex128)
+    inv_diag = 1.0 / diag
+    # Below the floor the whole bank is one chunk, built in the calling thread.
+    if G.nbytes < _PARALLEL_MIN_BYTES:
+        step = N_b
+    else:
+        step = max(1, _CHUNK_BYTES // (K * M * G.itemsize))
+    _map(
+        _build_filters,
+        [
+            (H[lo : lo + step], rescale, inv_diag, cfg.sigma_x2, G[lo : lo + step])
+            for lo in range(0, N_b, step)
+        ],
+    )
+    return SubbandFilterBank(filters=G, sigma_x2=cfg.sigma_x2, rho_q=bm.rho_q)
+
+
+def _build_filters(H, rescale, inv_diag, sigma_x2, out) -> None:
+    """Write the MMSE filters of the subbands H (n, M, K) into out (n, K, M)."""
+    if rescale is not None:
+        H = rescale[0](H, rescale[1])
     O = H.conj().transpose(0, 2, 1)  # H^H D^-1, scaled in place
-    O *= (1.0 / diag)[None, None, :]
-    gram = O @ H + (1.0 / cfg.sigma_x2) * np.eye(K)[None]
+    O *= inv_diag[None, None, :]
+    gram = O @ H + (1.0 / sigma_x2) * np.eye(H.shape[2])[None]
     # Hermitian positive definite for any finite sigma_x2, so invertible; one
     # batched K x K inverse serves all M right-hand sides of a subband.
-    G = np.linalg.inv(gram) @ O
-    return SubbandFilterBank(filters=G, sigma_x2=cfg.sigma_x2, rho_q=bm.rho_q)
+    np.matmul(np.linalg.inv(gram), O, out=out)
 
 
 def equalize_block(R: np.ndarray, bank: SubbandFilterBank) -> np.ndarray:
@@ -145,9 +232,16 @@ def equalize_block(R: np.ndarray, bank: SubbandFilterBank) -> np.ndarray:
         raise DimensionError(
             f"receive block must be {bank.n_rx} x {bank.block_len}, got {R.shape}"
         )
-    Rf = to_subbands(R)
+    return _equalize_block(R, bank)
+
+
+def _equalize_block(R: np.ndarray, bank: SubbandFilterBank) -> np.ndarray:
+    # to_subbands, the per-subband filters, then to_time; written out so that
+    # pool threads call no public function.
+    n = R.shape[-1]
+    Rf = np.fft.ifft(R, axis=-1) * np.sqrt(n)
     Xf = np.einsum("skm,ms->ks", bank.filters, Rf)
-    return to_time(Xf)
+    return np.fft.fft(Xf, axis=-1) / np.sqrt(n)
 
 
 def overlap_save_stream(
@@ -179,16 +273,30 @@ def overlap_save_stream(
     starts = list(range(0, T - N_b + 1, step))
     if starts[-1] != T - N_b:
         starts.append(T - N_b)  # clamped final block
+    plan = []  # (block start, first and last stream position it writes)
     next_pos = 0
     for j, s in enumerate(starts):
-        block = r[:, s : s + N_b][:, ::-1]  # newest-first column order
-        est = equalize_block(block, bank)[:, ::-1]  # back to time order
         lo = 0 if j == 0 else max(next_pos, s + post)
         hi = T - 1 if j == len(starts) - 1 else s + N_b - 1 - pre
         if hi >= lo:
-            out[:, lo : hi + 1] = est[:, lo - s : hi - s + 1]
+            plan.append((s, lo, hi))
             next_pos = hi + 1
+    if r.nbytes < _PARALLEL_MIN_BYTES:
+        _equalize_segments(equalize_block, r, bank, plan, out)
+    else:
+        # Contiguous block ranges write disjoint stretches of out.
+        n = _thread_count()
+        parts = [plan[i * len(plan) // n : (i + 1) * len(plan) // n] for i in range(n)]
+        _map(_equalize_segments, [(_equalize_block, r, bank, p, out) for p in parts if p])
     return out, edge
+
+
+def _equalize_segments(equalize, r, bank, plan, out) -> None:
+    N_b = bank.block_len
+    for s, lo, hi in plan:
+        block = r[:, s : s + N_b][:, ::-1]  # newest-first column order
+        est = equalize(block, bank)[:, ::-1]  # back to time order
+        out[:, lo : hi + 1] = est[:, lo - s : hi - s + 1]
 
 
 def time_domain_wf(

@@ -23,7 +23,14 @@ from .channel import (
     generate_channel,
 )
 from .errors import ConfigurationError
-from .fde import FdeConfig, build_filter_bank, equalize_block, overlap_save_stream
+from .fde import (
+    FdeConfig,
+    _set_threads,
+    _thread_count,
+    build_filter_bank,
+    equalize_block,
+    overlap_save_stream,
+)
 from .quant import bussgang_model, design_quantizer, per_antenna_agc, quantize
 
 METHODS = ("WF", "WF_Q")
@@ -289,6 +296,7 @@ def _run_one_realization(args):
                 )
                 bank = build_filter_bank(fcs[n_b], bm_q if account else bm_0, fde_cfg)
                 xhat, edge = overlap_save_stream(r, bank, fde_cfg)
+                del bank  # not alive while the next method's bank is built
                 keep = ~edge if cfg.exclude_edges else np.ones_like(edge)
                 # MSE per unit symbol energy: fixed unit change, not blind scaling
                 err = (xhat - x) / np.sqrt(sigma_x2)
@@ -323,7 +331,12 @@ def run_experiment(cfg: SimConfig) -> SimReport:
 
     tasks = [(cfg, i, sigma_x2_by_ebn0) for i in range(cfg.N_sim)]
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # Each worker process gets an equal share of the equalizer threads, so
+        # workers x threads stays within the CPUs.
+        share = max(1, _thread_count() // cfg.workers)
+        with ProcessPoolExecutor(
+            max_workers=cfg.workers, initializer=_set_threads, initargs=(share,)
+        ) as pool:
             results = list(pool.map(_run_one_realization, tasks))
     else:
         results = [_run_one_realization(t) for t in tasks]

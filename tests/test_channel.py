@@ -199,6 +199,21 @@ class TestFreqChannel:
             freq_channel(taps, 4)
 
 
+    def test_contiguous_subband_major_layout(self):
+        rng = np.random.default_rng(18)
+        taps = random_taps(rng, 6, 5, 3)
+        for N_b in (7, 12, 50):
+            expected = np.fft.fft(taps.taps, n=N_b, axis=0)
+            fc = freq_channel(taps, N_b)
+            assert fc.subbands.shape == (N_b, 5, 3)
+            assert fc.subbands.flags.c_contiguous
+            # Each length-N_b transform runs the same FFT whichever axis holds it.
+            np.testing.assert_array_equal(fc.subbands, expected)
+            gained = freq_channel(taps, N_b, 0.3)
+            assert gained.includes_bussgang_gain and not fc.includes_bussgang_gain
+            np.testing.assert_array_equal(gained.subbands, fc.subbands * 0.7)
+
+
 class TestConvolveTransmit:
     def test_zero_in_zero_out(self):
         rng = np.random.default_rng(12)
@@ -292,3 +307,47 @@ class TestCsvRoundTrip:
         buf.seek(0)
         back = read_taps_csv(buf, total_taps=5, M=3, K=2)
         np.testing.assert_allclose(back.taps, taps.taps)
+
+    @staticmethod
+    def read(text, **dims):
+        return read_taps_csv(io.StringIO("tap,rx,user,re,im\n" + text), **dims)
+
+    def test_inferred_dimensions(self):
+        taps = self.read("0,0,0,1.0,0.0\n2,1,0,0.5,-0.5\n")
+        assert taps.taps.shape == (3, 2, 1)
+        assert taps.taps[2, 1, 0] == 0.5 - 0.5j
+
+    @pytest.mark.parametrize("dim", ["total_taps", "M", "K"])
+    def test_zero_dimension_rejected(self, dim):
+        with pytest.raises(ConfigurationError):
+            self.read("0,0,0,1.0,0.0\n", **{dim: 0})
+
+    def test_duplicate_entry_rejected(self):
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            self.read("0,1,0,1.0,0.0\n0,1,0,2.0,0.0\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            self.read(f"0,0,0,1.0,{value}\n")
+
+    @pytest.mark.parametrize("row", ["-1,0,0,1.0,0.0", "0,-1,0,1.0,0.0", "0,0,-1,1.0,0.0"])
+    def test_negative_index_rejected(self, row):
+        with pytest.raises(ConfigurationError, match="negative"):
+            self.read("1,1,1,1.0,0.0\n" + row + "\n")
+
+    @pytest.mark.parametrize(
+        "row, dims",
+        [
+            ("5,0,0,1.0,0.0", dict(total_taps=5)),
+            ("0,3,0,1.0,0.0", dict(M=3)),
+            ("0,0,2,1.0,0.0", dict(K=2)),
+        ],
+    )
+    def test_index_beyond_given_dimension_rejected(self, row, dims):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            self.read(row + "\n", **dims)
+
+    def test_malformed_row_rejected(self):
+        with pytest.raises(ConfigurationError):
+            self.read("0,0,zero,1.0,0.0\n")

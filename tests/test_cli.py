@@ -1,10 +1,11 @@
 """Command-line interface: exit codes, outputs, sidecars, and fault hooks."""
 
+import argparse
 import json
 
 import pytest
 
-from cpfde.cli import main
+from cpfde.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -173,3 +174,29 @@ class TestValidate:
         assert code == 1
         assert "FAIL diagonalization" in out
         assert "failed: diagonalization" in err
+
+
+class TestParser:
+    SIMULATION_FLAGS = {
+        "--users", "--antennas", "--taps", "--channel", "--modulation", "--coherence",
+        "--realizations", "--bits", "--seed", "--workers", "--ebn0", "--block-lens",
+        "--methods",
+    }
+
+    @pytest.mark.parametrize(
+        "name, own_flags",
+        [
+            ("sweep", {"--paper-scale", "--output"}),
+            ("bathtub", {"--block-len", "--ebn0-point", "--output"}),
+        ],
+    )
+    def test_simulation_flags_shared(self, name, own_flags):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {o for a in sub.choices[name]._actions for o in a.option_strings}
+        expected = {"-h", "--help", "--config", "--output-dir"} | self.SIMULATION_FLAGS
+        assert flags == expected | own_flags
+        args = parser.parse_args(
+            [name, "--taps", "4", "--channel", "eva", "--ebn0", "1,2", "--workers", "2"]
+        )
+        assert (args.taps, args.channel, args.ebn0, args.workers) == (4, "eva", "1,2", 2)

@@ -1,13 +1,20 @@
 """Filter-bank design, block equalization, overlap-save streaming, and the
 dense time-domain oracle."""
 
+import contextlib
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cpfde import fde
 from cpfde.channel import ChannelTaps, build_block_circulant, convolve_transmit, freq_channel
 from cpfde.errors import ConfigurationError, DimensionError, SizeGuardError
 from cpfde.fde import (
     FdeConfig,
+    SubbandFilterBank,
     build_filter_bank,
     equalize_block,
     overlap_save_stream,
@@ -23,6 +30,26 @@ def random_taps(rng, L, M, K):
     return ChannelTaps(
         rng.standard_normal((L + 1, M, K)) + 1j * rng.standard_normal((L + 1, M, K))
     )
+
+
+@contextlib.contextmanager
+def equalizer_threads(n, chunk_bytes=None):
+    """Force the chunked, pooled path with n threads, whatever the call size.
+
+    The interpreter switches threads every microsecond meanwhile, so pool
+    threads interleave as often as they can.
+    """
+    saved = fde._threads, fde._PARALLEL_MIN_BYTES, fde._CHUNK_BYTES
+    switch = sys.getswitchinterval()
+    fde._threads, fde._PARALLEL_MIN_BYTES = n, 0
+    if chunk_bytes is not None:
+        fde._CHUNK_BYTES = chunk_bytes
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(switch)
+        fde._threads, fde._PARALLEL_MIN_BYTES, fde._CHUNK_BYTES = saved
 
 
 def make_bank(taps, N_b, rho, sigma_eta2, sigma_x2, account=True, overlap=None):
@@ -284,3 +311,131 @@ class TestDiscardBenefit:
                 else:
                     worse += mse
         assert better < worse
+
+
+def dense_block_operator(filters):
+    """W[k, n, m, p]: estimate k at position n of a newest-first block from R[m, p]."""
+    F = unitary_dft_matrix(filters.shape[0])
+    return np.einsum("sn,skm,sp->knmp", F.conj(), filters, F)
+
+
+def sliding_window_oracle(r, filters, cfg):
+    """Each position is estimated by the first block whose kept span covers it.
+
+    Blocks start every N_b - L' samples plus one clamped to the stream end;
+    block j keeps its span without the pre_discard newest and post_discard
+    oldest positions, except that the first and last blocks keep the stream
+    edges.
+    """
+    N_b, T = cfg.block_len, r.shape[1]
+    W = dense_block_operator(filters)
+    starts = list(range(0, T - N_b + 1, N_b - cfg.overlap))
+    if starts[-1] != T - N_b:
+        starts.append(T - N_b)
+    out = np.full((filters.shape[1], T), np.nan, dtype=complex)
+    for j, s in enumerate(starts):
+        est = np.einsum("knmp,mp->kn", W, r[:, s : s + N_b][:, ::-1])[:, ::-1]
+        first = 0 if j == 0 else s + cfg.post_discard
+        last = T - 1 if j == len(starts) - 1 else s + N_b - 1 - cfg.pre_discard
+        for t in range(first, last + 1):
+            if np.isnan(out[0, t]):
+                out[:, t] = est[:, t - s]
+    return out
+
+
+class TestOverlapSaveProperty:
+    @pytest.mark.parametrize("threads", [None, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        N_b=st.integers(1, 24),
+        overlap_frac=st.floats(0.0, 1.0),
+        extra=st.integers(0, 60),
+        M=st.integers(1, 3),
+        K=st.integers(1, 2),
+        split=st.sampled_from(["newest", "symmetric"]),
+        seed=st.integers(0, 10**6),
+    )
+    @example(N_b=8, overlap_frac=1.0, extra=13, M=2, K=2, split="newest", seed=1)  # step 1
+    @example(N_b=9, overlap_frac=0.5, extra=7, M=2, K=1, split="symmetric", seed=2)  # clamped
+    def test_matches_dense_sliding_window(
+        self, threads, N_b, overlap_frac, extra, M, K, split, seed
+    ):
+        rng = np.random.default_rng(seed)
+        overlap = round(overlap_frac * (N_b - 1))
+        T = N_b + extra
+        filters = rng.standard_normal((N_b, K, M)) + 1j * rng.standard_normal((N_b, K, M))
+        bank = SubbandFilterBank(filters=filters, sigma_x2=1.0, rho_q=0.0)
+        cfg = FdeConfig(block_len=N_b, overlap=overlap, discard_split=split)
+        r = rng.standard_normal((M, T)) + 1j * rng.standard_normal((M, T))
+        if threads is None:
+            out, edge = overlap_save_stream(r, bank, cfg)
+        else:
+            with equalizer_threads(threads):
+                out, edge = overlap_save_stream(r, bank, cfg)
+        expected = sliding_window_oracle(r, filters, cfg)
+        assert not np.isnan(expected).any()
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+        mask = np.zeros(T, dtype=bool)
+        mask[: cfg.post_discard] = True
+        mask[T - cfg.pre_discard :] = True
+        np.testing.assert_array_equal(edge, mask)
+
+
+class TestThreadInvariance:
+    @staticmethod
+    def one_shot_filters(H, diag, sigma_x2):
+        """The unchunked build: every subband in one batched call."""
+        O = H.conj().transpose(0, 2, 1)
+        O *= (1.0 / diag)[None, None, :]
+        gram = O @ H + (1.0 / sigma_x2) * np.eye(H.shape[2])[None]
+        return np.linalg.inv(gram) @ O
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("account", [False, True])
+    @pytest.mark.parametrize("fc_rho", [0.0, 0.3])
+    def test_chunked_build_is_bitwise_one_shot(self, threads, account, fc_rho):
+        rng = np.random.default_rng(31)
+        N_b, M, K = 37, 3, 2
+        taps = random_taps(rng, 4, M, K)
+        rho, s2, sx2 = 0.3, 0.6, 1.7
+        bm = bussgang_model(taps, rho, s2, sx2)
+        cfg = FdeConfig(block_len=N_b, overlap=4, sigma_x2=sx2, account_quantization=account)
+        fc = freq_channel(taps, N_b, fc_rho)
+        H = fc.subbands
+        if account:
+            H = H if fc_rho else H * bm.gain
+            diag = bm.eff_noise_diag
+        else:
+            H = H / bm.gain if fc_rho else H
+            diag = np.full(M, s2)
+        expected = self.one_shot_filters(H, diag, sx2)
+        serial = build_filter_bank(fc, bm, cfg)
+        # 5 subbands per chunk: 37 = 7 * 5 + 2 leaves a ragged last chunk.
+        with equalizer_threads(threads, chunk_bytes=5 * K * M * 16):
+            chunked = build_filter_bank(fc, bm, cfg)
+        np.testing.assert_array_equal(serial.filters, expected)
+        np.testing.assert_array_equal(chunked.filters, expected)
+
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    @pytest.mark.parametrize("N_b, overlap, T", [(16, 3, 300), (8, 7, 61), (64, 0, 64)])
+    def test_pooled_overlap_save_is_bitwise_serial(self, threads, N_b, overlap, T):
+        rng = np.random.default_rng(32)
+        taps = random_taps(rng, min(overlap, 3), 4, 2)
+        bank, _, cfg = make_bank(taps, N_b, 0.2, 1.0, 1.0, overlap=overlap)
+        r = rng.standard_normal((4, T)) + 1j * rng.standard_normal((4, T))
+        serial, serial_edge = overlap_save_stream(r, bank, cfg)
+        with equalizer_threads(threads):
+            pooled, pooled_edge = overlap_save_stream(r, bank, cfg)
+        np.testing.assert_array_equal(pooled, serial)
+        np.testing.assert_array_equal(pooled_edge, serial_edge)
+
+    def test_worker_exception_propagates(self):
+        bank = SubbandFilterBank(np.ones((8, 1, 2), dtype=complex), sigma_x2=1.0, rho_q=0.0)
+        r = np.ones((2, 64), dtype=complex)
+
+        def fail(R, bank):
+            raise RuntimeError("kernel failed")
+
+        jobs = [(fail, r, bank, [(s, s, s + 7)], r) for s in (0, 8)]
+        with equalizer_threads(2), pytest.raises(RuntimeError, match="kernel failed"):
+            fde._map(fde._equalize_segments, jobs)

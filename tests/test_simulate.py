@@ -1,9 +1,18 @@
 """QAM mapping, power calibration, and the Monte-Carlo engine."""
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import cpfde
+from cpfde import fde
 from cpfde.channel import ChannelTaps, PowerDelayProfile
 from cpfde.errors import ConfigurationError
 from cpfde.simulate import (
@@ -228,6 +237,51 @@ class TestEngine:
         a.to_csv(pa)
         b.to_csv(pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_equalizer_thread_count_invariant(self, tmp_path, monkeypatch):
+        cfg = self.small_cfg()
+        run_experiment(cfg).to_csv(tmp_path / "serial.csv")
+        # Every call chunked: 5 subbands (K * M * 16 bytes each) per chunk.
+        monkeypatch.setattr(fde, "_PARALLEL_MIN_BYTES", 0)
+        monkeypatch.setattr(fde, "_CHUNK_BYTES", 5 * cfg.K * cfg.M * 16)
+        for threads in (1, 2):
+            monkeypatch.setattr(fde, "_threads", threads)
+            run_experiment(cfg).to_csv(tmp_path / f"{threads}.csv")
+        serial = (tmp_path / "serial.csv").read_bytes()
+        assert (tmp_path / "1.csv").read_bytes() == serial
+        assert (tmp_path / "2.csv").read_bytes() == serial
+
+    def test_forked_workers_after_parent_pool(self, tmp_path):
+        # The parent's thread pool exists before run_experiment forks; each
+        # worker gets 2 equalizer threads and must not submit to the dead pool.
+        script = textwrap.dedent(
+            f"""
+            import dataclasses
+            from cpfde import fde, simulate
+
+            fde._PARALLEL_MIN_BYTES = 0
+            fde._threads = 4
+            cfg = simulate.SimConfig(
+                K=2, M=8, L=3, T_c=128, N_sim=3, ebn0_grid=(10.0,),
+                block_lens=(16, 128), seed=7,
+            )
+            simulate.run_experiment(cfg).to_csv({str(tmp_path / "one.csv")!r})
+            assert fde._pool is not None
+            forked = simulate.run_experiment(dataclasses.replace(cfg, workers=2))
+            forked.to_csv({str(tmp_path / "two.csv")!r})
+            """
+        )
+        src = str(Path(cpfde.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env, start_new_session=True)
+        try:
+            code = proc.wait(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            pytest.fail("run_experiment(workers=2) hung after the parent created its pool")
+        assert code == 0
+        assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
     def test_mse_monotone_in_ebn0(self):
         cfg = self.small_cfg(ebn0_grid=(0.0, 10.0, 20.0), N_sim=4)
