@@ -132,7 +132,7 @@ def _sim_config(args) -> simulate.SimConfig:
         workers=_setting(args, file_cfg, "workers", int, 1),
     )
     ebn0 = _setting(args, file_cfg, "ebn0", str, "0,5,10,15")
-    kwargs["ebn0_grid"] = _parse_float_list(ebn0 if isinstance(ebn0, str) else ebn0)
+    kwargs["ebn0_grid"] = _parse_float_list(ebn0)
     block_lens = getattr(args, "block_lens", None) or file_cfg.get("block_lens")
     if block_lens:
         kwargs["block_lens"] = _parse_int_list(block_lens)
@@ -172,12 +172,25 @@ def cmd_bathtub(args) -> int:
     n_b = args.block_len or cfg.block_lens[0]
     ebn0 = args.ebn0_point if args.ebn0_point is not None else 10.0
     profile = simulate.per_position_error_profile(cfg, n_b, ebn0)
+    # Edge: the n_b//8 newest and n_b//8 oldest positions (at least one each);
+    # center: the middle half.
+    k = max(n_b // 8, 1)
+    edge = (profile[:k].mean() + profile[-k:].mean()) / 2
+    center = profile[n_b // 4 : n_b - n_b // 4].mean()
+    ratio = float(edge / center)
     out = _output_dir(args) / args.output
     fde.error_profile_csv(profile, out)
     _sidecar(
         out.with_suffix(out.suffix + ".json"),
-        {"subcommand": "bathtub", "n_b": n_b, "ebn0_db": ebn0, "config": cfg.snapshot()},
+        {
+            "subcommand": "bathtub",
+            "n_b": n_b,
+            "ebn0_db": ebn0,
+            "edge_center_ratio": ratio,
+            "config": cfg.snapshot(),
+        },
     )
+    print(f"edge/center error ratio {ratio:.6g}")
     print(f"wrote {out}")
     return 0
 

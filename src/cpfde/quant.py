@@ -29,7 +29,6 @@ class QuantizerSpec:
     thresholds: np.ndarray
     levels: np.ndarray
     rho_q: float
-    input_std: float
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,6 @@ def design_quantizer(b: int, sigma: float, uniform: bool = True) -> QuantizerSpe
         thresholds=thresholds * sigma,
         levels=levels * sigma,
         rho_q=float(rho),
-        input_std=sigma,
     )
 
 
@@ -138,21 +136,19 @@ def _lloyd_max_unit(b: int, max_iter: int = 500, tol: float = 1e-13):
     return thresholds, levels, rho
 
 
-def _quantize_real(v: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
-    idx = np.searchsorted(spec.thresholds[1:-1], v, side="left")
-    return spec.levels[idx]
-
-
 def quantize(
     y: np.ndarray,
-    specs: list[QuantizerSpec] | QuantizerSpec,
+    spec: QuantizerSpec,
+    scale: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Quantize real and imaginary parts element-wise, one spec per receive antenna.
+    """Quantize real and imaginary parts element-wise with one design.
 
-    y is an M-vector or an M x T stream; a single spec is broadcast over antennas.
+    y is an M-vector or an M x T stream.  scale, if given, holds one factor per
+    receive antenna (its AGC std): row m uses the thresholds and levels of spec
+    times scale[m], which for a unit-std spec is design_quantizer(b, scale[m]).
     out, if given, is a complex array of y's shape that receives the result;
-    it may be y itself (each antenna row is read before it is written).
+    it may be y itself (each part of a row is read before it is written).
     """
     y = np.asarray(y, dtype=np.complex128)
     if out is None:
@@ -163,12 +159,15 @@ def quantize(
     if squeeze:
         y, out = y[:, None], out[:, None]
     M = y.shape[0]
-    if isinstance(specs, QuantizerSpec):
-        specs = [specs] * M
-    if len(specs) != M:
-        raise ConfigurationError(f"need one QuantizerSpec per antenna ({M})")
-    for m, spec in enumerate(specs):
-        out[m] = _quantize_real(y[m].real, spec) + 1j * _quantize_real(y[m].imag, spec)
+    scale = np.ones(M) if scale is None else np.asarray(scale, dtype=np.float64)
+    if scale.shape != (M,):
+        raise DimensionError(f"scale must hold one factor per antenna ({M})")
+    # Row by row: one normalized whole-stream searchsorted measured slower.
+    for m in range(M):
+        thresholds = spec.thresholds[1:-1] * scale[m]
+        levels = spec.levels * scale[m]
+        out[m].real = levels[np.searchsorted(thresholds, y[m].real, side="left")]
+        out[m].imag = levels[np.searchsorted(thresholds, y[m].imag, side="left")]
     return out[:, 0] if squeeze else out
 
 

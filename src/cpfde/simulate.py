@@ -31,7 +31,7 @@ from .fde import (
     equalize_block,
     overlap_save_stream,
 )
-from .quant import bussgang_model, design_quantizer, per_antenna_agc, quantize
+from .quant import MAX_BITS, bussgang_model, design_quantizer, per_antenna_agc, quantize
 
 METHODS = ("WF", "WF_Q")
 
@@ -127,8 +127,6 @@ class SimConfig:
     seed: int = 0
     sigma_eta2: float = 1.0
     overlap: int | None = None  # defaults to channel memory L
-    exclude_edges: bool = True
-    ebn0_ref_len: int | None = None  # defaults to min(block_lens)
     fixed_sigma_x2: float | None = None  # bypass the Eb/N0 mapping when set
     workers: int = 1
 
@@ -141,6 +139,8 @@ class SimConfig:
             raise ConfigurationError("workers must be >= 1")
         if not (self.sigma_eta2 > 0 and np.isfinite(self.sigma_eta2)):
             raise ConfigurationError("sigma_eta2 must be finite and positive")
+        if self.quant_bits is not None and not 1 <= self.quant_bits <= MAX_BITS:
+            raise ConfigurationError(f"quant_bits must be in 1..{MAX_BITS} (or None)")
         if len(self.ebn0_grid) == 0:
             raise ConfigurationError("Eb/N0 grid is empty")
         if not np.all(np.isfinite(self.ebn0_grid)):
@@ -229,6 +229,11 @@ def ebn0_to_sigma_x2(
     taps_ensemble_trace is the ensemble average of the per-realization tap
     energy sum_l ||H_l||_F^2; the stacked-channel trace at the reference block
     length is N_b_ref times that.  Total power P_t = K sigma_x^2.
+
+    sigma_x^2 scales as 1/N_b_ref.  run_experiment takes min(block_lens) as the
+    reference and per_position_error_profile the profiled N_b, so the same
+    nominal Eb/N0 gives transmit powers 10 log10(ratio) dB apart between them
+    (15 dB at the desk defaults, 2048 against 64).
     """
     if not (taps_ensemble_trace > 0):
         raise ConfigurationError("trace estimate must be positive")
@@ -256,33 +261,53 @@ def _grid(cfg: SimConfig):
     ]
 
 
-def _run_one_realization(args):
-    cfg, index, sigma_x2_by_ebn0 = args
+def _sigma_x2(cfg: SimConfig, ebn0s, ref: int) -> dict:
+    """Transmit power per Eb/N0 point at reference block length ref (or fixed_sigma_x2)."""
+    if cfg.fixed_sigma_x2 is not None:
+        return {e: cfg.fixed_sigma_x2 for e in ebn0s}
+    trace_avg = float(
+        np.mean([_realization_taps(cfg, i).energy() for i in range(cfg.N_sim)])
+    )
+    return {e: ebn0_to_sigma_x2(e, trace_avg, cfg, ref) for e in ebn0s}
+
+
+def _transmit(cfg: SimConfig, index: int):
+    """Taps, data/noise generator, bits, unit-power symbols and their noiseless H*x."""
     taps = _realization_taps(cfg, index)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, index)))
-    B = cfg.bits_per_symbol
-    bits = rng.integers(0, 2, size=cfg.K * cfg.T_c * B)
+    bits = rng.integers(0, 2, size=cfg.K * cfg.T_c * cfg.bits_per_symbol)
     unit_syms = map_symbols(bits, cfg.modulation).reshape(cfg.K, cfg.T_c)
+    return taps, rng, bits, unit_syms, convolve_transmit(taps, unit_syms, 0.0)
+
+
+def _receive(cfg: SimConfig, taps: ChannelTaps, hx, sigma_x2: float, rng):
+    """Noisy stream at power sigma_x2, quantized in place, and its rho_q.
+
+    One unit-std quantizer design is scaled by each antenna's AGC std.
+    """
+    r = add_noise(np.sqrt(sigma_x2) * hx, np.sqrt(cfg.sigma_eta2), rng)
+    if cfg.quant_bits is None:
+        return r, 0.0
+    spec = design_quantizer(cfg.quant_bits, 1.0)
+    quantize(r, spec, per_antenna_agc(taps, sigma_x2, cfg.sigma_eta2), out=r)
+    return r, spec.rho_q
+
+
+def _run_one_realization(args):
+    cfg, index, sigma_x2_by_ebn0 = args
+    taps, rng, bits, unit_syms, hx = _transmit(cfg, index)
+    B = cfg.bits_per_symbol
     bits_k = bits.reshape(cfg.K, cfg.T_c * B)
 
-    # Once per realization: the noiseless unit-power receive stream and the
-    # subband channels per N_b.  WF_Q shares the gain-free subbands with WF;
-    # build_filter_bank applies the Bussgang gain itself.
-    hx = convolve_transmit(taps, unit_syms, 0.0)
+    # Once per realization: the subband channels per N_b.  WF_Q shares the
+    # gain-free subbands with WF; build_filter_bank applies the Bussgang gain.
     fcs = {n_b: freq_channel(taps, n_b, 0.0) for n_b in cfg.block_lens}
 
     out = {}
     for ebn0 in cfg.ebn0_grid:
         sigma_x2 = sigma_x2_by_ebn0[ebn0]
         x = np.sqrt(sigma_x2) * unit_syms
-        r = add_noise(np.sqrt(sigma_x2) * hx, np.sqrt(cfg.sigma_eta2), rng)
-        if cfg.quant_bits is None:
-            rho = 0.0
-        else:
-            stds = per_antenna_agc(taps, sigma_x2, cfg.sigma_eta2)
-            specs = [design_quantizer(cfg.quant_bits, s) for s in stds]
-            r = quantize(r, specs, out=r)  # in place: no third M x T_c stream
-            rho = specs[0].rho_q
+        r, rho = _receive(cfg, taps, hx, sigma_x2, rng)
         bm_q = bussgang_model(taps, rho, cfg.sigma_eta2, sigma_x2)
         bm_0 = bussgang_model(taps, 0.0, cfg.sigma_eta2, sigma_x2)
         for n_b in cfg.block_lens:
@@ -297,7 +322,7 @@ def _run_one_realization(args):
                 bank = build_filter_bank(fcs[n_b], bm_q if account else bm_0, fde_cfg)
                 xhat, edge = overlap_save_stream(r, bank, fde_cfg)
                 del bank  # not alive while the next method's bank is built
-                keep = ~edge if cfg.exclude_edges else np.ones_like(edge)
+                keep = ~edge
                 # MSE per unit symbol energy: fixed unit change, not blind scaling
                 err = (xhat - x) / np.sqrt(sigma_x2)
                 sq = float(np.sum(np.abs(err[:, keep]) ** 2))
@@ -317,18 +342,7 @@ def run_experiment(cfg: SimConfig) -> SimReport:
     per realization index, and reduction runs in index order regardless of the
     worker count.
     """
-    # Pass 1: ensemble trace for the Eb/N0 -> sigma_x^2 mapping.
-    trace_avg = float(
-        np.mean([_realization_taps(cfg, i).energy() for i in range(cfg.N_sim)])
-    )
-    ref = cfg.ebn0_ref_len or min(cfg.block_lens)
-    if cfg.fixed_sigma_x2 is not None:
-        sigma_x2_by_ebn0 = {e: cfg.fixed_sigma_x2 for e in cfg.ebn0_grid}
-    else:
-        sigma_x2_by_ebn0 = {
-            e: ebn0_to_sigma_x2(e, trace_avg, cfg, ref) for e in cfg.ebn0_grid
-        }
-
+    sigma_x2_by_ebn0 = _sigma_x2(cfg, cfg.ebn0_grid, min(cfg.block_lens))
     tasks = [(cfg, i, sigma_x2_by_ebn0) for i in range(cfg.N_sim)]
     if cfg.workers > 1:
         # Each worker process gets an equal share of the equalizer threads, so
@@ -392,31 +406,14 @@ def per_position_error_profile(
     if n_b < cfg.L + 1 or n_b > cfg.T_c:
         raise ConfigurationError(f"n_b={n_b} infeasible for L={cfg.L}, T_c={cfg.T_c}")
     ebn0 = ebn0_db if ebn0_db is not None else cfg.ebn0_grid[0]
-    trace_avg = float(
-        np.mean([_realization_taps(cfg, i).energy() for i in range(cfg.N_sim)])
-    )
-    if cfg.fixed_sigma_x2 is not None:
-        sigma_x2 = cfg.fixed_sigma_x2
-    else:
-        sigma_x2 = ebn0_to_sigma_x2(ebn0, trace_avg, cfg, cfg.ebn0_ref_len or n_b)
+    sigma_x2 = _sigma_x2(cfg, (ebn0,), n_b)[ebn0]
 
     acc = np.zeros(n_b)
     count = 0
     for i in range(cfg.N_sim):
-        taps = _realization_taps(cfg, i)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, i))
-        )
-        bits = rng.integers(0, 2, size=cfg.K * cfg.T_c * cfg.bits_per_symbol)
-        x = np.sqrt(sigma_x2) * map_symbols(bits, cfg.modulation).reshape(cfg.K, cfg.T_c)
-        y = convolve_transmit(taps, x, np.sqrt(cfg.sigma_eta2), rng)
-        if cfg.quant_bits is None:
-            r, rho = y, 0.0
-        else:
-            stds = per_antenna_agc(taps, sigma_x2, cfg.sigma_eta2)
-            specs = [design_quantizer(cfg.quant_bits, s) for s in stds]
-            r = quantize(y, specs)
-            rho = specs[0].rho_q
+        taps, rng, _, unit_syms, hx = _transmit(cfg, i)
+        x = np.sqrt(sigma_x2) * unit_syms
+        r, rho = _receive(cfg, taps, hx, sigma_x2, rng)
         bm = bussgang_model(taps, rho, cfg.sigma_eta2, sigma_x2)
         fde_cfg = FdeConfig(block_len=n_b, overlap=0, sigma_x2=sigma_x2)
         bank = build_filter_bank(freq_channel(taps, n_b, rho), bm, fde_cfg)

@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +139,7 @@ class TestBathtub:
         assert len(rows) == 17
         sidecar = json.loads((tmp_path / "bathtub.csv.json").read_text())
         assert sidecar["n_b"] == 16 and sidecar["ebn0_db"] == 10
+        assert sidecar["edge_center_ratio"] > 0
 
 
 class TestQuantizerTable:
@@ -200,3 +203,19 @@ class TestParser:
             [name, "--taps", "4", "--channel", "eva", "--ebn0", "1,2", "--workers", "2"]
         )
         assert (args.taps, args.channel, args.ebn0, args.workers) == (4, "eva", "1,2", 2)
+
+    def test_readme_commands_parse(self):
+        # The README's command lines (those without shell variables) stay valid.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = [
+            line
+            for line in readme.read_text().splitlines()
+            if line.startswith("cpfde ") and "$" not in line
+        ]
+        assert len(lines) >= 5
+        parser = build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")

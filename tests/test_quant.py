@@ -94,7 +94,7 @@ class TestDesign:
 class TestQuantize:
     def test_one_bit_example(self):
         spec = design_quantizer(1, 1.0)
-        out = quantize(np.array([0.5 - 1.2j]), [spec])
+        out = quantize(np.array([0.5 - 1.2j]), spec)
         np.testing.assert_allclose(out, [ONE_BIT_LEVEL - 1j * ONE_BIT_LEVEL], atol=1e-4)
 
     @settings(max_examples=50, deadline=None)
@@ -108,31 +108,54 @@ class TestQuantize:
         # half-open intervals make threshold points (a measure-zero set) ambiguous
         assume(all(abs(v - t) > 1e-9 for v in (re, im) for t in spec.thresholds[1:-1]))
         y = np.array([re + 1j * im])
-        np.testing.assert_array_equal(quantize(-y, [spec]), -quantize(y, [spec]))
+        np.testing.assert_array_equal(quantize(-y, spec), -quantize(y, spec))
 
     def test_fine_quantizer_limit(self):
         rng = np.random.default_rng(0)
         spec = design_quantizer(12, 1.0)
         y = rng.standard_normal(200_000) + 1j * rng.standard_normal(200_000)
-        q = quantize(y[None, :] / np.sqrt(2), [spec])  # unit complex variance
+        q = quantize(y[None, :] / np.sqrt(2), spec)  # unit complex variance
         mse = np.mean(np.abs(q - y[None, :] / np.sqrt(2)) ** 2)
         assert mse < 1e-5
 
     def test_in_place_output(self):
         rng = np.random.default_rng(3)
-        specs = [design_quantizer(2, s) for s in (0.5, 1.0, 2.0)]
+        spec, scale = design_quantizer(2, 1.0), np.array([0.5, 1.0, 2.0])
         y = rng.standard_normal((3, 50)) + 1j * rng.standard_normal((3, 50))
-        expected = quantize(y, specs)
-        out = quantize(y, specs, out=y)
+        expected = quantize(y, spec, scale)
+        out = quantize(y, spec, scale, out=y)
         assert out is y
         np.testing.assert_array_equal(y, expected)
         with pytest.raises(DimensionError):
-            quantize(y, specs, out=np.empty((3, 49), dtype=complex))
+            quantize(y, spec, scale, out=np.empty((3, 49), dtype=complex))
 
-    def test_one_spec_per_antenna_enforced(self):
+    @pytest.mark.parametrize("b", [1, 3, 8, 16])
+    @pytest.mark.parametrize("shape", [(4,), (4, 300)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("in_place", [False, True], ids=["new", "out=y"])
+    def test_scaled_unit_design_matches_per_antenna_designs(self, b, shape, in_place):
+        # Oracle: a row loop of searchsorted over design_quantizer(b, scale[m]).
+        rng = np.random.default_rng(b)
+        scale = np.array([0.3, 1.0, 2.7, 11.0])
+        y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (
+            scale if len(shape) == 1 else scale[:, None]
+        )
+        rows = y[:, None] if y.ndim == 1 else y
+        expected = np.empty_like(rows)
+        for m, row in enumerate(rows):
+            spec_m = design_quantizer(b, scale[m])
+            t, q = spec_m.thresholds[1:-1], spec_m.levels
+            expected[m] = q[np.searchsorted(t, row.real)] + 1j * q[np.searchsorted(t, row.imag)]
+        expected = expected.reshape(shape)
+        got = quantize(y, design_quantizer(b, 1.0), scale, out=y if in_place else None)
+        assert np.shares_memory(got, y) == in_place
+        assert got.shape == shape and got.tobytes() == expected.tobytes()
+
+    def test_scale_length_enforced(self):
         spec = design_quantizer(1, 1.0)
-        with pytest.raises(ConfigurationError):
-            quantize(np.zeros((3, 4), dtype=complex), [spec, spec])
+        with pytest.raises(DimensionError):
+            quantize(np.zeros((3, 4), dtype=complex), spec, np.ones(2))
+        with pytest.raises(DimensionError):
+            quantize(np.zeros(3, dtype=complex), spec, np.ones((3, 1)))
 
 
 class TestDistortionFactor:
@@ -211,7 +234,7 @@ class TestBussgangStatistics:
         rng = np.random.default_rng(4)
         spec = design_quantizer(1, 1.0)
         y = rng.standard_normal(10**6)
-        q = quantize(y[None, :] * (1 + 0j), [spec]).real[0]
+        q = quantize(y[None, :] * (1 + 0j), spec).real[0]
         gain = np.mean(q * y) / np.mean(y * y)
         assert gain == pytest.approx(2.0 / np.pi, rel=0.01)
 
@@ -220,7 +243,7 @@ class TestBussgangStatistics:
         rng = np.random.default_rng(5)
         spec = design_quantizer(b, 1.0)
         y = rng.standard_normal(10**6)
-        q = quantize(y[None, :] * (1 + 0j), [spec]).real[0]
+        q = quantize(y[None, :] * (1 + 0j), spec).real[0]
         resid = (q - (1 - spec.rho_q) * y) * y
         se = np.std(resid) / np.sqrt(y.size)
         assert abs(np.mean(resid)) < 3 * se
@@ -230,7 +253,7 @@ class TestBussgangStatistics:
         rng = np.random.default_rng(6)
         spec = design_quantizer(2, 1.0)
         y = rng.standard_normal(10**6)
-        q = quantize(y[None, :] * (1 + 0j), [spec]).real[0]
+        q = quantize(y[None, :] * (1 + 0j), spec).real[0]
         diff = q * q - q * y
         se = np.std(diff) / np.sqrt(y.size)
         assert abs(np.mean(diff)) < 3 * se

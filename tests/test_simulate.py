@@ -167,6 +167,8 @@ class TestConfigValidation:
             dict(methods=("WF", "WF")),
             dict(sigma_eta2=0.0),
             dict(sigma_eta2=-1.0),
+            dict(quant_bits=0),
+            dict(quant_bits=17),
         ],
         ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()),
     )
