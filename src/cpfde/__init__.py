@@ -28,7 +28,6 @@ from .quant import (
     QuantizerSpec,
     bussgang_model,
     design_quantizer,
-    distortion_factor,
     per_antenna_agc,
     quantize,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "BussgangModel",
     "design_quantizer",
     "quantize",
-    "distortion_factor",
     "bussgang_model",
     "per_antenna_agc",
     "FdeConfig",

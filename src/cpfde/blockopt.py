@@ -107,7 +107,6 @@ def _pow2_candidates(lo: int, hi: int) -> list[int]:
 def optimal_block_length(
     p: ComplexityParams,
     mode: str = "integer-exhaustive",
-    exact_frames: bool = False,
     emit_curve: bool = False,
 ) -> OptResult:
     """Minimize the per-symbol cost over feasible block lengths.
@@ -129,7 +128,7 @@ def optimal_block_length(
         grid = np.asarray(cands, dtype=np.int64)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    cost = per_symbol_cost(grid, p, exact=exact_frames)
+    cost = per_symbol_cost(grid, p)
     i = int(np.argmin(cost))
     n_opt = int(grid[i])
     cost_opt = float(cost[i])
@@ -143,7 +142,7 @@ def optimal_block_length(
         if not cands:
             cands = _pow2_candidates(lo, hi)
         if cands:
-            costs = {n: float(per_symbol_cost(n, p, exact=exact_frames)) for n in cands}
+            costs = {n: float(per_symbol_cost(n, p)) for n in cands}
             n_pow2 = min(costs, key=lambda n: (costs[n], n))
             cost_pow2 = costs[n_pow2]
         else:

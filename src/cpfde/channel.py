@@ -11,7 +11,6 @@ instances only; the streaming path never forms them.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +52,6 @@ class PowerDelayProfile:
         return self.total_taps - 1
 
     @classmethod
-    def flat(cls) -> "PowerDelayProfile":
-        """Memoryless single-tap profile."""
-        return cls(entries=((0, 1.0),), total_taps=1)
-
-    @classmethod
     def uniform(cls, total_taps: int) -> "PowerDelayProfile":
         """Equal power on every tap."""
         return cls(
@@ -66,19 +60,18 @@ class PowerDelayProfile:
         )
 
     @classmethod
-    def eva(cls, total_taps: int = 128, sample_period_ns: float | None = None) -> "PowerDelayProfile":
+    def eva(cls, total_taps: int = 128) -> "PowerDelayProfile":
         """Extended Vehicular A profile (9 nonzero taps) on an integer tap grid.
 
-        The default sample period places the last EVA tap at index total_taps-1.
-        Taps that collide on the grid have their linear powers merged.
+        The sample period places the last EVA tap at index total_taps-1.  Taps
+        that collide on the grid have their linear powers merged.
         """
         if total_taps < 2:
             raise ConfigurationError("EVA profile needs total_taps >= 2")
-        if sample_period_ns is None:
-            sample_period_ns = EVA_DELAYS_NS[-1] / (total_taps - 1)
+        period_ns = EVA_DELAYS_NS[-1] / (total_taps - 1)
         merged: dict[int, float] = {}
         for delay, power_db in zip(EVA_DELAYS_NS, EVA_POWERS_DB):
-            idx = int(round(delay / sample_period_ns))
+            idx = int(round(delay / period_ns))
             if idx >= total_taps:
                 raise ConfigurationError(
                     f"EVA delay {delay} ns maps to tap {idx} >= total_taps {total_taps}"
@@ -120,25 +113,12 @@ class ChannelTaps:
         """Total tap energy sum_l ||H_l||_F^2."""
         return float(np.sum(np.abs(self.taps) ** 2))
 
-    def scaled(self, factor: float) -> "ChannelTaps":
-        return ChannelTaps(self.taps * factor)
-
-
-@dataclass(frozen=True)
-class BlockStackedChannel:
-    """Dense stacked channel matrix with its structural kind recorded."""
-
-    matrix: np.ndarray
-    kind: str  # toeplitz | circulant | causal-part | interference-part
-    block_len: int
-
 
 @dataclass(frozen=True)
 class FreqChannel:
-    """Per-subband channel matrices, shape (N_b, M, K)."""
+    """Per-subband channel matrices without the Bussgang gain, shape (N_b, M, K)."""
 
     subbands: np.ndarray
-    includes_bussgang_gain: bool = False
 
     @property
     def block_len(self) -> int:
@@ -166,7 +146,7 @@ def generate_channel(
     return ChannelTaps(taps)
 
 
-def build_block_toeplitz(taps: ChannelTaps, N_b: int) -> BlockStackedChannel:
+def build_block_toeplitz(taps: ChannelTaps, N_b: int) -> np.ndarray:
     """Stack the linear convolution into the M*N_b x K*(N_b+L) block-Toeplitz matrix.
 
     Block-row i (time n-i, newest first) carries H_0..H_L starting at
@@ -180,12 +160,12 @@ def build_block_toeplitz(taps: ChannelTaps, N_b: int) -> BlockStackedChannel:
         for l in range(L + 1):
             j = i + l
             H[i * M : (i + 1) * M, j * K : (j + 1) * K] = taps.taps[l]
-    return BlockStackedChannel(matrix=H, kind="toeplitz", block_len=N_b)
+    return H
 
 
 def build_block_circulant(
     taps: ChannelTaps, N_b: int, rho_q: float = 0.0
-) -> tuple[BlockStackedChannel, BlockStackedChannel, BlockStackedChannel]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Build the block-circulant approximation and its causal/interference split.
 
     Returns (circulant, causal, interference).  Both parts carry the Bussgang
@@ -208,30 +188,25 @@ def build_block_circulant(
             else:
                 j = (i + l) % N_b
                 interf[i * M : (i + 1) * M, j * K : (j + 1) * K] = block
-    cir = causal + interf
-    return (
-        BlockStackedChannel(cir, "circulant", N_b),
-        BlockStackedChannel(causal, "causal-part", N_b),
-        BlockStackedChannel(interf, "interference-part", N_b),
-    )
+    return causal + interf, causal, interf
 
 
 def freq_channel(taps: ChannelTaps, N_b: int, rho_q: float = 0.0) -> FreqChannel:
-    """Per-subband channel matrices H_fi = (1-rho_q) * sum_l H_l e^{-j 2pi l i / N_b}.
+    """Per-subband channel matrices H_fi = sum_l H_l e^{-j 2pi l i / N_b}.
 
     The tap-wise transform is the unnormalized DFT over the tap index.  It runs
-    along the contiguous last axis of the (M, K, L+1) taps; the gain is applied
-    while the result is laid out subband-major.
+    along the contiguous last axis of the (M, K, L+1) taps and is then laid out
+    subband-major.  The subbands never carry the Bussgang gain: build_filter_bank
+    applies it.  rho_q must be 0; it stays in the signature because perfbench's
+    tracer keys freq_channel calls on it.
     """
     L = taps.memory
     if N_b < L + 1:
         raise DimensionError(f"N_b={N_b} must be >= L+1={L + 1}")
-    if not (0.0 <= rho_q < 1.0):
-        raise ConfigurationError("rho_q must lie in [0, 1)")
+    if rho_q != 0.0:
+        raise ConfigurationError("freq_channel is gain-free; build_filter_bank applies rho_q")
     spectra = np.fft.fft(np.ascontiguousarray(taps.taps.transpose(1, 2, 0)), n=N_b, axis=-1)
-    sub = np.empty((N_b, taps.n_rx, taps.n_users), dtype=np.complex128)
-    np.multiply(spectra.transpose(2, 0, 1), 1.0 - rho_q, out=sub)
-    return FreqChannel(subbands=sub, includes_bussgang_gain=rho_q != 0.0)
+    return FreqChannel(subbands=np.ascontiguousarray(spectra.transpose(2, 0, 1)))
 
 
 def _next_pow2(n: int) -> int:
@@ -292,73 +267,3 @@ def convolve_transmit(
         y[:, 1:, :L] += yb[:, :-1, step:]
     y = y.reshape(M, n_blk * step)[:, :T]
     return add_noise(y, noise_std, rng)
-
-
-def write_taps_csv(taps: ChannelTaps, path_or_file) -> None:
-    """Export nonzero scalar channel entries as CSV (tap,rx,user,re,im)."""
-
-    def _write(f):
-        w = csv.writer(f)
-        w.writerow(["tap", "rx", "user", "re", "im"])
-        arr = taps.taps
-        for l, m, k in zip(*np.nonzero(arr)):
-            v = arr[l, m, k]
-            w.writerow([l, m, k, repr(float(v.real)), repr(float(v.imag))])
-
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w", newline="") as f:
-            _write(f)
-    else:
-        _write(path_or_file)
-
-
-def read_taps_csv(
-    path_or_file,
-    total_taps: int | None = None,
-    M: int | None = None,
-    K: int | None = None,
-) -> ChannelTaps:
-    """Import channel taps from CSV; dimensions inferred from indices unless given.
-
-    Every row must name a distinct (tap, rx, user) entry with non-negative
-    indices inside the dimensions and a finite value; anything else raises
-    ConfigurationError.
-    """
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, newline="") as f:
-            rows = list(csv.DictReader(f))
-    else:
-        rows = list(csv.DictReader(path_or_file))
-    if not rows:
-        raise ConfigurationError("empty channel CSV")
-    try:
-        entries = [
-            (int(r["tap"]), int(r["rx"]), int(r["user"]), complex(float(r["re"]), float(r["im"])))
-            for r in rows
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed channel CSV row: {exc}") from exc
-    given = {"total_taps": total_taps, "M": M, "K": K}
-    dims = []
-    for axis, (name, size) in enumerate(given.items()):
-        indices = [e[axis] for e in entries]
-        if min(indices) < 0:
-            raise ConfigurationError(f"negative {name} index {min(indices)} in channel CSV")
-        if size is None:
-            size = max(indices) + 1
-        elif max(indices) >= size:  # also rejects a given size < 1
-            raise ConfigurationError(
-                f"{name} index {max(indices)} out of range for {name}={size}"
-            )
-        dims.append(size)
-    taps = np.zeros(dims, dtype=np.complex128)
-    seen = set()
-    for l, m, k, value in entries:
-        where = f"(tap={l}, rx={m}, user={k})"
-        if (l, m, k) in seen:
-            raise ConfigurationError(f"duplicate channel CSV entry {where}")
-        if not np.isfinite(value):
-            raise ConfigurationError(f"non-finite channel CSV value at {where}")
-        seen.add((l, m, k))
-        taps[l, m, k] = value
-    return ChannelTaps(taps)

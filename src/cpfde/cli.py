@@ -200,11 +200,11 @@ def cmd_bathtub(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_quantizer_table(args) -> int:
-    print("b,delta_over_sigma,rho_q,rho_approx")
+    print("b,delta_over_sigma,rho_q")
     for b in range(1, 9):
         spec = quant.design_quantizer(b, 1.0)
         delta = spec.levels[1] - spec.levels[0]
-        print(f"{b},{delta:.12g},{spec.rho_q:.12g},{quant.distortion_factor(b):.12g}")
+        print(f"{b},{delta:.12g},{spec.rho_q:.12g}")
     return 0
 
 
@@ -227,7 +227,7 @@ def _check_diagonalization(broken: bool) -> tuple[bool, str]:
             taps = channel.ChannelTaps(taps.taps + 0.1)
         fc = channel.freq_channel(taps, N_b)
         F = fde.unitary_dft_matrix(N_b)
-        lhs = np.kron(F, np.eye(M)) @ cir.matrix @ np.kron(F.conj().T, np.eye(K))
+        lhs = np.kron(F, np.eye(M)) @ cir @ np.kron(F.conj().T, np.eye(K))
         bd = np.zeros_like(lhs)
         for i in range(N_b):
             bd[i * M : (i + 1) * M, i * K : (i + 1) * K] = fc.subbands[i]
@@ -247,9 +247,9 @@ def _check_fde_oracle() -> tuple[bool, str]:
         bm = quant.bussgang_model(taps, rho, 1.0)
         cir, _, _ = channel.build_block_circulant(taps, N_b, rho)
         cfg = fde.FdeConfig(block_len=N_b, overlap=L, sigma_x2=1.0)
-        bank = fde.build_filter_bank(channel.freq_channel(taps, N_b, rho), bm, cfg)
+        bank = fde.build_filter_bank(channel.freq_channel(taps, N_b), bm, cfg)
         x = rng.standard_normal(K * N_b) + 1j * rng.standard_normal(K * N_b)
-        r = cir.matrix @ x + 0.1 * (
+        r = cir @ x + 0.1 * (
             rng.standard_normal(M * N_b) + 1j * rng.standard_normal(M * N_b)
         )
         dense = fde.time_domain_wf(r, cir, bm, 1.0)
@@ -345,18 +345,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bits", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--workers", type=int)
-        p.add_argument("--ebn0", help="comma-separated Eb/N0 grid in dB")
         p.add_argument("--block-lens", help="comma-separated block lengths")
         p.add_argument("--methods", help="comma-separated subset of wf,wfq")
 
     p = sub.add_parser("sweep", help="Monte-Carlo MSE/BER sweep")
     common(p)
     simulation(p)
+    p.add_argument("--ebn0", help="comma-separated Eb/N0 grid in dB")
     p.add_argument("--paper-scale", action="store_true")
     p.add_argument("--output", default="report.csv")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bathtub", help="per-position error profile (discard disabled)")
+    # No abbreviations: --ebn0 would otherwise be taken for --ebn0-point.
+    p = sub.add_parser(
+        "bathtub", help="per-position error profile (discard disabled)", allow_abbrev=False
+    )
     common(p)
     simulation(p)
     p.add_argument("--block-len", type=int)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BlockStackedChannel, FreqChannel
+from .channel import FreqChannel
 from .errors import ConfigurationError, DimensionError, SizeGuardError
 from .quant import BussgangModel
 
@@ -99,7 +99,6 @@ class FdeConfig:
     overlap: int
     sigma_x2: float = 1.0
     account_quantization: bool = True
-    discard_split: str = "newest"  # "newest" or "symmetric"
 
     def __post_init__(self):
         if self.overlap < 0:
@@ -110,25 +109,6 @@ class FdeConfig:
             )
         if not (self.sigma_x2 > 0):
             raise ConfigurationError("sigma_x2 must be positive")
-        if self.discard_split not in ("newest", "symmetric"):
-            raise ConfigurationError(f"unknown discard_split {self.discard_split!r}")
-
-    @property
-    def pre_discard(self) -> int:
-        """Samples discarded at the newest-sample edge of each block.
-
-        The post-filter interference of the causal channel concentrates on the
-        newest L' positions, so the default puts the entire discard there; the
-        symmetric ceil/floor split is available for comparison.
-        """
-        if self.discard_split == "newest":
-            return self.overlap
-        return (self.overlap + 1) // 2
-
-    @property
-    def post_discard(self) -> int:
-        """Samples discarded at the oldest-sample edge of each block."""
-        return self.overlap - self.pre_discard
 
 
 @dataclass(frozen=True)
@@ -136,8 +116,6 @@ class SubbandFilterBank:
     """Per-subband MMSE filters, shape (N_b, K, M), immutable after build."""
 
     filters: np.ndarray
-    sigma_x2: float
-    rho_q: float
 
     @property
     def block_len(self) -> int:
@@ -158,40 +136,25 @@ def unitary_dft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
-def to_subbands(rows: np.ndarray) -> np.ndarray:
-    """Row-wise unitary transform of newest-first time columns into subbands."""
-    n = rows.shape[-1]
-    return np.fft.ifft(rows, axis=-1) * np.sqrt(n)
-
-
-def to_time(rows: np.ndarray) -> np.ndarray:
-    """Inverse of to_subbands."""
-    n = rows.shape[-1]
-    return np.fft.fft(rows, axis=-1) / np.sqrt(n)
-
-
 def build_filter_bank(
     fc: FreqChannel, bm: BussgangModel, cfg: FdeConfig
 ) -> SubbandFilterBank:
     """Per-subband MMSE filters G_fi = (H^H D^-1 H + I/sigma_x^2)^-1 H^H D^-1.
 
-    With account_quantization the subband channels carry the Bussgang gain and
-    D is the effective-noise diagonal; without it the quantization is ignored
-    (gain stripped, D = sigma_eta^2 I).
+    With account_quantization H is the gain-free subband channel times the
+    Bussgang gain and D is the effective-noise diagonal; without it the
+    quantization is ignored (H gain-free, D = sigma_eta^2 I).
     """
     if fc.block_len != cfg.block_len:
         raise DimensionError(
             f"frequency channel block_len {fc.block_len} != config {cfg.block_len}"
         )
     H = fc.subbands
-    rescale = None  # (ufunc, gain) applied elementwise to each chunk of H
     if cfg.account_quantization:
-        if fc.includes_bussgang_gain is False and bm.rho_q != 0.0:
-            rescale = (np.multiply, bm.gain)
+        gain = bm.gain
         diag = np.asarray(bm.eff_noise_diag, dtype=np.float64)
     else:
-        if fc.includes_bussgang_gain:
-            rescale = (np.divide, bm.gain)
+        gain = 1.0
         diag = np.full(fc.subbands.shape[1], bm.sigma_eta2)
     if np.any(diag <= 0):
         raise ConfigurationError("effective-noise diagonal must be strictly positive")
@@ -206,17 +169,17 @@ def build_filter_bank(
     _map(
         _build_filters,
         [
-            (H[lo : lo + step], rescale, inv_diag, cfg.sigma_x2, G[lo : lo + step])
+            (H[lo : lo + step], gain, inv_diag, cfg.sigma_x2, G[lo : lo + step])
             for lo in range(0, N_b, step)
         ],
     )
-    return SubbandFilterBank(filters=G, sigma_x2=cfg.sigma_x2, rho_q=bm.rho_q)
+    return SubbandFilterBank(filters=G)
 
 
-def _build_filters(H, rescale, inv_diag, sigma_x2, out) -> None:
-    """Write the MMSE filters of the subbands H (n, M, K) into out (n, K, M)."""
-    if rescale is not None:
-        H = rescale[0](H, rescale[1])
+def _build_filters(H, gain, inv_diag, sigma_x2, out) -> None:
+    """Write the MMSE filters of the subbands gain * H (n, M, K) into out (n, K, M)."""
+    if gain != 1.0:
+        H = H * gain
     O = H.conj().transpose(0, 2, 1)  # H^H D^-1, scaled in place
     O *= inv_diag[None, None, :]
     gram = O @ H + (1.0 / sigma_x2) * np.eye(H.shape[2])[None]
@@ -236,8 +199,8 @@ def equalize_block(R: np.ndarray, bank: SubbandFilterBank) -> np.ndarray:
 
 
 def _equalize_block(R: np.ndarray, bank: SubbandFilterBank) -> np.ndarray:
-    # to_subbands, the per-subband filters, then to_time; written out so that
-    # pool threads call no public function.
+    # The row-wise unitary transform F into subbands, the per-subband filters,
+    # then F^H back to time.  Pool threads call this, not the public wrapper.
     n = R.shape[-1]
     Rf = np.fft.ifft(R, axis=-1) * np.sqrt(n)
     Xf = np.einsum("skm,ms->ks", bank.filters, Rf)
@@ -249,11 +212,13 @@ def overlap_save_stream(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Equalize an M x T_c stream block-wise with overlap and edge discard.
 
-    Consecutive blocks advance by N_b - L'; from each equalized block the
-    pre_discard newest and post_discard oldest estimates are dropped and the
-    central part is emitted.  The first/last partial stream regions are taken
-    from the first/last block without discard and flagged in the returned edge
-    mask.  Returns (K x T_c estimates, length-T_c boolean edge mask).
+    Consecutive blocks advance by N_b - L'; from each equalized block the L'
+    newest estimates, which carry the post-filter interference of the causal
+    channel, are dropped and the rest is emitted.  The last block also keeps
+    its newest samples (the end of the stream); the returned edge mask flags
+    them.  A final block that would run past the stream is clamped to end with
+    it and emits only the positions not yet written.  Returns (K x T_c
+    estimates, length-T_c boolean edge mask).
     """
     r = np.asarray(r, dtype=np.complex128)
     if r.ndim != 2 or r.shape[0] != bank.n_rx:
@@ -262,25 +227,19 @@ def overlap_save_stream(
     T = r.shape[1]
     if T < N_b:
         raise ConfigurationError(f"stream length {T} shorter than block length {N_b}")
-    pre, post = cfg.pre_discard, cfg.post_discard
     step = N_b - cfg.overlap
     out = np.empty((bank.n_users, T), dtype=np.complex128)
     edge = np.zeros(T, dtype=bool)
-    edge[:post] = True
-    if pre:
-        edge[-pre:] = True
+    edge[T - cfg.overlap :] = True
 
     starts = list(range(0, T - N_b + 1, step))
     if starts[-1] != T - N_b:
         starts.append(T - N_b)  # clamped final block
     plan = []  # (block start, first and last stream position it writes)
-    next_pos = 0
     for j, s in enumerate(starts):
-        lo = 0 if j == 0 else max(next_pos, s + post)
-        hi = T - 1 if j == len(starts) - 1 else s + N_b - 1 - pre
-        if hi >= lo:
-            plan.append((s, lo, hi))
-            next_pos = hi + 1
+        lo = plan[-1][2] + 1 if plan else 0
+        hi = T - 1 if j == len(starts) - 1 else s + step - 1
+        plan.append((s, lo, hi))
     if r.nbytes < _PARALLEL_MIN_BYTES:
         _equalize_segments(equalize_block, r, bank, plan, out)
     else:
@@ -301,7 +260,7 @@ def _equalize_segments(equalize, r, bank, plan, out) -> None:
 
 def time_domain_wf(
     r_stacked: np.ndarray,
-    H_cir: BlockStackedChannel | np.ndarray,
+    H_cir: np.ndarray,
     bm: BussgangModel,
     sigma_x2: float,
     size_cap: int = DENSE_SIZE_CAP,
@@ -312,7 +271,7 @@ def time_domain_wf(
     diagonal lift of the per-antenna effective-noise diagonal.  Small instances
     only (M*N_b capped).
     """
-    H = H_cir.matrix if isinstance(H_cir, BlockStackedChannel) else np.asarray(H_cir)
+    H = np.asarray(H_cir)
     r = np.asarray(r_stacked, dtype=np.complex128).ravel()
     if H.shape[0] != r.size:
         raise DimensionError("stacked receive vector does not match H_cir rows")

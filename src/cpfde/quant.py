@@ -78,13 +78,11 @@ def _uniform_grid(bits: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
     return thresholds, levels
 
 
-def design_quantizer(b: int, sigma: float, uniform: bool = True) -> QuantizerSpec:
-    """MSE-optimal b-bit quantizer for a zero-mean Gaussian of std sigma.
+def design_quantizer(b: int, sigma: float) -> QuantizerSpec:
+    """MSE-optimal uniform b-bit quantizer for a zero-mean Gaussian of std sigma.
 
-    The default is the optimum-uniform design (equal step, levels at interval
-    centers, step found by bounded scalar minimization of the closed-form
-    Gaussian MSE).  uniform=False switches to the non-uniform Lloyd-Max design
-    for comparison.
+    Equal steps, levels at interval centers, and the step found by bounded
+    scalar minimization of the closed-form Gaussian MSE.
     """
     if b < 1:
         raise ConfigurationError("bit depth must be >= 1")
@@ -92,7 +90,7 @@ def design_quantizer(b: int, sigma: float, uniform: bool = True) -> QuantizerSpe
         raise UnsupportedResolutionError(f"bit depth {b} > {MAX_BITS} unsupported")
     if not (sigma > 0 and np.isfinite(sigma)):
         raise ConfigurationError("sigma must be finite and positive")
-    thresholds, levels, rho = _design_unit(b, uniform)
+    thresholds, levels, rho = _design_unit(b)
     return QuantizerSpec(
         bits=b,
         thresholds=thresholds * sigma,
@@ -102,10 +100,8 @@ def design_quantizer(b: int, sigma: float, uniform: bool = True) -> QuantizerSpe
 
 
 @lru_cache(maxsize=None)
-def _design_unit(b: int, uniform: bool):
+def _design_unit(b: int):
     """Design for unit std (cached); all other inputs are exact rescalings."""
-    if not uniform:
-        return _lloyd_max_unit(b)
     res = minimize_scalar(
         lambda d: gaussian_quant_mse(*_uniform_grid(b, d), 1.0),
         bounds=(1e-8, 32.0 / 2**b),
@@ -113,25 +109,6 @@ def _design_unit(b: int, uniform: bool):
         options={"xatol": 1e-12},
     )
     thresholds, levels = _uniform_grid(b, float(res.x))
-    rho = gaussian_quant_mse(thresholds, levels, 1.0)
-    return thresholds, levels, rho
-
-
-def _lloyd_max_unit(b: int, max_iter: int = 500, tol: float = 1e-13):
-    """Lloyd-Max design for N(0,1): alternate centroid and midpoint conditions."""
-    _, levels = _uniform_grid(b, 1.0)
-    levels = levels.copy()
-    for _ in range(max_iter):
-        mids = 0.5 * (levels[:-1] + levels[1:])
-        thresholds = np.concatenate(([-np.inf], mids, [np.inf]))
-        P, m1, _ = _gaussian_partial_moments(thresholds, 1.0)
-        new = np.divide(m1, P, out=levels.copy(), where=P > 0)
-        if np.max(np.abs(new - levels)) < tol:
-            levels = new
-            break
-        levels = new
-    mids = 0.5 * (levels[:-1] + levels[1:])
-    thresholds = np.concatenate(([-np.inf], mids, [np.inf]))
     rho = gaussian_quant_mse(thresholds, levels, 1.0)
     return thresholds, levels, rho
 
@@ -169,13 +146,6 @@ def quantize(
         out[m].real = levels[np.searchsorted(thresholds, y[m].real, side="left")]
         out[m].imag = levels[np.searchsorted(thresholds, y[m].imag, side="left")]
     return out[:, 0] if squeeze else out
-
-
-def distortion_factor(b: int) -> float:
-    """Closed-form stand-in rho_q ~= 3^-b (complexity studies only)."""
-    if b < 1:
-        raise ConfigurationError("bit depth must be >= 1")
-    return 3.0 ** (-b)
 
 
 def bussgang_model(

@@ -126,7 +126,6 @@ class SimConfig:
     methods: tuple[str, ...] = METHODS
     seed: int = 0
     sigma_eta2: float = 1.0
-    overlap: int | None = None  # defaults to channel memory L
     fixed_sigma_x2: float | None = None  # bypass the Eb/N0 mapping when set
     workers: int = 1
 
@@ -154,8 +153,6 @@ class SimConfig:
             self.pdp = PowerDelayProfile.uniform(self.L + 1)
         if self.pdp.memory != self.L:
             raise ConfigurationError("power-delay profile length disagrees with L")
-        if self.overlap is None:
-            self.overlap = self.L
         for n_b in self.block_lens:
             if n_b < self.L + 1:
                 raise ConfigurationError(f"block length {n_b} < L+1={self.L + 1}")
@@ -301,7 +298,7 @@ def _run_one_realization(args):
 
     # Once per realization: the subband channels per N_b.  WF_Q shares the
     # gain-free subbands with WF; build_filter_bank applies the Bussgang gain.
-    fcs = {n_b: freq_channel(taps, n_b, 0.0) for n_b in cfg.block_lens}
+    fcs = {n_b: freq_channel(taps, n_b) for n_b in cfg.block_lens}
 
     out = {}
     for ebn0 in cfg.ebn0_grid:
@@ -315,7 +312,7 @@ def _run_one_realization(args):
                 account = method == "WF_Q"
                 fde_cfg = FdeConfig(
                     block_len=n_b,
-                    overlap=cfg.overlap,
+                    overlap=cfg.L,
                     sigma_x2=sigma_x2,
                     account_quantization=account,
                 )
@@ -395,18 +392,19 @@ def run_experiment(cfg: SimConfig) -> SimReport:
     )
 
 
-def per_position_error_profile(
-    cfg: SimConfig, n_b: int, ebn0_db: float | None = None
-) -> np.ndarray:
+def per_position_error_profile(cfg: SimConfig, n_b: int, ebn0_db: float) -> np.ndarray:
     """Ensemble-averaged squared error per within-block position, discard off.
 
     Blocks are taken from the stream interior (full interference history) and
     equalized independently; position 0 is the newest sample of a block.
     """
-    if n_b < cfg.L + 1 or n_b > cfg.T_c:
-        raise ConfigurationError(f"n_b={n_b} infeasible for L={cfg.L}, T_c={cfg.T_c}")
-    ebn0 = ebn0_db if ebn0_db is not None else cfg.ebn0_grid[0]
-    sigma_x2 = _sigma_x2(cfg, (ebn0,), n_b)[ebn0]
+    if n_b < cfg.L + 1:
+        raise ConfigurationError(f"n_b={n_b} infeasible for L={cfg.L}")
+    if cfg.T_c < 2 * n_b:
+        raise ConfigurationError(
+            f"T_c={cfg.T_c} too short for an interior block (needs 2 n_b = {2 * n_b})"
+        )
+    sigma_x2 = _sigma_x2(cfg, (ebn0_db,), n_b)[ebn0_db]
 
     acc = np.zeros(n_b)
     count = 0
@@ -416,7 +414,7 @@ def per_position_error_profile(
         r, rho = _receive(cfg, taps, hx, sigma_x2, rng)
         bm = bussgang_model(taps, rho, cfg.sigma_eta2, sigma_x2)
         fde_cfg = FdeConfig(block_len=n_b, overlap=0, sigma_x2=sigma_x2)
-        bank = build_filter_bank(freq_channel(taps, n_b, rho), bm, fde_cfg)
+        bank = build_filter_bank(freq_channel(taps, n_b), bm, fde_cfg)
         # skip the first block: its history is the zero-padded stream start
         for s in range(n_b, cfg.T_c - n_b + 1, n_b):
             block = r[:, s : s + n_b][:, ::-1]
@@ -424,6 +422,4 @@ def per_position_error_profile(
             ref = x[:, s : s + n_b][:, ::-1]
             acc += np.sum(np.abs(est - ref) ** 2, axis=0) / sigma_x2
             count += cfg.K
-    if count == 0:
-        raise ConfigurationError("T_c too short for an interior block")
     return acc / count

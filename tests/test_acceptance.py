@@ -64,7 +64,7 @@ class TestAcceptance:
             cir, _, _ = build_block_circulant(taps, N_b)
             fc = freq_channel(taps, N_b)
             F = unitary_dft_matrix(N_b)
-            lhs = np.kron(F, np.eye(M)) @ cir.matrix @ np.kron(F.conj().T, np.eye(K))
+            lhs = np.kron(F, np.eye(M)) @ cir @ np.kron(F.conj().T, np.eye(K))
             bd = np.zeros_like(lhs)
             for i in range(N_b):
                 bd[i * M : (i + 1) * M, i * K : (i + 1) * K] = fc.subbands[i]
@@ -83,9 +83,11 @@ class TestAcceptance:
                 cir, _, _ = build_block_circulant(taps, N_b, rho)
                 cfg = FdeConfig(block_len=N_b, overlap=L, sigma_x2=1.0,
                                 account_quantization=account)
-                bank = build_filter_bank(freq_channel(taps, N_b, rho), bm, cfg)
+                # Gain-free subbands; build_filter_bank applies (1 - rho), which
+                # the dense circulant carries.
+                bank = build_filter_bank(freq_channel(taps, N_b), bm, cfg)
                 x = rng.standard_normal(K * N_b) + 1j * rng.standard_normal(K * N_b)
-                r = cir.matrix @ x + 0.1 * (
+                r = cir @ x + 0.1 * (
                     rng.standard_normal(M * N_b) + 1j * rng.standard_normal(M * N_b)
                 )
                 dense = time_domain_wf(r, cir, bm, 1.0)

@@ -137,22 +137,3 @@ class TestOptimizer:
         assert res.n_opt == best
         assert res.cost_at_opt == pytest.approx(per_symbol_cost(best, p), rel=1e-12)
 
-    @settings(max_examples=30, deadline=None)
-    @given(
-        K=st.integers(1, 4),
-        M=st.integers(1, 16),
-        L_prime=st.integers(0, 20),
-        T_c=st.integers(2, 400),
-    )
-    def test_exact_frames_matches_brute_force(self, K, M, L_prime, T_c):
-        if T_c < max(L_prime + 1, 2):
-            return
-        p = ComplexityParams(K, M, L_prime, T_c)
-        res = optimal_block_length(p, exact_frames=True)
-        lo = max(L_prime + 1, 2)
-        best = min(
-            range(lo, T_c + 1), key=lambda n: (per_symbol_cost(n, p, exact=True), n)
-        )
-        assert res.cost_at_opt == pytest.approx(
-            per_symbol_cost(best, p, exact=True), rel=1e-12
-        )

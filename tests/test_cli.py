@@ -141,13 +141,21 @@ class TestBathtub:
         assert sidecar["n_b"] == 16 and sidecar["ebn0_db"] == 10
         assert sidecar["edge_center_ratio"] > 0
 
+    def test_ebn0_grid_flag_rejected(self, capsys, tmp_path):
+        # The profiled point is --ebn0-point; the sweep's grid flag is not
+        # accepted, not even as an abbreviation of --ebn0-point.
+        with pytest.raises(SystemExit) as exc:
+            main(["bathtub", "--ebn0", "0", "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--ebn0" in capsys.readouterr().err
+
 
 class TestQuantizerTable:
     def test_table(self, capsys):
         code, out, _ = run_cli(capsys, "quantizer-table")
         assert code == 0
         rows = out.strip().splitlines()
-        assert rows[0] == "b,delta_over_sigma,rho_q,rho_approx"
+        assert rows[0] == "b,delta_over_sigma,rho_q"
         assert len(rows) == 9
         b1 = rows[1].split(",")
         assert float(b1[2]) == pytest.approx(1 - 2 / 3.141592653589793, abs=1e-9)
@@ -182,14 +190,13 @@ class TestValidate:
 class TestParser:
     SIMULATION_FLAGS = {
         "--users", "--antennas", "--taps", "--channel", "--modulation", "--coherence",
-        "--realizations", "--bits", "--seed", "--workers", "--ebn0", "--block-lens",
-        "--methods",
+        "--realizations", "--bits", "--seed", "--workers", "--block-lens", "--methods",
     }
 
     @pytest.mark.parametrize(
         "name, own_flags",
         [
-            ("sweep", {"--paper-scale", "--output"}),
+            ("sweep", {"--ebn0", "--paper-scale", "--output"}),
             ("bathtub", {"--block-len", "--ebn0-point", "--output"}),
         ],
     )
@@ -199,10 +206,8 @@ class TestParser:
         flags = {o for a in sub.choices[name]._actions for o in a.option_strings}
         expected = {"-h", "--help", "--config", "--output-dir"} | self.SIMULATION_FLAGS
         assert flags == expected | own_flags
-        args = parser.parse_args(
-            [name, "--taps", "4", "--channel", "eva", "--ebn0", "1,2", "--workers", "2"]
-        )
-        assert (args.taps, args.channel, args.ebn0, args.workers) == (4, "eva", "1,2", 2)
+        args = parser.parse_args([name, "--taps", "4", "--channel", "eva", "--workers", "2"])
+        assert (args.taps, args.channel, args.workers) == (4, "eva", 2)
 
     def test_readme_commands_parse(self):
         # The README's command lines (those without shell variables) stay valid.

@@ -19,8 +19,6 @@ from cpfde.fde import (
     equalize_block,
     overlap_save_stream,
     time_domain_wf,
-    to_subbands,
-    to_time,
     unitary_dft_matrix,
 )
 from cpfde.quant import bussgang_model
@@ -60,21 +58,10 @@ def make_bank(taps, N_b, rho, sigma_eta2, sigma_x2, account=True, overlap=None):
         sigma_x2=sigma_x2,
         account_quantization=account,
     )
-    fc = freq_channel(taps, N_b, rho if account else 0.0)
-    return build_filter_bank(fc, bm, cfg), bm, cfg
+    return build_filter_bank(freq_channel(taps, N_b), bm, cfg), bm, cfg
 
 
 class TestConfig:
-    def test_discard_split_identity(self):
-        for lp in range(0, 9):
-            for split in ("newest", "symmetric"):
-                cfg = FdeConfig(block_len=16, overlap=lp, discard_split=split)
-                assert cfg.pre_discard + cfg.post_discard == lp
-
-    def test_symmetric_split_sizes(self):
-        cfg = FdeConfig(block_len=16, overlap=7, discard_split="symmetric")
-        assert (cfg.pre_discard, cfg.post_discard) == (4, 3)
-
     def test_block_len_lower_bound(self):
         with pytest.raises(ConfigurationError):
             FdeConfig(block_len=4, overlap=4)
@@ -86,15 +73,21 @@ class TestTransforms:
         np.testing.assert_allclose(F @ F.conj().T, np.eye(8), atol=1e-12)
 
     def test_round_trip(self):
+        # Identity filters: the transform into subbands and back returns the block.
         rng = np.random.default_rng(0)
         R = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
-        np.testing.assert_allclose(to_time(to_subbands(R)), R, atol=1e-12)
+        bank = SubbandFilterBank(filters=np.broadcast_to(np.eye(3), (16, 3, 3)))
+        np.testing.assert_allclose(equalize_block(R, bank), R, atol=1e-12)
 
     def test_matches_matrix_form(self):
+        # One scalar filter per subband acts as F^H diag(g) F on each row.
         rng = np.random.default_rng(1)
-        R = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
+        R = rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8))
+        g = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        bank = SubbandFilterBank(filters=g[:, None, None])
         F = unitary_dft_matrix(8)
-        np.testing.assert_allclose(to_subbands(R), R @ F.T, atol=1e-12)
+        expected = R @ (F.conj().T @ np.diag(g) @ F).T
+        np.testing.assert_allclose(equalize_block(R, bank), expected, atol=1e-12)
 
 
 class TestFilterBank:
@@ -119,9 +112,9 @@ class TestFilterBank:
         rng = np.random.default_rng(3)
         taps = random_taps(rng, 2, 4, 2)
         bank, bm, cfg = make_bank(taps, 8, 0.2, 0.7, 1.3)
-        fc = freq_channel(taps, 8, 0.2)
+        fc = freq_channel(taps, 8)
         for i in range(8):
-            H = fc.subbands[i]
+            H = bm.gain * fc.subbands[i]
             D = np.diag(bm.eff_noise_diag)
             A = H.conj().T @ np.linalg.inv(D)
             lhs = (A @ H + np.eye(2) / cfg.sigma_x2) @ bank.filters[i]
@@ -142,17 +135,6 @@ class TestFilterBank:
             A = Hi.conj().T @ Dinv
             expected = np.linalg.solve(A @ Hi + np.eye(K) / sx2, A)
             np.testing.assert_allclose(bank.filters[i], expected, rtol=1e-12, atol=1e-14)
-
-    def test_gain_applied_once_for_gain_free_subbands(self):
-        # WF_Q from the gain-free subbands equals WF_Q from the gain-scaled ones.
-        rng = np.random.default_rng(5)
-        taps = random_taps(rng, 2, 4, 2)
-        rho = 0.36
-        bm = bussgang_model(taps, rho, 0.8, 1.4)
-        cfg = FdeConfig(block_len=16, overlap=2, sigma_x2=1.4)
-        with_gain = build_filter_bank(freq_channel(taps, 16, rho), bm, cfg)
-        gain_free = build_filter_bank(freq_channel(taps, 16, 0.0), bm, cfg)
-        np.testing.assert_array_equal(gain_free.filters, with_gain.filters)
 
     def test_block_len_mismatch_rejected(self):
         rng = np.random.default_rng(4)
@@ -197,7 +179,7 @@ class TestTimeDomainEquivalence:
             bank, bm, _ = make_bank(taps, N_b, 0.3, 1.0, 1.0, account=account)
             cir, _, _ = build_block_circulant(taps, N_b, rho)
             x = rng.standard_normal(K * N_b) + 1j * rng.standard_normal(K * N_b)
-            r = cir.matrix @ x + 0.1 * (
+            r = cir @ x + 0.1 * (
                 rng.standard_normal(M * N_b) + 1j * rng.standard_normal(M * N_b)
             )
             dense_bm = bussgang_model(taps, rho, 1.0)
@@ -220,7 +202,7 @@ class TestTimeDomainEquivalence:
         bm = bussgang_model(taps, 0.0, 1e-12)
         r = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         xhat = time_domain_wf(r, cir, bm, 1e9)
-        np.testing.assert_allclose(xhat, np.linalg.solve(cir.matrix, r), atol=1e-4)
+        np.testing.assert_allclose(xhat, np.linalg.solve(cir, r), atol=1e-4)
 
     def test_size_guard(self):
         rng = np.random.default_rng(10)
@@ -254,7 +236,7 @@ class TestOverlapSave:
         assert out.shape == (1, 32)
         # blocks advance by N_b - L' = 4 and retain 4 interior samples each
         assert cfg.block_len - cfg.overlap == 4
-        assert np.count_nonzero(edge) == cfg.pre_discard + cfg.post_discard
+        assert np.count_nonzero(edge) == cfg.overlap
 
     def test_full_coverage_no_gaps(self):
         rng = np.random.default_rng(13)
@@ -323,9 +305,8 @@ def sliding_window_oracle(r, filters, cfg):
     """Each position is estimated by the first block whose kept span covers it.
 
     Blocks start every N_b - L' samples plus one clamped to the stream end;
-    block j keeps its span without the pre_discard newest and post_discard
-    oldest positions, except that the first and last blocks keep the stream
-    edges.
+    block j keeps its span without the L' newest positions, except that the
+    last block keeps the stream end.
     """
     N_b, T = cfg.block_len, r.shape[1]
     W = dense_block_operator(filters)
@@ -335,9 +316,8 @@ def sliding_window_oracle(r, filters, cfg):
     out = np.full((filters.shape[1], T), np.nan, dtype=complex)
     for j, s in enumerate(starts):
         est = np.einsum("knmp,mp->kn", W, r[:, s : s + N_b][:, ::-1])[:, ::-1]
-        first = 0 if j == 0 else s + cfg.post_discard
-        last = T - 1 if j == len(starts) - 1 else s + N_b - 1 - cfg.pre_discard
-        for t in range(first, last + 1):
+        last = T - 1 if j == len(starts) - 1 else s + N_b - 1 - cfg.overlap
+        for t in range(s, last + 1):
             if np.isnan(out[0, t]):
                 out[:, t] = est[:, t - s]
     return out
@@ -352,20 +332,17 @@ class TestOverlapSaveProperty:
         extra=st.integers(0, 60),
         M=st.integers(1, 3),
         K=st.integers(1, 2),
-        split=st.sampled_from(["newest", "symmetric"]),
         seed=st.integers(0, 10**6),
     )
-    @example(N_b=8, overlap_frac=1.0, extra=13, M=2, K=2, split="newest", seed=1)  # step 1
-    @example(N_b=9, overlap_frac=0.5, extra=7, M=2, K=1, split="symmetric", seed=2)  # clamped
-    def test_matches_dense_sliding_window(
-        self, threads, N_b, overlap_frac, extra, M, K, split, seed
-    ):
+    @example(N_b=8, overlap_frac=1.0, extra=13, M=2, K=2, seed=1)  # step 1
+    @example(N_b=9, overlap_frac=0.5, extra=7, M=2, K=1, seed=2)  # clamped final block
+    def test_matches_dense_sliding_window(self, threads, N_b, overlap_frac, extra, M, K, seed):
         rng = np.random.default_rng(seed)
         overlap = round(overlap_frac * (N_b - 1))
         T = N_b + extra
         filters = rng.standard_normal((N_b, K, M)) + 1j * rng.standard_normal((N_b, K, M))
-        bank = SubbandFilterBank(filters=filters, sigma_x2=1.0, rho_q=0.0)
-        cfg = FdeConfig(block_len=N_b, overlap=overlap, discard_split=split)
+        bank = SubbandFilterBank(filters=filters)
+        cfg = FdeConfig(block_len=N_b, overlap=overlap)
         r = rng.standard_normal((M, T)) + 1j * rng.standard_normal((M, T))
         if threads is None:
             out, edge = overlap_save_stream(r, bank, cfg)
@@ -376,8 +353,7 @@ class TestOverlapSaveProperty:
         assert not np.isnan(expected).any()
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
         mask = np.zeros(T, dtype=bool)
-        mask[: cfg.post_discard] = True
-        mask[T - cfg.pre_discard :] = True
+        mask[T - overlap :] = True
         np.testing.assert_array_equal(edge, mask)
 
 
@@ -392,22 +368,18 @@ class TestThreadInvariance:
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("account", [False, True])
-    @pytest.mark.parametrize("fc_rho", [0.0, 0.3])
-    def test_chunked_build_is_bitwise_one_shot(self, threads, account, fc_rho):
+    def test_chunked_build_is_bitwise_one_shot(self, threads, account):
         rng = np.random.default_rng(31)
         N_b, M, K = 37, 3, 2
         taps = random_taps(rng, 4, M, K)
         rho, s2, sx2 = 0.3, 0.6, 1.7
         bm = bussgang_model(taps, rho, s2, sx2)
         cfg = FdeConfig(block_len=N_b, overlap=4, sigma_x2=sx2, account_quantization=account)
-        fc = freq_channel(taps, N_b, fc_rho)
-        H = fc.subbands
+        fc = freq_channel(taps, N_b)
         if account:
-            H = H if fc_rho else H * bm.gain
-            diag = bm.eff_noise_diag
+            H, diag = fc.subbands * bm.gain, bm.eff_noise_diag
         else:
-            H = H / bm.gain if fc_rho else H
-            diag = np.full(M, s2)
+            H, diag = fc.subbands, np.full(M, s2)
         expected = self.one_shot_filters(H, diag, sx2)
         serial = build_filter_bank(fc, bm, cfg)
         # 5 subbands per chunk: 37 = 7 * 5 + 2 leaves a ragged last chunk.
@@ -430,7 +402,7 @@ class TestThreadInvariance:
         np.testing.assert_array_equal(pooled_edge, serial_edge)
 
     def test_worker_exception_propagates(self):
-        bank = SubbandFilterBank(np.ones((8, 1, 2), dtype=complex), sigma_x2=1.0, rho_q=0.0)
+        bank = SubbandFilterBank(np.ones((8, 1, 2), dtype=complex))
         r = np.ones((2, 64), dtype=complex)
 
         def fail(R, bank):

@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import norm
 
 import cpfde
-from cpfde import fde
+from cpfde import fde, simulate
 from cpfde.channel import ChannelTaps, PowerDelayProfile
 from cpfde.errors import ConfigurationError
 from cpfde.simulate import (
@@ -175,10 +175,6 @@ class TestConfigValidation:
     def test_bad_input_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             SimConfig(**{**dict(L=3, block_lens=(8,), T_c=64), **bad})
-
-    def test_overlap_defaults_to_memory(self):
-        cfg = SimConfig(L=3, block_lens=(8,), T_c=64)
-        assert cfg.overlap == 3
 
 
 class TestEngine:
@@ -369,4 +365,18 @@ class TestErrorProfile:
     def test_infeasible_block(self):
         cfg = SimConfig(K=1, M=2, L=3, T_c=64, N_sim=1, block_lens=(8,))
         with pytest.raises(ConfigurationError):
-            per_position_error_profile(cfg, 2)
+            per_position_error_profile(cfg, 2, 10.0)
+
+    def test_short_coherence_rejected_before_any_realization(self, monkeypatch):
+        # T_c < 2 n_b leaves no interior block; the check runs before the
+        # Eb/N0 trace pass draws a channel and before any transmission.
+        def fail(*_):
+            raise AssertionError("realization started")
+
+        monkeypatch.setattr(simulate, "_transmit", fail)
+        monkeypatch.setattr(simulate, "_realization_taps", fail)
+        cfg = SimConfig(K=1, M=2, L=3, T_c=64, N_sim=200, block_lens=(64,))
+        with pytest.raises(ConfigurationError, match="interior block"):
+            per_position_error_profile(cfg, 64, 10.0)
+        with pytest.raises(ConfigurationError, match="interior block"):
+            per_position_error_profile(cfg, 33, 10.0)
