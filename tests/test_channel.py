@@ -26,6 +26,11 @@ def random_taps(rng, L, M, K):
 
 
 class TestPowerDelayProfile:
+    def test_flat_profile(self):
+        pdp = PowerDelayProfile.uniform(1)
+        assert pdp.total_taps == 1 and pdp.memory == 0
+        assert pdp.entries == ((0, 1.0),)
+
     def test_index_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
             PowerDelayProfile(entries=((0, 1.0), (5, 1.0)), total_taps=4)

@@ -136,6 +136,24 @@ class TestFilterBank:
             expected = np.linalg.solve(A @ Hi + np.eye(K) / sx2, A)
             np.testing.assert_allclose(bank.filters[i], expected, rtol=1e-12, atol=1e-14)
 
+    def test_gain_applied_once_for_gain_free_subbands(self):
+        # WF_Q scales the gain-free subbands by the Bussgang gain exactly once:
+        # the bank solves the normal equations of gain * H, not of H or gain^2 * H.
+        rng = np.random.default_rng(5)
+        taps = random_taps(rng, 2, 4, 2)
+        rho, sx2 = 0.36, 1.4
+        bm = bussgang_model(taps, rho, 0.8, sx2)
+        cfg = FdeConfig(block_len=16, overlap=2, sigma_x2=sx2)
+        fc = freq_channel(taps, 16)
+        bank = build_filter_bank(fc, bm, cfg)
+        Dinv = np.diag(1.0 / bm.eff_noise_diag)
+        for power in (0, 1, 2):
+            H = (1.0 - rho) ** power * fc.subbands
+            A = H.conj().transpose(0, 2, 1) @ Dinv
+            expected = np.linalg.solve(A @ H + np.eye(2) / sx2, A)
+            close = np.allclose(bank.filters, expected, rtol=1e-12, atol=1e-14)
+            assert close == (power == 1)
+
     def test_block_len_mismatch_rejected(self):
         rng = np.random.default_rng(4)
         taps = random_taps(rng, 0, 2, 1)
@@ -368,11 +386,13 @@ class TestThreadInvariance:
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("account", [False, True])
-    def test_chunked_build_is_bitwise_one_shot(self, threads, account):
+    @pytest.mark.parametrize("rho", [0.0, 0.3])
+    def test_chunked_build_is_bitwise_one_shot(self, threads, account, rho):
+        # rho = 0 gives a unit Bussgang gain, which _build_filters skips.
         rng = np.random.default_rng(31)
         N_b, M, K = 37, 3, 2
         taps = random_taps(rng, 4, M, K)
-        rho, s2, sx2 = 0.3, 0.6, 1.7
+        s2, sx2 = 0.6, 1.7
         bm = bussgang_model(taps, rho, s2, sx2)
         cfg = FdeConfig(block_len=N_b, overlap=4, sigma_x2=sx2, account_quantization=account)
         fc = freq_channel(taps, N_b)

@@ -176,6 +176,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SimConfig(**{**dict(L=3, block_lens=(8,), T_c=64), **bad})
 
+    def test_overlap_defaults_to_memory(self, monkeypatch):
+        # The sweep equalizes every stream with overlap L' = L.
+        overlaps = []
+
+        def recording_config(**kw):
+            overlaps.append(kw["overlap"])
+            return fde.FdeConfig(**kw)
+
+        monkeypatch.setattr(simulate, "FdeConfig", recording_config)
+        cfg = SimConfig(K=1, M=2, L=3, T_c=64, N_sim=1, ebn0_grid=(10.0,), block_lens=(8, 16))
+        run_experiment(cfg)
+        assert overlaps and set(overlaps) == {3}
+
 
 class TestEngine:
     def small_cfg(self, **kw):
