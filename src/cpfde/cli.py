@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -19,26 +18,37 @@ import numpy as np
 from . import blockopt, channel, fde, quant, simulate
 from .errors import CpfdeError
 
-OUTPUT_DIR_ENV = "CPFDE_OUTPUT_DIR"
+# Defaults of the settings that --paper-scale changes, as (desk, paper);
+# optimize-block always takes the paper column.
+SCALE_DEFAULTS = {
+    "antennas": (32, 64), "taps": (16, 128), "coherence": (2048, 50000), "realizations": (20, 200)
+}
 
 
-def _output_dir(args) -> Path:
-    d = Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV, "."))
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+def _scaled(args, name: str) -> int:
+    value = getattr(args, name)
+    return SCALE_DEFAULTS[name][args.paper_scale] if value is None else value
 
 
-def _read_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
+def _config_tokens(path: str) -> list[str]:
+    """Every `key = value` of an INI file, from any section, as `--key=value`."""
     cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise CpfdeError(f"cannot read config file {path}")
-    flat = {}
-    for section in cp.sections():
-        for key, value in cp.items(section):
-            flat[key] = value
-    return flat
+    with open(path) as f:
+        cp.read_file(f)
+    tokens = []
+    for section in cp.values():
+        for key, value in section.items():
+            if key == "config":
+                raise configparser.Error("a config file cannot name another config file")
+            tokens.append(f"--{key.replace('_', '-')}={value}")
+    return tokens
+
+
+def _output_path(args, name: str) -> Path:
+    """`name` under --output-dir, with its parent directory created."""
+    out = Path(args.output_dir) / name
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _sidecar(path: Path, payload: dict) -> None:
@@ -46,35 +56,23 @@ def _sidecar(path: Path, payload: dict) -> None:
         json.dump(payload, f, indent=2, default=str)
 
 
-def _setting(args, file_cfg, name, cast, default):
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in file_cfg:
-        return cast(file_cfg[name])
-    return default
-
-
 # --------------------------------------------------------------------------
 # optimize-block
 # --------------------------------------------------------------------------
 
 def cmd_optimize_block(args) -> int:
-    file_cfg = _read_config_file(args.config)
     p = blockopt.ComplexityParams(
-        K=_setting(args, file_cfg, "users", int, 2),
-        M=_setting(args, file_cfg, "antennas", int, 64),
-        L_prime=_setting(args, file_cfg, "overlap", int, 127),
-        T_c=_setting(args, file_cfg, "coherence", int, 50000),
+        K=args.users, M=_scaled(args, "antennas"), L_prime=args.overlap,
+        T_c=_scaled(args, "coherence"),
     )
+    out = _output_path(args, args.emit_curve) if args.emit_curve else None
     mode = "power-of-2" if args.pow2 else "integer-exhaustive"
-    res = blockopt.optimal_block_length(p, mode=mode, emit_curve=bool(args.emit_curve))
+    res = blockopt.optimal_block_length(p, mode=mode, emit_curve=out is not None)
     print(f"n_opt {res.n_opt}")
     print(f"n_opt_pow2 {res.n_opt_pow2}")
     print(f"t_sym_at_opt {res.cost_at_opt:.12g}")
     print(f"t_sym_at_pow2 {res.cost_at_pow2:.12g}")
-    if args.emit_curve:
-        out = _output_dir(args) / args.emit_curve
+    if out is not None:
         blockopt.write_curve_csv(res.curve, out)
         _sidecar(
             out.with_suffix(out.suffix + ".json"),
@@ -93,65 +91,46 @@ def cmd_optimize_block(args) -> int:
 # sweep
 # --------------------------------------------------------------------------
 
-def _parse_float_list(s: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in s.split(","))
+def _list_of(cast, what: str):
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(cast(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}"
+            ) from None
+
+    return parse
 
 
-def _parse_int_list(s: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in s.split(","))
-
-
-def _parse_methods(s: str) -> tuple[str, ...]:
+def _methods(text: str) -> tuple[str, ...]:
+    # Other names pass through for SimConfig to reject.
     names = {"wf": "WF", "wfq": "WF_Q", "wf_q": "WF_Q"}
-    out = []
-    for tok in s.split(","):
-        tok = tok.strip().lower()
-        if tok not in names:
-            raise CpfdeError(f"unknown method {tok!r} (expected wf,wfq)")
-        out.append(names[tok])
-    return tuple(out)
+    tokens = (t.strip().lower() for t in text.split(","))
+    return tuple(names.get(t, t) for t in tokens)
 
 
-def _sim_config(args) -> simulate.SimConfig:
-    file_cfg = _read_config_file(args.config)
-    paper = bool(getattr(args, "paper_scale", False))
-    L = _setting(args, file_cfg, "taps", int, 128 if paper else 16) - 1
-    pdp = None
-    if _setting(args, file_cfg, "channel", str, "uniform") == "eva":
-        pdp = channel.PowerDelayProfile.eva(L + 1)
-    kwargs = dict(
-        K=_setting(args, file_cfg, "users", int, 2),
-        M=_setting(args, file_cfg, "antennas", int, 64 if paper else 32),
-        L=L,
-        pdp=pdp,
-        modulation=_setting(args, file_cfg, "modulation", int, 16),
-        T_c=_setting(args, file_cfg, "coherence", int, 50000 if paper else 2048),
-        N_sim=_setting(args, file_cfg, "realizations", int, 200 if paper else 20),
-        quant_bits=_setting(args, file_cfg, "bits", int, 1),
-        seed=_setting(args, file_cfg, "seed", int, 0),
-        workers=_setting(args, file_cfg, "workers", int, 1),
-    )
-    ebn0 = _setting(args, file_cfg, "ebn0", str, "0,5,10,15")
-    kwargs["ebn0_grid"] = _parse_float_list(ebn0)
-    block_lens = getattr(args, "block_lens", None) or file_cfg.get("block_lens")
-    if block_lens:
-        kwargs["block_lens"] = _parse_int_list(block_lens)
-    else:
-        p = blockopt.ComplexityParams(
-            K=kwargs["K"], M=kwargs["M"], L_prime=L, T_c=kwargs["T_c"]
+def _sim_config(args, **extra) -> simulate.SimConfig:
+    K, M, T_c = args.users, _scaled(args, "antennas"), _scaled(args, "coherence")
+    L = _scaled(args, "taps") - 1
+    block_lens = args.block_lens
+    if block_lens is None:
+        opt = blockopt.optimal_block_length(
+            blockopt.ComplexityParams(K=K, M=M, L_prime=L, T_c=T_c)
         )
-        opt = blockopt.optimal_block_length(p)
-        kwargs["block_lens"] = tuple(dict.fromkeys((opt.n_opt_pow2, kwargs["T_c"])))
-    methods = getattr(args, "methods", None) or file_cfg.get("methods")
-    if methods:
-        kwargs["methods"] = _parse_methods(methods)
-    return simulate.SimConfig(**kwargs)
+        block_lens = tuple(dict.fromkeys((opt.n_opt_pow2, T_c)))
+    return simulate.SimConfig(
+        K=K, M=M, L=L, T_c=T_c, N_sim=_scaled(args, "realizations"),
+        pdp=channel.PowerDelayProfile.eva(L + 1) if args.channel == "eva" else None,
+        modulation=args.modulation, quant_bits=args.bits, block_lens=block_lens,
+        methods=args.methods, seed=args.seed, workers=args.workers, **extra,
+    )
 
 
 def cmd_sweep(args) -> int:
-    cfg = _sim_config(args)
+    cfg = _sim_config(args, ebn0_grid=args.ebn0)
+    out = _output_path(args, args.output)
     report = simulate.run_experiment(cfg)
-    out = _output_dir(args) / args.output
     report.to_csv(out)
     report.write_metadata(out.with_suffix(out.suffix + ".json"))
     for r in report.rows:
@@ -168,24 +147,24 @@ def cmd_sweep(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_bathtub(args) -> int:
+    # The sweep's Eb/N0 grid keeps its library default; --ebn0-point is profiled.
     cfg = _sim_config(args)
-    n_b = args.block_len or cfg.block_lens[0]
-    ebn0 = args.ebn0_point if args.ebn0_point is not None else 10.0
-    profile = simulate.per_position_error_profile(cfg, n_b, ebn0)
+    n_b = cfg.block_lens[0] if args.block_len is None else args.block_len
+    out = _output_path(args, args.output)
+    profile = simulate.per_position_error_profile(cfg, n_b, args.ebn0_point)
     # Edge: the n_b//8 newest and n_b//8 oldest positions (at least one each);
     # center: the middle half.
     k = max(n_b // 8, 1)
     edge = (profile[:k].mean() + profile[-k:].mean()) / 2
     center = profile[n_b // 4 : n_b - n_b // 4].mean()
     ratio = float(edge / center)
-    out = _output_dir(args) / args.output
     fde.error_profile_csv(profile, out)
     _sidecar(
         out.with_suffix(out.suffix + ".json"),
         {
             "subcommand": "bathtub",
             "n_b": n_b,
-            "ebn0_db": ebn0,
+            "ebn0_db": args.ebn0_point,
             "edge_center_ratio": ratio,
             "config": cfg.snapshot(),
         },
@@ -321,37 +300,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--config", help="INI-style config file")
-        p.add_argument("--output-dir", help=f"output directory (or ${OUTPUT_DIR_ENV})")
+        p.add_argument("--config", help="INI file; each key is read as --key=value")
+        p.add_argument("--output-dir", default=".", help="output directory")
+        p.add_argument("--users", type=int, default=2)
+        p.add_argument("--antennas", type=int)
+        p.add_argument("--coherence", type=int)
 
     p = sub.add_parser("optimize-block", help="minimize per-symbol complexity over N_b")
     common(p)
-    p.add_argument("--users", type=int)
-    p.add_argument("--antennas", type=int)
-    p.add_argument("--overlap", type=int)
-    p.add_argument("--coherence", type=int)
+    p.add_argument("--overlap", type=int, default=127)
     p.add_argument("--pow2", action="store_true", help="scan powers of 2 only")
     p.add_argument("--emit-curve", metavar="FILE.csv")
-    p.set_defaults(func=cmd_optimize_block)
+    p.set_defaults(func=cmd_optimize_block, paper_scale=True)
 
     def simulation(p):
-        p.add_argument("--users", type=int)
-        p.add_argument("--antennas", type=int)
+        common(p)
         p.add_argument("--taps", type=int, help="channel impulse response length L+1")
-        p.add_argument("--channel", choices=["uniform", "eva"])
-        p.add_argument("--modulation", type=int)
-        p.add_argument("--coherence", type=int)
+        p.add_argument("--channel", choices=["uniform", "eva"], default="uniform")
+        p.add_argument("--modulation", type=int, default=16)
         p.add_argument("--realizations", type=int)
-        p.add_argument("--bits", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
-        p.add_argument("--block-lens", help="comma-separated block lengths")
-        p.add_argument("--methods", help="comma-separated subset of wf,wfq")
+        p.add_argument("--bits", type=int, default=1)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument(
+            "--block-lens", type=_list_of(int, "integers"),
+            help="comma-separated block lengths (default: n_opt_pow2 and T_c)",
+        )
+        p.add_argument(
+            "--methods", type=_methods, default="wf,wfq", help="comma-separated subset of wf,wfq"
+        )
 
     p = sub.add_parser("sweep", help="Monte-Carlo MSE/BER sweep")
-    common(p)
     simulation(p)
-    p.add_argument("--ebn0", help="comma-separated Eb/N0 grid in dB")
+    p.add_argument(
+        "--ebn0", type=_list_of(float, "numbers"), default="0,5,10,15",
+        help="comma-separated Eb/N0 grid in dB",
+    )
     p.add_argument("--paper-scale", action="store_true")
     p.add_argument("--output", default="report.csv")
     p.set_defaults(func=cmd_sweep)
@@ -360,12 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bathtub", help="per-position error profile (discard disabled)", allow_abbrev=False
     )
-    common(p)
     simulation(p)
     p.add_argument("--block-len", type=int)
-    p.add_argument("--ebn0-point", type=float, help="profiled Eb/N0 in dB (default 10)")
+    p.add_argument("--ebn0-point", type=float, default=10.0, help="profiled Eb/N0 in dB")
     p.add_argument("--output", default="bathtub.csv")
-    p.set_defaults(func=cmd_bathtub)
+    p.set_defaults(func=cmd_bathtub, paper_scale=False)
 
     p = sub.add_parser("quantizer-table", help="print the b-bit design table as CSV")
     p.set_defaults(func=cmd_quantizer_table)
@@ -377,9 +360,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse `argv`; a `--config` file's tokens go ahead of the flags, so a flag wins."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        try:
+            tokens = _config_tokens(args.config)
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+            parser.error(f"--config {args.config}: {exc}")
+        i = argv.index(args.subcommand) + 1
+        args = parser.parse_args([*argv[:i], *tokens, *argv[i:]])
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except CpfdeError as exc:

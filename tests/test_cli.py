@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from cpfde.cli import build_parser, main
+from cpfde import blockopt, simulate
+from cpfde.cli import build_parser, main, parse_args
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +142,14 @@ class TestBathtub:
         assert sidecar["n_b"] == 16 and sidecar["ebn0_db"] == 10
         assert sidecar["edge_center_ratio"] > 0
 
+    def test_zero_block_len_exit_2(self, capsys, tmp_path):
+        # 0 is a block length, not "unset": it is rejected, not replaced by N_b.
+        code, _, err = run_cli(
+            capsys, "bathtub", "--block-len", "0", "--output-dir", str(tmp_path)
+        )
+        assert code == 2 and "error:" in err
+        assert not (tmp_path / "bathtub.csv").exists()
+
     def test_ebn0_grid_flag_rejected(self, capsys, tmp_path):
         # The profiled point is --ebn0-point; the sweep's grid flag is not
         # accepted, not even as an abbreviation of --ebn0-point.
@@ -148,6 +157,98 @@ class TestBathtub:
             main(["bathtub", "--ebn0", "0", "--output-dir", str(tmp_path)])
         assert exc.value.code == 2
         assert "--ebn0" in capsys.readouterr().err
+
+
+def write_ini(path, **keys):
+    path.write_text("[sim]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    return str(path)
+
+
+def sweep_ini(path):
+    """TestSweep.ARGS as an INI file."""
+    flags = TestSweep.ARGS[1:]
+    keys = {f[2:].replace("-", "_"): v for f, v in zip(flags[::2], flags[1::2])}
+    return write_ini(path, **keys)
+
+
+class TestConfigFile:
+    def test_sweep_file_matches_flags(self, capsys, tmp_path):
+        ini = sweep_ini(tmp_path / "sweep.ini")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli(capsys, *TestSweep.ARGS, "--output-dir", str(a))[0] == 0
+        assert run_cli(capsys, "sweep", "--config", ini, "--output-dir", str(b))[0] == 0
+        for name in ("report.csv", "report.csv.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_sweep_flag_overrides_file(self, capsys, tmp_path):
+        ini = sweep_ini(tmp_path / "sweep.ini")
+        code, _, _ = run_cli(
+            capsys, "sweep", "--config", ini, "--seed", "5", "--methods", "wfq",
+            "--output-dir", str(tmp_path),
+        )
+        assert code == 0
+        meta = json.loads((tmp_path / "report.csv.json").read_text())
+        assert meta["seed"] == 5 and meta["config"]["methods"] == ["WF_Q"]
+        assert meta["config"]["M"] == 8  # from the file
+
+    def test_negative_grid_from_file(self, capsys, tmp_path):
+        # The `--key=value` form keeps a leading minus from reading as a flag.
+        ini = write_ini(tmp_path / "f.ini", ebn0="-5,0")
+        assert parse_args(["sweep", "--config", ini]).ebn0 == (-5.0, 0.0)
+
+    def test_unknown_key_exit_2(self, capsys, tmp_path, monkeypatch):
+        # bathtub takes --ebn0-point, not the sweep's --ebn0; `realisations` is a typo.
+        monkeypatch.setattr(simulate, "per_position_error_profile", None)
+        ini = write_ini(tmp_path / "f.ini", ebn0="0", realisations="1")
+        with pytest.raises(SystemExit) as exc:
+            main(["bathtub", "--config", ini, "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--realisations=1" in err and "--ebn0=0" in err
+        assert not (tmp_path / "bathtub.csv").exists()
+
+    @pytest.mark.parametrize(
+        "ini, flags",
+        [
+            ({"realizations": "two"}, []),
+            ({}, ["--ebn0", "0,x"]),
+            ({}, ["--ebn0", ""]),
+            ({}, ["--block-lens", "64,"]),
+        ],
+    )
+    def test_malformed_value_exit_2(self, capsys, tmp_path, monkeypatch, ini, flags):
+        monkeypatch.setattr(simulate, "run_experiment", None)  # never reached
+        cfg = ["--config", write_ini(tmp_path / "f.ini", **ini)] if ini else []
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *cfg, *flags, "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize(
+        "argv, module, name",
+        [
+            (["sweep", "--output", "sub/r.csv"], simulate, "run_experiment"),
+            (["bathtub", "--output", "sub/b.csv"], simulate, "per_position_error_profile"),
+            (["optimize-block", "--emit-curve", "sub/c.csv"], blockopt, "optimal_block_length"),
+        ],
+    )
+    def test_parent_created_before_work(
+        self, capsys, tmp_path, monkeypatch, argv, module, name
+    ):
+        seen = []
+
+        def work(*args, **kwargs):
+            seen.append((tmp_path / "sub").is_dir())
+            raise simulate.ConfigurationError("stop")
+
+        monkeypatch.setattr(module, name, work)
+        code, _, err = run_cli(capsys, *argv, "--output-dir", str(tmp_path))
+        assert code == 2 and "stop" in err
+        assert seen == [True]
 
 
 class TestQuantizerTable:
@@ -224,3 +325,47 @@ class TestParser:
                 parser.parse_args(shlex.split(line, comments=True)[1:])
             except SystemExit:
                 pytest.fail(f"README command does not parse: {line}")
+
+    @staticmethod
+    def config_subcommands():
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for name, p in sub.choices.items():
+            if any("--config" in a.option_strings for a in p._actions):
+                yield name, p
+
+    def test_every_value_option_reads_from_file(self, tmp_path):
+        # `key = v` in a file and `--key v` on the command line parse alike, for
+        # every option of every subcommand that takes --config.
+        ini = tmp_path / "f.ini"
+        checked = 0
+        for name, p in self.config_subcommands():
+            for action in p._actions:
+                if action.nargs == 0 or action.dest == "config":
+                    continue
+                flag = action.option_strings[-1]
+                for value in [*(action.choices or ()), "2,3", "3"]:
+                    try:
+                        expected = vars(parse_args([name, flag, value]))
+                    except SystemExit:
+                        continue
+                    break
+                else:
+                    pytest.fail(f"no sample value for {name} {flag}")
+                write_ini(ini, **{flag[2:].replace("-", "_"): value})
+                got = vars(parse_args([name, "--config", str(ini)]))
+                assert {**got, "config": None} == {**expected, "config": None}, flag
+                checked += 1
+        assert checked >= 20
+
+    def test_switch_in_file_exit_2(self, capsys, tmp_path):
+        for name, p in self.config_subcommands():
+            for action in p._actions:
+                if action.nargs != 0 or action.dest == "help":
+                    continue
+                ini = write_ini(tmp_path / "f.ini", **{action.dest: "true"})
+                with pytest.raises(SystemExit) as exc:
+                    parse_args([name, "--config", ini])
+                assert exc.value.code == 2
+                assert action.option_strings[0] in capsys.readouterr().err
