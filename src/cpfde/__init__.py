@@ -7,7 +7,6 @@ length selection, and a Monte-Carlo MSE/BER engine.
 from .blockopt import ComplexityParams, OptResult, optimal_block_length, per_symbol_cost
 from .channel import (
     ChannelTaps,
-    FreqChannel,
     PowerDelayProfile,
     build_block_circulant,
     build_block_toeplitz,
@@ -17,7 +16,6 @@ from .channel import (
 )
 from .fde import (
     FdeConfig,
-    SubbandFilterBank,
     build_filter_bank,
     equalize_block,
     overlap_save_stream,
@@ -44,7 +42,6 @@ from .simulate import (
 __all__ = [
     "ChannelTaps",
     "PowerDelayProfile",
-    "FreqChannel",
     "generate_channel",
     "build_block_toeplitz",
     "build_block_circulant",
@@ -57,7 +54,6 @@ __all__ = [
     "bussgang_model",
     "per_antenna_agc",
     "FdeConfig",
-    "SubbandFilterBank",
     "build_filter_bank",
     "equalize_block",
     "overlap_save_stream",

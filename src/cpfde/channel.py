@@ -114,17 +114,6 @@ class ChannelTaps:
         return float(np.sum(np.abs(self.taps) ** 2))
 
 
-@dataclass(frozen=True)
-class FreqChannel:
-    """Per-subband channel matrices without the Bussgang gain, shape (N_b, M, K)."""
-
-    subbands: np.ndarray
-
-    @property
-    def block_len(self) -> int:
-        return self.subbands.shape[0]
-
-
 def generate_channel(
     pdp: PowerDelayProfile, M: int, K: int, rng: np.random.Generator
 ) -> ChannelTaps:
@@ -191,14 +180,14 @@ def build_block_circulant(
     return causal + interf, causal, interf
 
 
-def freq_channel(taps: ChannelTaps, N_b: int, rho_q: float = 0.0) -> FreqChannel:
-    """Per-subband channel matrices H_fi = sum_l H_l e^{-j 2pi l i / N_b}.
+def freq_channel(taps: ChannelTaps, N_b: int, rho_q: float = 0.0) -> np.ndarray:
+    """Per-subband channel matrices H_fi = sum_l H_l e^{-j 2pi l i / N_b}, (N_b, M, K).
 
     The tap-wise transform is the unnormalized DFT over the tap index.  It runs
     along the contiguous last axis of the (M, K, L+1) taps and is then laid out
-    subband-major.  The subbands never carry the Bussgang gain: build_filter_bank
-    applies it.  rho_q must be 0; it stays in the signature because perfbench's
-    tracer keys freq_channel calls on it.
+    subband-major and contiguous.  The subbands never carry the Bussgang gain:
+    build_filter_bank applies it.  rho_q must be 0; it stays in the signature
+    because perfbench's tracer keys freq_channel calls on it.
     """
     L = taps.memory
     if N_b < L + 1:
@@ -206,7 +195,7 @@ def freq_channel(taps: ChannelTaps, N_b: int, rho_q: float = 0.0) -> FreqChannel
     if rho_q != 0.0:
         raise ConfigurationError("freq_channel is gain-free; build_filter_bank applies rho_q")
     spectra = np.fft.fft(np.ascontiguousarray(taps.taps.transpose(1, 2, 0)), n=N_b, axis=-1)
-    return FreqChannel(subbands=np.ascontiguousarray(spectra.transpose(2, 0, 1)))
+    return np.ascontiguousarray(spectra.transpose(2, 0, 1))
 
 
 def _next_pow2(n: int) -> int:

@@ -147,8 +147,7 @@ def cmd_sweep(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_bathtub(args) -> int:
-    # The sweep's Eb/N0 grid keeps its library default; --ebn0-point is profiled.
-    cfg = _sim_config(args)
+    cfg = _sim_config(args, ebn0_grid=(args.ebn0_point,))
     n_b = cfg.block_lens[0] if args.block_len is None else args.block_len
     out = _output_path(args, args.output)
     profile = simulate.per_position_error_profile(cfg, n_b, args.ebn0_point)
@@ -204,12 +203,12 @@ def _check_diagonalization(broken: bool) -> tuple[bool, str]:
         if broken:
             # negative-control hook: perturb one tap after the circulant build
             taps = channel.ChannelTaps(taps.taps + 0.1)
-        fc = channel.freq_channel(taps, N_b)
+        subbands = channel.freq_channel(taps, N_b)
         F = fde.unitary_dft_matrix(N_b)
         lhs = np.kron(F, np.eye(M)) @ cir @ np.kron(F.conj().T, np.eye(K))
         bd = np.zeros_like(lhs)
         for i in range(N_b):
-            bd[i * M : (i + 1) * M, i * K : (i + 1) * K] = fc.subbands[i]
+            bd[i * M : (i + 1) * M, i * K : (i + 1) * K] = subbands[i]
         worst = max(worst, np.linalg.norm(lhs - bd) / max(np.linalg.norm(bd), 1e-30))
     return worst < 1e-10, f"max relative error {worst:.3g}"
 
@@ -225,13 +224,13 @@ def _check_fde_oracle() -> tuple[bool, str]:
         rho = float(rng.uniform(0.0, 0.5))
         bm = quant.bussgang_model(taps, rho, 1.0)
         cir, _, _ = channel.build_block_circulant(taps, N_b, rho)
-        cfg = fde.FdeConfig(block_len=N_b, overlap=L, sigma_x2=1.0)
+        cfg = fde.FdeConfig(block_len=N_b, overlap=L)
         bank = fde.build_filter_bank(channel.freq_channel(taps, N_b), bm, cfg)
         x = rng.standard_normal(K * N_b) + 1j * rng.standard_normal(K * N_b)
         r = cir @ x + 0.1 * (
             rng.standard_normal(M * N_b) + 1j * rng.standard_normal(M * N_b)
         )
-        dense = fde.time_domain_wf(r, cir, bm, 1.0)
+        dense = fde.time_domain_wf(r, cir, bm)
         fast = fde.equalize_block(r.reshape(M, N_b, order="F"), bank).reshape(-1, order="F")
         worst = max(worst, np.linalg.norm(fast - dense) / np.linalg.norm(dense))
     return worst < 1e-9, f"max relative error {worst:.3g}"

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FreqChannel
 from .errors import ConfigurationError, DimensionError, SizeGuardError
 from .quant import BussgangModel
 
@@ -93,12 +92,10 @@ def _map(fn, jobs: list[tuple]) -> None:
 
 @dataclass(frozen=True)
 class FdeConfig:
-    """Block length, overlap and estimator variant for the equalizer."""
+    """Block length and overlap of the equalizer."""
 
     block_len: int
     overlap: int
-    sigma_x2: float = 1.0
-    account_quantization: bool = True
 
     def __post_init__(self):
         if self.overlap < 0:
@@ -107,27 +104,6 @@ class FdeConfig:
             raise ConfigurationError(
                 f"block_len={self.block_len} must be >= overlap+1={self.overlap + 1}"
             )
-        if not (self.sigma_x2 > 0):
-            raise ConfigurationError("sigma_x2 must be positive")
-
-
-@dataclass(frozen=True)
-class SubbandFilterBank:
-    """Per-subband MMSE filters, shape (N_b, K, M), immutable after build."""
-
-    filters: np.ndarray
-
-    @property
-    def block_len(self) -> int:
-        return self.filters.shape[0]
-
-    @property
-    def n_users(self) -> int:
-        return self.filters.shape[1]
-
-    @property
-    def n_rx(self) -> int:
-        return self.filters.shape[2]
 
 
 def unitary_dft_matrix(n: int) -> np.ndarray:
@@ -136,29 +112,21 @@ def unitary_dft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
-def build_filter_bank(
-    fc: FreqChannel, bm: BussgangModel, cfg: FdeConfig
-) -> SubbandFilterBank:
-    """Per-subband MMSE filters G_fi = (H^H D^-1 H + I/sigma_x^2)^-1 H^H D^-1.
+def build_filter_bank(subbands: np.ndarray, bm: BussgangModel, cfg: FdeConfig) -> np.ndarray:
+    """Per-subband MMSE filters G_fi = (H^H D^-1 H + I/sigma_x^2)^-1 H^H D^-1, (N_b, K, M).
 
-    With account_quantization H is the gain-free subband channel times the
-    Bussgang gain and D is the effective-noise diagonal; without it the
-    quantization is ignored (H gain-free, D = sigma_eta^2 I).
+    H is the model's gain times the gain-free (N_b, M, K) subbands of
+    freq_channel, D the model's effective-noise diagonal and sigma_x^2 its
+    transmit power.  The rho_q = 0 model gives the quantization-unaware filter.
     """
-    if fc.block_len != cfg.block_len:
+    if subbands.shape[0] != cfg.block_len:
         raise DimensionError(
-            f"frequency channel block_len {fc.block_len} != config {cfg.block_len}"
+            f"frequency channel block_len {subbands.shape[0]} != config {cfg.block_len}"
         )
-    H = fc.subbands
-    if cfg.account_quantization:
-        gain = bm.gain
-        diag = np.asarray(bm.eff_noise_diag, dtype=np.float64)
-    else:
-        gain = 1.0
-        diag = np.full(fc.subbands.shape[1], bm.sigma_eta2)
+    diag = np.asarray(bm.eff_noise_diag, dtype=np.float64)
     if np.any(diag <= 0):
         raise ConfigurationError("effective-noise diagonal must be strictly positive")
-    N_b, M, K = H.shape
+    N_b, M, K = subbands.shape
     G = np.empty((N_b, K, M), dtype=np.complex128)
     inv_diag = 1.0 / diag
     # Below the floor the whole bank is one chunk, built in the calling thread.
@@ -169,11 +137,11 @@ def build_filter_bank(
     _map(
         _build_filters,
         [
-            (H[lo : lo + step], gain, inv_diag, cfg.sigma_x2, G[lo : lo + step])
+            (subbands[lo : lo + step], bm.gain, inv_diag, bm.sigma_x2, G[lo : lo + step])
             for lo in range(0, N_b, step)
         ],
     )
-    return SubbandFilterBank(filters=G)
+    return G
 
 
 def _build_filters(H, gain, inv_diag, sigma_x2, out) -> None:
@@ -188,27 +156,29 @@ def _build_filters(H, gain, inv_diag, sigma_x2, out) -> None:
     np.matmul(np.linalg.inv(gram), O, out=out)
 
 
-def equalize_block(R: np.ndarray, bank: SubbandFilterBank) -> np.ndarray:
-    """Equalize one M x N_b receive block (columns newest-first) to K x N_b."""
+def equalize_block(R: np.ndarray, bank: np.ndarray) -> np.ndarray:
+    """Equalize one M x N_b receive block (columns newest-first) to K x N_b.
+
+    bank holds the (N_b, K, M) filters of build_filter_bank.
+    """
     R = np.asarray(R, dtype=np.complex128)
-    if R.ndim != 2 or R.shape != (bank.n_rx, bank.block_len):
-        raise DimensionError(
-            f"receive block must be {bank.n_rx} x {bank.block_len}, got {R.shape}"
-        )
+    N_b, _, M = bank.shape
+    if R.ndim != 2 or R.shape != (M, N_b):
+        raise DimensionError(f"receive block must be {M} x {N_b}, got {R.shape}")
     return _equalize_block(R, bank)
 
 
-def _equalize_block(R: np.ndarray, bank: SubbandFilterBank) -> np.ndarray:
+def _equalize_block(R: np.ndarray, bank: np.ndarray) -> np.ndarray:
     # The row-wise unitary transform F into subbands, the per-subband filters,
     # then F^H back to time.  Pool threads call this, not the public wrapper.
     n = R.shape[-1]
     Rf = np.fft.ifft(R, axis=-1) * np.sqrt(n)
-    Xf = np.einsum("skm,ms->ks", bank.filters, Rf)
+    Xf = np.einsum("skm,ms->ks", bank, Rf)
     return np.fft.fft(Xf, axis=-1) / np.sqrt(n)
 
 
 def overlap_save_stream(
-    r: np.ndarray, bank: SubbandFilterBank, cfg: FdeConfig
+    r: np.ndarray, bank: np.ndarray, cfg: FdeConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Equalize an M x T_c stream block-wise with overlap and edge discard.
 
@@ -218,17 +188,18 @@ def overlap_save_stream(
     its newest samples (the end of the stream); the returned edge mask flags
     them.  A final block that would run past the stream is clamped to end with
     it and emits only the positions not yet written.  Returns (K x T_c
-    estimates, length-T_c boolean edge mask).
+    estimates, length-T_c boolean edge mask).  bank is as for equalize_block.
     """
     r = np.asarray(r, dtype=np.complex128)
-    if r.ndim != 2 or r.shape[0] != bank.n_rx:
-        raise DimensionError(f"stream must be M x T with M={bank.n_rx}")
+    _, K, M = bank.shape
+    if r.ndim != 2 or r.shape[0] != M:
+        raise DimensionError(f"stream must be M x T with M={M}")
     N_b = cfg.block_len
     T = r.shape[1]
     if T < N_b:
         raise ConfigurationError(f"stream length {T} shorter than block length {N_b}")
     step = N_b - cfg.overlap
-    out = np.empty((bank.n_users, T), dtype=np.complex128)
+    out = np.empty((K, T), dtype=np.complex128)
     edge = np.zeros(T, dtype=bool)
     edge[T - cfg.overlap :] = True
 
@@ -251,39 +222,33 @@ def overlap_save_stream(
 
 
 def _equalize_segments(equalize, r, bank, plan, out) -> None:
-    N_b = bank.block_len
+    N_b = bank.shape[0]
     for s, lo, hi in plan:
         block = r[:, s : s + N_b][:, ::-1]  # newest-first column order
         est = equalize(block, bank)[:, ::-1]  # back to time order
         out[:, lo : hi + 1] = est[:, lo - s : hi - s + 1]
 
 
-def time_domain_wf(
-    r_stacked: np.ndarray,
-    H_cir: np.ndarray,
-    bm: BussgangModel,
-    sigma_x2: float,
-    size_cap: int = DENSE_SIZE_CAP,
-) -> np.ndarray:
+def time_domain_wf(r_stacked: np.ndarray, H_cir: np.ndarray, bm: BussgangModel) -> np.ndarray:
     """Dense time-domain Wiener filter oracle on the stacked M*N_b receive vector.
 
     Solves (H^H R^-1 H + I/sigma_x^2) x = H^H R^-1 r with R the block-constant
-    diagonal lift of the per-antenna effective-noise diagonal.  Small instances
-    only (M*N_b capped).
+    diagonal lift of the per-antenna effective-noise diagonal and sigma_x^2 the
+    model's transmit power.  Small instances only (M*N_b at most DENSE_SIZE_CAP).
     """
     H = np.asarray(H_cir)
     r = np.asarray(r_stacked, dtype=np.complex128).ravel()
     if H.shape[0] != r.size:
         raise DimensionError("stacked receive vector does not match H_cir rows")
-    if H.shape[0] > size_cap:
-        raise SizeGuardError(f"dense instance {H.shape[0]} exceeds cap {size_cap}")
+    if H.shape[0] > DENSE_SIZE_CAP:
+        raise SizeGuardError(f"dense instance {H.shape[0]} exceeds cap {DENSE_SIZE_CAP}")
     M = bm.eff_noise_diag.shape[0]
     if H.shape[0] % M:
         raise DimensionError("H_cir rows not a multiple of the antenna count")
     N_b = H.shape[0] // M
     diag = np.tile(np.asarray(bm.eff_noise_diag, dtype=np.float64), N_b)
     Hh_Rinv = H.conj().T * (1.0 / diag)[None, :]
-    gram = Hh_Rinv @ H + (1.0 / sigma_x2) * np.eye(H.shape[1])
+    gram = Hh_Rinv @ H + (1.0 / bm.sigma_x2) * np.eye(H.shape[1])
     return np.linalg.solve(gram, Hh_Rinv @ r)
 
 

@@ -25,7 +25,6 @@ MAX_BITS = 16
 class QuantizerSpec:
     """Scalar quantizer: thresholds a_0..a_{2^b} (outer ones infinite) and levels."""
 
-    bits: int
     thresholds: np.ndarray
     levels: np.ndarray
     rho_q: float
@@ -33,17 +32,17 @@ class QuantizerSpec:
 
 @dataclass(frozen=True)
 class BussgangModel:
-    """Effective linear model of the quantized receiver for one time slot.
+    """Linear model of the quantized receiver: all a filter bank is built from.
 
     gain is the scalar Bussgang gain (1 - rho_q); eff_noise_diag holds the
     per-antenna diagonal of the effective-noise covariance, identical for
-    every time slot within a block.
+    every time slot within a block; sigma_x2 is the per-user transmit power.
+    The model at rho_q = 0 (gain 1, noise sigma_eta^2 I) ignores quantization.
     """
 
     gain: float
     eff_noise_diag: np.ndarray
-    rho_q: float
-    sigma_eta2: float
+    sigma_x2: float
 
 
 def _gaussian_partial_moments(thresholds, sigma):
@@ -92,7 +91,6 @@ def design_quantizer(b: int, sigma: float) -> QuantizerSpec:
         raise ConfigurationError("sigma must be finite and positive")
     thresholds, levels, rho = _design_unit(b)
     return QuantizerSpec(
-        bits=b,
         thresholds=thresholds * sigma,
         levels=levels * sigma,
         rho_q=float(rho),
@@ -151,7 +149,7 @@ def quantize(
 def bussgang_model(
     taps: ChannelTaps, rho_q: float, sigma_eta2: float, sigma_x2: float = 1.0
 ) -> BussgangModel:
-    """Effective-noise statistics of the linearized quantized receiver.
+    """Bussgang model of the linearized quantized receiver at transmit power sigma_x2.
 
     Per-antenna diagonal: (1-rho_q) * (sigma_eta^2 + rho_q * sigma_x^2 * c_m)
     with c_m the m-th diagonal entry of sum_l H_l H_l^H.  sigma_x2 scales the
@@ -162,10 +160,12 @@ def bussgang_model(
         raise ConfigurationError("rho_q must lie in [0, 1)")
     if not (sigma_eta2 > 0):
         raise ConfigurationError("sigma_eta2 must be positive")
+    if not (sigma_x2 > 0):
+        raise ConfigurationError("sigma_x2 must be positive")
     c = taps.tap_gram_diag()
     gain = 1.0 - rho_q
     diag = gain * (sigma_eta2 + rho_q * sigma_x2 * c)
-    return BussgangModel(gain=gain, eff_noise_diag=diag, rho_q=rho_q, sigma_eta2=sigma_eta2)
+    return BussgangModel(gain=gain, eff_noise_diag=diag, sigma_x2=sigma_x2)
 
 
 def per_antenna_agc(taps: ChannelTaps, sigma_x2: float, sigma_eta2: float) -> np.ndarray:

@@ -296,27 +296,24 @@ def _run_one_realization(args):
     B = cfg.bits_per_symbol
     bits_k = bits.reshape(cfg.K, cfg.T_c * B)
 
-    # Once per realization: the subband channels per N_b.  WF_Q shares the
-    # gain-free subbands with WF; build_filter_bank applies the Bussgang gain.
-    fcs = {n_b: freq_channel(taps, n_b) for n_b in cfg.block_lens}
+    # Once per realization: the subband channels per N_b.  Both methods share
+    # the gain-free subbands; build_filter_bank applies each model's gain.
+    subbands = {n_b: freq_channel(taps, n_b) for n_b in cfg.block_lens}
 
     out = {}
     for ebn0 in cfg.ebn0_grid:
         sigma_x2 = sigma_x2_by_ebn0[ebn0]
         x = np.sqrt(sigma_x2) * unit_syms
         r, rho = _receive(cfg, taps, hx, sigma_x2, rng)
-        bm_q = bussgang_model(taps, rho, cfg.sigma_eta2, sigma_x2)
-        bm_0 = bussgang_model(taps, 0.0, cfg.sigma_eta2, sigma_x2)
+        # WF is the filter of the model that ignores quantization (rho_q = 0).
+        models = {
+            method: bussgang_model(taps, rho if method == "WF_Q" else 0.0, cfg.sigma_eta2, sigma_x2)
+            for method in cfg.methods
+        }
         for n_b in cfg.block_lens:
+            fde_cfg = FdeConfig(block_len=n_b, overlap=cfg.L)
             for method in cfg.methods:
-                account = method == "WF_Q"
-                fde_cfg = FdeConfig(
-                    block_len=n_b,
-                    overlap=cfg.L,
-                    sigma_x2=sigma_x2,
-                    account_quantization=account,
-                )
-                bank = build_filter_bank(fcs[n_b], bm_q if account else bm_0, fde_cfg)
+                bank = build_filter_bank(subbands[n_b], models[method], fde_cfg)
                 xhat, edge = overlap_save_stream(r, bank, fde_cfg)
                 del bank  # not alive while the next method's bank is built
                 keep = ~edge
@@ -413,8 +410,7 @@ def per_position_error_profile(cfg: SimConfig, n_b: int, ebn0_db: float) -> np.n
         x = np.sqrt(sigma_x2) * unit_syms
         r, rho = _receive(cfg, taps, hx, sigma_x2, rng)
         bm = bussgang_model(taps, rho, cfg.sigma_eta2, sigma_x2)
-        fde_cfg = FdeConfig(block_len=n_b, overlap=0, sigma_x2=sigma_x2)
-        bank = build_filter_bank(freq_channel(taps, n_b), bm, fde_cfg)
+        bank = build_filter_bank(freq_channel(taps, n_b), bm, FdeConfig(block_len=n_b, overlap=0))
         # skip the first block: its history is the zero-padded stream start
         for s in range(n_b, cfg.T_c - n_b + 1, n_b):
             block = r[:, s : s + n_b][:, ::-1]

@@ -62,12 +62,12 @@ class TestAcceptance:
             N_b = int(rng.integers(L + 1, 17))
             taps = random_taps(rng, L, M, K)
             cir, _, _ = build_block_circulant(taps, N_b)
-            fc = freq_channel(taps, N_b)
+            subbands = freq_channel(taps, N_b)
             F = unitary_dft_matrix(N_b)
             lhs = np.kron(F, np.eye(M)) @ cir @ np.kron(F.conj().T, np.eye(K))
             bd = np.zeros_like(lhs)
             for i in range(N_b):
-                bd[i * M : (i + 1) * M, i * K : (i + 1) * K] = fc.subbands[i]
+                bd[i * M : (i + 1) * M, i * K : (i + 1) * K] = subbands[i]
             worst = max(worst, np.linalg.norm(lhs - bd) / max(np.linalg.norm(bd), 1e-30))
         verdict(1, worst < 1e-10, f"max rel err {worst:.3g}")
 
@@ -77,12 +77,12 @@ class TestAcceptance:
         for _ in range(50):
             M, K, L, N_b = 6, 2, 3, 16
             taps = random_taps(rng, L, M, K)
+            # WF_Q's model, then WF's (rho_q = 0).
             for account in (True, False):
                 rho = float(rng.uniform(0.1, 0.5)) if account else 0.0
                 bm = bussgang_model(taps, rho, 1.0)
                 cir, _, _ = build_block_circulant(taps, N_b, rho)
-                cfg = FdeConfig(block_len=N_b, overlap=L, sigma_x2=1.0,
-                                account_quantization=account)
+                cfg = FdeConfig(block_len=N_b, overlap=L)
                 # Gain-free subbands; build_filter_bank applies (1 - rho), which
                 # the dense circulant carries.
                 bank = build_filter_bank(freq_channel(taps, N_b), bm, cfg)
@@ -90,7 +90,7 @@ class TestAcceptance:
                 r = cir @ x + 0.1 * (
                     rng.standard_normal(M * N_b) + 1j * rng.standard_normal(M * N_b)
                 )
-                dense = time_domain_wf(r, cir, bm, 1.0)
+                dense = time_domain_wf(r, cir, bm)
                 fast = equalize_block(
                     r.reshape(M, N_b, order="F"), bank
                 ).reshape(-1, order="F")

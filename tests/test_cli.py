@@ -141,6 +141,8 @@ class TestBathtub:
         sidecar = json.loads((tmp_path / "bathtub.csv.json").read_text())
         assert sidecar["n_b"] == 16 and sidecar["ebn0_db"] == 10
         assert sidecar["edge_center_ratio"] > 0
+        # The recorded grid is the one point profiled, not the sweep's default grid.
+        assert sidecar["config"]["ebn0_grid"] == [10.0]
 
     def test_zero_block_len_exit_2(self, capsys, tmp_path):
         # 0 is a block length, not "unset": it is rejected, not replaced by N_b.
@@ -192,9 +194,11 @@ class TestConfigFile:
         assert meta["config"]["M"] == 8  # from the file
 
     def test_negative_grid_from_file(self, capsys, tmp_path):
-        # The `--key=value` form keeps a leading minus from reading as a flag.
+        # The `--key=value` form keeps a leading minus from reading as a flag,
+        # in a file and on the command line alike.
         ini = write_ini(tmp_path / "f.ini", ebn0="-5,0")
-        assert parse_args(["sweep", "--config", ini]).ebn0 == (-5.0, 0.0)
+        for argv in (["--config", ini], ["--ebn0=-5,0"]):
+            assert parse_args(["sweep", *argv]).ebn0 == (-5.0, 0.0)
 
     def test_unknown_key_exit_2(self, capsys, tmp_path, monkeypatch):
         # bathtub takes --ebn0-point, not the sweep's --ebn0; `realisations` is a typo.

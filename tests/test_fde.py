@@ -13,8 +13,8 @@ from cpfde import fde
 from cpfde.channel import ChannelTaps, build_block_circulant, convolve_transmit, freq_channel
 from cpfde.errors import ConfigurationError, DimensionError, SizeGuardError
 from cpfde.fde import (
+    DENSE_SIZE_CAP,
     FdeConfig,
-    SubbandFilterBank,
     build_filter_bank,
     equalize_block,
     overlap_save_stream,
@@ -50,14 +50,9 @@ def equalizer_threads(n, chunk_bytes=None):
         fde._threads, fde._PARALLEL_MIN_BYTES, fde._CHUNK_BYTES = saved
 
 
-def make_bank(taps, N_b, rho, sigma_eta2, sigma_x2, account=True, overlap=None):
-    bm = bussgang_model(taps, rho, sigma_eta2)
-    cfg = FdeConfig(
-        block_len=N_b,
-        overlap=taps.memory if overlap is None else overlap,
-        sigma_x2=sigma_x2,
-        account_quantization=account,
-    )
+def make_bank(taps, N_b, rho, sigma_eta2, sigma_x2, overlap=None):
+    bm = bussgang_model(taps, rho, sigma_eta2, sigma_x2)
+    cfg = FdeConfig(block_len=N_b, overlap=taps.memory if overlap is None else overlap)
     return build_filter_bank(freq_channel(taps, N_b), bm, cfg), bm, cfg
 
 
@@ -76,7 +71,7 @@ class TestTransforms:
         # Identity filters: the transform into subbands and back returns the block.
         rng = np.random.default_rng(0)
         R = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
-        bank = SubbandFilterBank(filters=np.broadcast_to(np.eye(3), (16, 3, 3)))
+        bank = np.broadcast_to(np.eye(3), (16, 3, 3))
         np.testing.assert_allclose(equalize_block(R, bank), R, atol=1e-12)
 
     def test_matches_matrix_form(self):
@@ -84,7 +79,7 @@ class TestTransforms:
         rng = np.random.default_rng(1)
         R = rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8))
         g = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        bank = SubbandFilterBank(filters=g[:, None, None])
+        bank = g[:, None, None]
         F = unitary_dft_matrix(8)
         expected = R @ (F.conj().T @ np.diag(g) @ F).T
         np.testing.assert_allclose(equalize_block(R, bank), expected, atol=1e-12)
@@ -96,7 +91,7 @@ class TestFilterBank:
         taps = ChannelTaps(np.array([[[h]]]))
         bank, _, _ = make_bank(taps, 4, 0.0, s2, sx2)
         expected = np.conj(h) * sx2 / (abs(h) ** 2 * sx2 + s2)
-        np.testing.assert_allclose(bank.filters[:, 0, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(bank[:, 0, 0], expected, atol=1e-12)
 
     def test_zero_noise_limit_is_pseudo_inverse(self):
         rng = np.random.default_rng(2)
@@ -105,36 +100,37 @@ class TestFilterBank:
         H = taps.taps[0]
         pinv = np.linalg.pinv(H)
         for i in range(2):
-            np.testing.assert_allclose(bank.filters[i], pinv, atol=1e-6)
-            np.testing.assert_allclose(bank.filters[i] @ H, np.eye(2), atol=1e-6)
+            np.testing.assert_allclose(bank[i], pinv, atol=1e-6)
+            np.testing.assert_allclose(bank[i] @ H, np.eye(2), atol=1e-6)
 
     def test_normal_equation_residual(self):
         rng = np.random.default_rng(3)
         taps = random_taps(rng, 2, 4, 2)
-        bank, bm, cfg = make_bank(taps, 8, 0.2, 0.7, 1.3)
-        fc = freq_channel(taps, 8)
+        bank, bm, _ = make_bank(taps, 8, 0.2, 0.7, 1.3)
+        subbands = freq_channel(taps, 8)
         for i in range(8):
-            H = bm.gain * fc.subbands[i]
+            H = bm.gain * subbands[i]
             D = np.diag(bm.eff_noise_diag)
             A = H.conj().T @ np.linalg.inv(D)
-            lhs = (A @ H + np.eye(2) / cfg.sigma_x2) @ bank.filters[i]
+            lhs = (A @ H + np.eye(2) / bm.sigma_x2) @ bank[i]
             assert np.linalg.norm(lhs - A) / np.linalg.norm(A) < 1e-10
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     @pytest.mark.parametrize("account", [False, True])
     def test_matches_textbook_per_subband_solve(self, K, account):
+        # account=False is the model that ignores quantization: rho_q = 0.
         rng = np.random.default_rng(20 + K)
         taps = random_taps(rng, 3, 5, K)
-        rho, s2, sx2 = 0.25, 0.6, 1.7
-        bank, bm, _ = make_bank(taps, 8, rho, s2, sx2, account=account)
-        H = np.fft.fft(taps.taps, n=8, axis=0) * ((1.0 - rho) if account else 1.0)
+        rho, s2, sx2 = (0.25 if account else 0.0), 0.6, 1.7
+        bank, bm, _ = make_bank(taps, 8, rho, s2, sx2)
+        H = np.fft.fft(taps.taps, n=8, axis=0) * (1.0 - rho)
         d = bm.eff_noise_diag if account else np.full(5, s2)
         Dinv = np.diag(1.0 / d)
         for i in range(8):
             Hi = H[i]
             A = Hi.conj().T @ Dinv
             expected = np.linalg.solve(A @ Hi + np.eye(K) / sx2, A)
-            np.testing.assert_allclose(bank.filters[i], expected, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(bank[i], expected, rtol=1e-12, atol=1e-14)
 
     def test_gain_applied_once_for_gain_free_subbands(self):
         # WF_Q scales the gain-free subbands by the Bussgang gain exactly once:
@@ -143,24 +139,22 @@ class TestFilterBank:
         taps = random_taps(rng, 2, 4, 2)
         rho, sx2 = 0.36, 1.4
         bm = bussgang_model(taps, rho, 0.8, sx2)
-        cfg = FdeConfig(block_len=16, overlap=2, sigma_x2=sx2)
-        fc = freq_channel(taps, 16)
-        bank = build_filter_bank(fc, bm, cfg)
+        subbands = freq_channel(taps, 16)
+        bank = build_filter_bank(subbands, bm, FdeConfig(block_len=16, overlap=2))
         Dinv = np.diag(1.0 / bm.eff_noise_diag)
         for power in (0, 1, 2):
-            H = (1.0 - rho) ** power * fc.subbands
+            H = (1.0 - rho) ** power * subbands
             A = H.conj().transpose(0, 2, 1) @ Dinv
             expected = np.linalg.solve(A @ H + np.eye(2) / sx2, A)
-            close = np.allclose(bank.filters, expected, rtol=1e-12, atol=1e-14)
+            close = np.allclose(bank, expected, rtol=1e-12, atol=1e-14)
             assert close == (power == 1)
 
     def test_block_len_mismatch_rejected(self):
         rng = np.random.default_rng(4)
         taps = random_taps(rng, 0, 2, 1)
-        fc = freq_channel(taps, 8)
         bm = bussgang_model(taps, 0.0, 1.0)
         with pytest.raises(DimensionError):
-            build_filter_bank(fc, bm, FdeConfig(block_len=4, overlap=0))
+            build_filter_bank(freq_channel(taps, 8), bm, FdeConfig(block_len=4, overlap=0))
 
 
 class TestEqualizeBlock:
@@ -194,14 +188,13 @@ class TestTimeDomainEquivalence:
         for _ in range(10):
             taps = random_taps(rng, L, M, K)
             rho = 0.3 if account else 0.0
-            bank, bm, _ = make_bank(taps, N_b, 0.3, 1.0, 1.0, account=account)
+            bank, bm, _ = make_bank(taps, N_b, rho, 1.0, 1.0)
             cir, _, _ = build_block_circulant(taps, N_b, rho)
             x = rng.standard_normal(K * N_b) + 1j * rng.standard_normal(K * N_b)
             r = cir @ x + 0.1 * (
                 rng.standard_normal(M * N_b) + 1j * rng.standard_normal(M * N_b)
             )
-            dense_bm = bussgang_model(taps, rho, 1.0)
-            dense = time_domain_wf(r, cir, dense_bm, 1.0)
+            dense = time_domain_wf(r, cir, bm)
             fast = equalize_block(r.reshape(M, N_b, order="F"), bank).reshape(-1, order="F")
             assert np.linalg.norm(fast - dense) / np.linalg.norm(dense) < 1e-9
 
@@ -210,25 +203,24 @@ class TestTimeDomainEquivalence:
         taps = ChannelTaps(np.ones((1, 1, 1), dtype=complex))
         cir, _, _ = build_block_circulant(taps, 2)
         bm = bussgang_model(taps, 0.0, 1.0)
-        xhat = time_domain_wf(np.array([1.0 + 0j, 1.0]), cir, bm, 1.0)
+        xhat = time_domain_wf(np.array([1.0 + 0j, 1.0]), cir, bm)
         np.testing.assert_allclose(xhat, [0.5, 0.5], atol=1e-12)
 
     def test_inverse_limit(self):
         rng = np.random.default_rng(9)
         taps = random_taps(rng, 1, 1, 1)
         cir, _, _ = build_block_circulant(taps, 4)
-        bm = bussgang_model(taps, 0.0, 1e-12)
+        bm = bussgang_model(taps, 0.0, 1e-12, 1e9)
         r = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        xhat = time_domain_wf(r, cir, bm, 1e9)
+        xhat = time_domain_wf(r, cir, bm)
         np.testing.assert_allclose(xhat, np.linalg.solve(cir, r), atol=1e-4)
 
     def test_size_guard(self):
         rng = np.random.default_rng(10)
-        taps = random_taps(rng, 0, 2, 1)
-        cir, _, _ = build_block_circulant(taps, 8)
-        bm = bussgang_model(taps, 0.0, 1.0)
+        bm = bussgang_model(random_taps(rng, 0, 2, 1), 0.0, 1.0)
+        n = DENSE_SIZE_CAP + 2
         with pytest.raises(SizeGuardError):
-            time_domain_wf(np.zeros(16, dtype=complex), cir, bm, 1.0, size_cap=8)
+            time_domain_wf(np.zeros(n, dtype=complex), np.zeros((n, 1)), bm)
 
 
 class TestOverlapSave:
@@ -359,14 +351,13 @@ class TestOverlapSaveProperty:
         overlap = round(overlap_frac * (N_b - 1))
         T = N_b + extra
         filters = rng.standard_normal((N_b, K, M)) + 1j * rng.standard_normal((N_b, K, M))
-        bank = SubbandFilterBank(filters=filters)
         cfg = FdeConfig(block_len=N_b, overlap=overlap)
         r = rng.standard_normal((M, T)) + 1j * rng.standard_normal((M, T))
         if threads is None:
-            out, edge = overlap_save_stream(r, bank, cfg)
+            out, edge = overlap_save_stream(r, filters, cfg)
         else:
             with equalizer_threads(threads):
-                out, edge = overlap_save_stream(r, bank, cfg)
+                out, edge = overlap_save_stream(r, filters, cfg)
         expected = sliding_window_oracle(r, filters, cfg)
         assert not np.isnan(expected).any()
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
@@ -388,25 +379,26 @@ class TestThreadInvariance:
     @pytest.mark.parametrize("account", [False, True])
     @pytest.mark.parametrize("rho", [0.0, 0.3])
     def test_chunked_build_is_bitwise_one_shot(self, threads, account, rho):
-        # rho = 0 gives a unit Bussgang gain, which _build_filters skips.
+        # rho = 0 gives a unit Bussgang gain, which _build_filters skips;
+        # account=False is WF's model (rho_q = 0), pinned to gain 1 and D = s2 I.
         rng = np.random.default_rng(31)
         N_b, M, K = 37, 3, 2
         taps = random_taps(rng, 4, M, K)
         s2, sx2 = 0.6, 1.7
-        bm = bussgang_model(taps, rho, s2, sx2)
-        cfg = FdeConfig(block_len=N_b, overlap=4, sigma_x2=sx2, account_quantization=account)
-        fc = freq_channel(taps, N_b)
+        bm = bussgang_model(taps, rho if account else 0.0, s2, sx2)
+        cfg = FdeConfig(block_len=N_b, overlap=4)
+        subbands = freq_channel(taps, N_b)
         if account:
-            H, diag = fc.subbands * bm.gain, bm.eff_noise_diag
+            H, diag = subbands * bm.gain, bm.eff_noise_diag
         else:
-            H, diag = fc.subbands, np.full(M, s2)
+            H, diag = subbands, np.full(M, s2)
         expected = self.one_shot_filters(H, diag, sx2)
-        serial = build_filter_bank(fc, bm, cfg)
+        serial = build_filter_bank(subbands, bm, cfg)
         # 5 subbands per chunk: 37 = 7 * 5 + 2 leaves a ragged last chunk.
         with equalizer_threads(threads, chunk_bytes=5 * K * M * 16):
-            chunked = build_filter_bank(fc, bm, cfg)
-        np.testing.assert_array_equal(serial.filters, expected)
-        np.testing.assert_array_equal(chunked.filters, expected)
+            chunked = build_filter_bank(subbands, bm, cfg)
+        np.testing.assert_array_equal(serial, expected)
+        np.testing.assert_array_equal(chunked, expected)
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
     @pytest.mark.parametrize("N_b, overlap, T", [(16, 3, 300), (8, 7, 61), (64, 0, 64)])
@@ -422,7 +414,7 @@ class TestThreadInvariance:
         np.testing.assert_array_equal(pooled_edge, serial_edge)
 
     def test_worker_exception_propagates(self):
-        bank = SubbandFilterBank(np.ones((8, 1, 2), dtype=complex))
+        bank = np.ones((8, 1, 2), dtype=complex)
         r = np.ones((2, 64), dtype=complex)
 
         def fail(R, bank):

@@ -185,6 +185,12 @@ class TestBussgangModel:
         bm = bussgang_model(taps, 0.3, 0.7)
         assert np.all(bm.eff_noise_diag >= (1 - 0.3) * 0.7 - 1e-15)
 
+    @pytest.mark.parametrize("sigma_x2", [0.0, -1.0, np.nan])
+    def test_bad_transmit_power_rejected(self, sigma_x2):
+        taps = ChannelTaps(np.ones((1, 2, 1), dtype=complex))
+        with pytest.raises(ConfigurationError, match="sigma_x2"):
+            bussgang_model(taps, 0.3, 1.0, sigma_x2)
+
 
 class TestAgc:
     def test_no_channel(self):
