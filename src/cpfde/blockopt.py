@@ -2,14 +2,13 @@
 
 Costs are counted in complex multiplications.  The dynamic part covers the
 per-block FFT / subband filtering / inverse FFT; the static part covers the
-once-per-coherence-time filter-bank construction.  The per-symbol cost is
-minimized over the block length by exhaustive integer (or power-of-2) scan
-inside the feasible range [L'+1, T_c].
+once-per-coherence-time filter-bank construction.  One exhaustive scan of the
+per-symbol cost over every integer block length in the feasible range
+[max(L'+1, 2), T_c] gives both the integer optimum and the cheapest power of 2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,70 +93,31 @@ def per_symbol_cost(N_b, p: ComplexityParams, exact: bool = False):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _pow2_candidates(lo: int, hi: int) -> list[int]:
-    out = []
-    n = 2
-    while n <= hi:
-        if n >= lo:
-            out.append(n)
-        n *= 2
-    return out
+def optimal_block_length(p: ComplexityParams, emit_curve: bool = False) -> OptResult:
+    """Minimize the per-symbol cost over every integer in [max(L'+1, 2), T_c].
 
-
-def optimal_block_length(
-    p: ComplexityParams,
-    mode: str = "integer-exhaustive",
-    emit_curve: bool = False,
-) -> OptResult:
-    """Minimize the per-symbol cost over feasible block lengths.
-
-    integer-exhaustive scans every integer in [max(L'+1, 2), T_c]; power-of-2
-    scans powers of 2 in range.  n_opt_pow2 is the cheaper of the two powers
-    of 2 bracketing the integer optimum (clipped to the feasible range).
+    n_opt_pow2 is the cheapest power of 2 on the same scan, or n_opt when the
+    range holds none.  Ties go to the shorter block.
     """
     lo = max(p.L_prime + 1, 2)
     hi = p.T_c
     if hi < lo:
         raise ConstraintViolation(f"no feasible block length in [{lo}, {hi}]")
-    if mode == "integer-exhaustive":
-        grid = np.arange(lo, hi + 1, dtype=np.int64)
-    elif mode == "power-of-2":
-        cands = _pow2_candidates(lo, hi)
-        if not cands:
-            raise ConstraintViolation("no feasible power-of-2 block length")
-        grid = np.asarray(cands, dtype=np.int64)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    grid = np.arange(lo, hi + 1, dtype=np.int64)
     cost = per_symbol_cost(grid, p)
     i = int(np.argmin(cost))
-    n_opt = int(grid[i])
-    cost_opt = float(cost[i])
-
-    if mode == "power-of-2":
-        n_pow2, cost_pow2 = n_opt, cost_opt
-    else:
-        below = 2 ** math.floor(math.log2(n_opt))
-        above = 2 ** math.ceil(math.log2(n_opt))
-        cands = [n for n in {below, above} if lo <= n <= hi]
-        if not cands:
-            cands = _pow2_candidates(lo, hi)
-        if cands:
-            costs = {n: float(per_symbol_cost(n, p)) for n in cands}
-            n_pow2 = min(costs, key=lambda n: (costs[n], n))
-            cost_pow2 = costs[n_pow2]
-        else:
-            n_pow2, cost_pow2 = n_opt, cost_opt  # no power of 2 is feasible
-
+    pow2 = np.flatnonzero((grid & (grid - 1)) == 0)
+    j = int(pow2[np.argmin(cost[pow2])]) if pow2.size else i
     curve = None
     if emit_curve:
         curve = np.column_stack(
             [grid.astype(np.float64), cost, static_cost(grid, p), dynamic_cost(grid, p)]
         )
     return OptResult(
-        n_opt=n_opt,
-        n_opt_pow2=n_pow2,
-        cost_at_opt=cost_opt,
-        cost_at_pow2=cost_pow2,
+        n_opt=int(grid[i]),
+        n_opt_pow2=int(grid[j]),
+        cost_at_opt=float(cost[i]),
+        cost_at_pow2=float(cost[j]),
         curve=curve,
     )
 

@@ -66,8 +66,7 @@ def cmd_optimize_block(args) -> int:
         T_c=_scaled(args, "coherence"),
     )
     out = _output_path(args, args.emit_curve) if args.emit_curve else None
-    mode = "power-of-2" if args.pow2 else "integer-exhaustive"
-    res = blockopt.optimal_block_length(p, mode=mode, emit_curve=out is not None)
+    res = blockopt.optimal_block_length(p, emit_curve=out is not None)
     print(f"n_opt {res.n_opt}")
     print(f"n_opt_pow2 {res.n_opt_pow2}")
     print(f"t_sym_at_opt {res.cost_at_opt:.12g}")
@@ -79,7 +78,6 @@ def cmd_optimize_block(args) -> int:
             {
                 "subcommand": "optimize-block",
                 "params": {"K": p.K, "M": p.M, "L_prime": p.L_prime, "T_c": p.T_c},
-                "mode": mode,
                 "n_opt": res.n_opt,
                 "n_opt_pow2": res.n_opt_pow2,
             },
@@ -308,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize-block", help="minimize per-symbol complexity over N_b")
     common(p)
     p.add_argument("--overlap", type=int, default=127)
-    p.add_argument("--pow2", action="store_true", help="scan powers of 2 only")
     p.add_argument("--emit-curve", metavar="FILE.csv")
     p.set_defaults(func=cmd_optimize_block, paper_scale=True)
 

@@ -31,10 +31,11 @@ from .quant import BussgangModel
 
 DENSE_SIZE_CAP = 4096
 
-# A call that touches fewer bytes than this (filter bank, or receive stream)
-# runs serially in the calling thread; desk-scale calls (1-2 MB) stay below it.
+# An overlap-save stream of fewer bytes than this is equalized serially in the
+# calling thread; desk-scale streams (1-2 MB) stay below it.
 _PARALLEL_MIN_BYTES = 4 << 20
-# Filter-bank subbands are built in chunks of about this many bytes of filters.
+# Filter-bank subbands are built in chunks of about this many bytes of filters;
+# a bank of one chunk is built in the calling thread.
 _CHUNK_BYTES = 2 << 20
 
 # Work on the pool calls only private helpers: a tracer may wrap the public
@@ -129,11 +130,7 @@ def build_filter_bank(subbands: np.ndarray, bm: BussgangModel, cfg: FdeConfig) -
     N_b, M, K = subbands.shape
     G = np.empty((N_b, K, M), dtype=np.complex128)
     inv_diag = 1.0 / diag
-    # Below the floor the whole bank is one chunk, built in the calling thread.
-    if G.nbytes < _PARALLEL_MIN_BYTES:
-        step = N_b
-    else:
-        step = max(1, _CHUNK_BYTES // (K * M * G.itemsize))
+    step = max(1, _CHUNK_BYTES // (K * M * G.itemsize))
     _map(
         _build_filters,
         [

@@ -9,6 +9,7 @@ are identical for any worker count.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
@@ -54,8 +55,8 @@ def _binary_to_gray(b: np.ndarray) -> np.ndarray:
 
 
 def _qam_params(order: int) -> tuple[int, int, float]:
-    side = int(round(np.sqrt(order)))
-    if side * side != order or order < 4 or (side & (side - 1)):
+    side = math.isqrt(order) if order >= 4 else 0
+    if side < 2 or side * side != order or (side & (side - 1)):
         raise ConfigurationError(f"modulation order {order} is not a square QAM order")
     bits_per_axis = side.bit_length() - 1
     scale = np.sqrt(3.0 / (2.0 * (order - 1)))  # unit average symbol energy
@@ -136,6 +137,8 @@ class SimConfig:
             raise ConfigurationError("N_sim must be >= 1")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if not (self.sigma_eta2 > 0 and np.isfinite(self.sigma_eta2)):
             raise ConfigurationError("sigma_eta2 must be finite and positive")
         if self.quant_bits is not None and not 1 <= self.quant_bits <= MAX_BITS:

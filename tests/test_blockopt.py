@@ -69,8 +69,13 @@ class TestOptimizer:
         assert res.n_opt_pow2 == 64
 
     def test_pow2_mode_agrees_with_bracketing(self):
-        res = optimal_block_length(REF, mode="power-of-2")
-        assert res.n_opt == res.n_opt_pow2 == 1024
+        # n_opt_pow2 is the cheapest power-of-2 row of the emitted curve.
+        res = optimal_block_length(REF, emit_curve=True)
+        n = res.curve[:, 0].astype(np.int64)
+        rows = res.curve[(n & (n - 1)) == 0]
+        best = rows[np.argmin(rows[:, 1])]
+        assert res.n_opt_pow2 == int(best[0]) == 1024
+        assert res.cost_at_pow2 == best[1]
 
     def test_pow2_near_optimal(self):
         # the power-of-2 surrogate costs at most 25% more than the integer optimum
@@ -114,11 +119,11 @@ class TestOptimizer:
     def test_no_feasible_pow2(self):
         p = ComplexityParams(K=1, M=1, L_prime=0, T_c=1)
         with pytest.raises(ConstraintViolation):
-            optimal_block_length(p, mode="power-of-2")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            optimal_block_length(REF, mode="golden")
+            optimal_block_length(p)
+        # [5, 7] holds no power of 2: the integer optimum stands in for it.
+        res = optimal_block_length(ComplexityParams(K=2, M=64, L_prime=4, T_c=7))
+        assert res.n_opt_pow2 == res.n_opt == 6
+        assert res.cost_at_pow2 == res.cost_at_opt
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -136,4 +141,9 @@ class TestOptimizer:
         best = min(range(lo, T_c + 1), key=lambda n: (per_symbol_cost(n, p), n))
         assert res.n_opt == best
         assert res.cost_at_opt == pytest.approx(per_symbol_cost(best, p), rel=1e-12)
+        pow2 = [n for n in range(lo, T_c + 1) if n & (n - 1) == 0]
+        if pow2:
+            best2 = min(pow2, key=lambda n: (per_symbol_cost(n, p), n))
+            assert res.n_opt_pow2 == best2
+            assert res.cost_at_pow2 == pytest.approx(per_symbol_cost(best2, p), rel=1e-12)
 

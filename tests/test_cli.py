@@ -52,6 +52,12 @@ class TestOptimizeBlock:
         lines = dict(l.split(" ", 1) for l in out.strip().splitlines())
         assert lines["n_opt_pow2"] == "1024"
 
+    def test_pow2_flag_gone(self, capsys):
+        # The default output already prints n_opt_pow2 and t_sym_at_pow2.
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize-block", "--pow2"])
+        assert exc.value.code == 2
+
     def test_infeasible_params_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "optimize-block", "--overlap", "100", "--coherence", "50"
@@ -117,6 +123,24 @@ class TestSweep:
             capsys, *self.ARGS, "--methods", "zf", "--output-dir", str(tmp_path)
         )
         assert code == 2 and "unknown method" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--seed", "-1"),
+            ("bathtub", "--seed", "-1"),
+            ("sweep", "--modulation", "-4"),
+            ("sweep", "--modulation", "1000000000000000000000"),
+        ],
+        ids=" ".join,
+    )
+    def test_bad_seed_or_modulation_exit_2(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(simulate, "run_experiment", None)  # never reached
+        monkeypatch.setattr(simulate, "per_position_error_profile", None)
+        code, _, err = run_cli(capsys, *argv, "--output-dir", str(tmp_path))
+        assert code == 2
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 class TestBathtub:

@@ -77,8 +77,9 @@ class TestQamMapping:
         np.testing.assert_allclose(hard, [(3 + 3j) * scale], atol=1e-12)
 
     def test_non_square_order_rejected(self):
-        with pytest.raises(ConfigurationError):
-            map_symbols(np.zeros(3, dtype=int), 8)
+        for order in (8, -4, 0, 1, 2, 10**21):
+            with pytest.raises(ConfigurationError):
+                map_symbols(np.zeros(3, dtype=int), order)
 
     def test_bit_count_divisibility(self):
         with pytest.raises(ConfigurationError):
@@ -169,6 +170,9 @@ class TestConfigValidation:
             dict(sigma_eta2=-1.0),
             dict(quant_bits=0),
             dict(quant_bits=17),
+            dict(seed=-1),
+            dict(modulation=-4),
+            dict(modulation=10**21),
         ],
         ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()),
     )
