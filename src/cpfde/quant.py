@@ -1,9 +1,11 @@
 """Low-resolution scalar quantization and its Bussgang linearization.
 
-The b-bit uniform quantizer is designed for a zero-mean Gaussian input by a
-one-dimensional numeric minimization of the quantization MSE; the achieved
-normalized MSE is the distortion factor rho_q, which equals one minus the
-Bussgang gain for an MSE-optimal quantizer.
+The b-bit uniform quantizer is designed for a zero-mean Gaussian input: its
+step minimizes the quantization MSE, and the achieved normalized MSE is the
+distortion factor rho_q, which equals one minus the Bussgang gain for an
+MSE-optimal quantizer.  The unit-std designs for b = 1..MAX_BITS are tabulated
+(_UNIT_DESIGNS); _derive_unit(b), a bounded scalar minimization that needs
+scipy, is their derivation and the oracle the table is tested against.
 """
 
 from __future__ import annotations
@@ -12,13 +14,35 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import ndtr
 
 from .channel import ChannelTaps
 from .errors import ConfigurationError, DimensionError, UnsupportedResolutionError
 
 MAX_BITS = 16
+
+# (step Delta_b, rho_b) of the MSE-optimal uniform quantizer for N(0, 1), row
+# b-1 for b = 1..MAX_BITS: exactly the values _derive_unit(b) returns.
+_UNIT_DESIGNS = tuple(
+    (float.fromhex(delta), float.fromhex(rho))
+    for delta, rho in (
+        ("0x1.9884533d43654p+0", "0x1.7419f246c6ef8p-2"),
+        ("0x1.fdcaa5b441d54p-1", "0x1.e6cb1dba88b7ep-4"),
+        ("0x1.2c0abdd88e085p-1", "0x1.32b4a8151e7b7p-5"),
+        ("0x1.573ed4e602888p-2", "0x1.7a3cbb912c170p-7"),
+        ("0x1.814eeb1388cafp-3", "0x1.ca1fd4fb05178p-9"),
+        ("0x1.aa3df9c90e4e1p-4", "0x1.10a4441186870p-10"),
+        ("0x1.d1dc280fa579cp-5", "0x1.3f1db4c3be8c2p-12"),
+        ("0x1.f802ccd13f8bfp-6", "0x1.6fc8533755d4cp-14"),
+        ("0x1.0e51a5f791dd9p-6", "0x1.a2126ad942a6bp-16"),
+        ("0x1.1fe1d1db7e0a6p-7", "0x1.d58fa24b40544p-18"),
+        ("0x1.30bb645c30beap-8", "0x1.04f986c062bb1p-19"),
+        ("0x1.40eae4552d7cap-9", "0x1.1f8394c4974d8p-21"),
+        ("0x1.507e6a9060b06p-10", "0x1.3a53638b7ee8cp-23"),
+        ("0x1.5f833ee9b1b2cp-11", "0x1.555bdb1d8546ap-25"),
+        ("0x1.6e02ce6841b16p-12", "0x1.709389f02a95cp-27"),
+        ("0x1.7c0c5de27361fp-13", "0x1.8bf3686af1095p-29"),
+    )
+)
 
 
 @dataclass(frozen=True)
@@ -50,6 +74,8 @@ def _gaussian_partial_moments(thresholds, sigma):
 
     Arrays over the cells; pdf terms at infinite thresholds are zero.
     """
+    from scipy.special import ndtr
+
     t = np.asarray(thresholds, dtype=np.float64) / sigma
     pdf = np.exp(-0.5 * t**2) / np.sqrt(2.0 * np.pi)
     tpdf = np.where(np.isfinite(t), t, 0.0) * pdf
@@ -60,7 +86,7 @@ def _gaussian_partial_moments(thresholds, sigma):
 
 
 def gaussian_quant_mse(thresholds: np.ndarray, levels: np.ndarray, sigma: float) -> float:
-    """Exact quantization MSE for a zero-mean Gaussian input of std sigma."""
+    """Exact quantization MSE for a zero-mean Gaussian input of std sigma (needs scipy)."""
     P, m1, m2 = _gaussian_partial_moments(thresholds, sigma)
     q = np.asarray(levels, dtype=np.float64)
     # Accumulated in cell order (not pairwise) so that designs, whose optimal
@@ -80,8 +106,8 @@ def _uniform_grid(bits: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
 def design_quantizer(b: int, sigma: float) -> QuantizerSpec:
     """MSE-optimal uniform b-bit quantizer for a zero-mean Gaussian of std sigma.
 
-    Equal steps, levels at interval centers, and the step found by bounded
-    scalar minimization of the closed-form Gaussian MSE.
+    Equal steps, levels at interval centers, and the step that minimizes the
+    closed-form Gaussian MSE, read from the unit-std table and rescaled.
     """
     if b < 1:
         raise ConfigurationError("bit depth must be >= 1")
@@ -93,21 +119,33 @@ def design_quantizer(b: int, sigma: float) -> QuantizerSpec:
     return QuantizerSpec(
         thresholds=thresholds * sigma,
         levels=levels * sigma,
-        rho_q=float(rho),
+        rho_q=rho,
     )
 
 
-@lru_cache(maxsize=None)
-def _design_unit(b: int):
-    """Design for unit std (cached); all other inputs are exact rescalings."""
+def _derive_unit(b: int) -> tuple[float, float]:
+    """Unit-std step and rho_q of the b-bit design, by bounded minimization.
+
+    The derivation of _UNIT_DESIGNS; only the tests and a re-derivation of the
+    table call it, so scipy is imported here rather than with the module.
+    """
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         lambda d: gaussian_quant_mse(*_uniform_grid(b, d), 1.0),
         bounds=(1e-8, 32.0 / 2**b),
         method="bounded",
         options={"xatol": 1e-12},
     )
-    thresholds, levels = _uniform_grid(b, float(res.x))
-    rho = gaussian_quant_mse(thresholds, levels, 1.0)
+    delta = float(res.x)
+    return delta, gaussian_quant_mse(*_uniform_grid(b, delta), 1.0)
+
+
+@lru_cache(maxsize=None)
+def _design_unit(b: int):
+    """Tabulated design for unit std (cached); other inputs are exact rescalings."""
+    delta, rho = _UNIT_DESIGNS[b - 1]
+    thresholds, levels = _uniform_grid(b, delta)
     return thresholds, levels, rho
 
 

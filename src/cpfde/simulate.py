@@ -54,11 +54,20 @@ def _binary_to_gray(b: np.ndarray) -> np.ndarray:
     return b ^ (b >> 1)
 
 
+# 4**8 = 65536-QAM.  Larger orders are not meaningful here (at 4**32 the BER is
+# near 0.5) and at 64 bits per axis overflow map_symbols' int64 bit weights.
+MAX_QAM_BITS_PER_AXIS = 8
+
+
 def _qam_params(order: int) -> tuple[int, int, float]:
     side = math.isqrt(order) if order >= 4 else 0
     if side < 2 or side * side != order or (side & (side - 1)):
         raise ConfigurationError(f"modulation order {order} is not a square QAM order")
     bits_per_axis = side.bit_length() - 1
+    if bits_per_axis > MAX_QAM_BITS_PER_AXIS:
+        raise ConfigurationError(
+            f"modulation order {order} > 4**{MAX_QAM_BITS_PER_AXIS} unsupported"
+        )
     scale = np.sqrt(3.0 / (2.0 * (order - 1)))  # unit average symbol energy
     return side, bits_per_axis, scale
 

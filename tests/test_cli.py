@@ -131,6 +131,8 @@ class TestSweep:
             ("bathtub", "--seed", "-1"),
             ("sweep", "--modulation", "-4"),
             ("sweep", "--modulation", "1000000000000000000000"),
+            ("sweep", "--modulation", str(4**9)),
+            ("sweep", "--modulation", str(4**64)),
         ],
         ids=" ".join,
     )

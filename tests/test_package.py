@@ -1,8 +1,41 @@
 """The package's public surface."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import cpfde
 
 
 def test_every_export_resolves():
     missing = [name for name in cpfde.__all__ if not hasattr(cpfde, name)]
     assert not missing, f"cpfde.__all__ names missing from the package: {missing}"
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # The test modules import scipy.stats, so only a fresh interpreter shows
+    # what the package itself loads.
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from cpfde import cli
+
+        assert cli.main(["optimize-block"]) == 0
+        assert cli.main(["quantizer-table"]) == 0
+        assert cli.main([
+            "sweep", "--antennas", "4", "--taps", "4", "--coherence", "64",
+            "--realizations", "1", "--ebn0", "10", "--block-lens", "16",
+            "--output-dir", {str(tmp_path)!r},
+        ]) == 0
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, f"scipy modules loaded: {{loaded}}"
+        """
+    )
+    src = str(Path(cpfde.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

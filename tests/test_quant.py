@@ -12,6 +12,8 @@ from cpfde.channel import ChannelTaps
 from cpfde.errors import ConfigurationError, DimensionError, UnsupportedResolutionError
 from cpfde.quant import (
     MAX_BITS,
+    _UNIT_DESIGNS,
+    _derive_unit,
     _design_unit,
     bussgang_model,
     design_quantizer,
@@ -82,6 +84,18 @@ class TestDesign:
     def test_bad_sigma(self):
         with pytest.raises(ConfigurationError):
             design_quantizer(2, 0.0)
+
+
+class TestDesignTable:
+    def test_table_is_the_derivation_bitwise(self):
+        assert len(_UNIT_DESIGNS) == MAX_BITS
+        mismatches = []
+        for b in range(1, MAX_BITS + 1):
+            table = [x.hex() for x in _UNIT_DESIGNS[b - 1]]
+            derived = [x.hex() for x in _derive_unit(b)]
+            if table != derived:
+                mismatches.append(f"b={b}: table (delta, rho) {table}, derived {derived}")
+        assert not mismatches, "\n".join(mismatches)
 
 
 class TestQuantize:

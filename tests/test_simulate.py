@@ -27,7 +27,7 @@ from cpfde.simulate import (
 
 
 class TestQamMapping:
-    @pytest.mark.parametrize("order", [4, 16, 64, 256])
+    @pytest.mark.parametrize("order", [4, 16, 64, 256, 4**simulate.MAX_QAM_BITS_PER_AXIS])
     def test_round_trip(self, order):
         rng = np.random.default_rng(0)
         B = order.bit_length() - 1
@@ -77,7 +77,7 @@ class TestQamMapping:
         np.testing.assert_allclose(hard, [(3 + 3j) * scale], atol=1e-12)
 
     def test_non_square_order_rejected(self):
-        for order in (8, -4, 0, 1, 2, 10**21):
+        for order in (8, -4, 0, 1, 2, 10**21, 4**9, 4**64):
             with pytest.raises(ConfigurationError):
                 map_symbols(np.zeros(3, dtype=int), order)
 
