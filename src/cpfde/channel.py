@@ -220,19 +220,14 @@ def add_noise(
     return y
 
 
-def convolve_transmit(
-    taps: ChannelTaps,
-    x: np.ndarray,
-    noise_std: float,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Pass a K x T symbol stream through the channel: y[n] = sum_l H_l x[n-l] + eta[n].
+def convolve_transmit(taps: ChannelTaps, x: np.ndarray) -> np.ndarray:
+    """Pass a K x T symbol stream through the channel: y[n] = sum_l H_l x[n-l].
 
     Symbols before the stream start are zero.  The convolution is an FFT
     overlap-add over time: input blocks of nfft - L samples are transformed,
     multiplied by the tap spectra per frequency bin and transformed back, and
-    each block's L-sample tail is added to the head of the next.  Noise is
-    added by add_noise.
+    each block's L-sample tail is added to the head of the next.  The result
+    is noiseless; add_noise adds receiver noise.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 2 or x.shape[0] != taps.n_users:
@@ -254,5 +249,4 @@ def convolve_transmit(
     y = np.ascontiguousarray(yb[:, :, :step])
     if n_blk > 1:
         y[:, 1:, :L] += yb[:, :-1, step:]
-    y = y.reshape(M, n_blk * step)[:, :T]
-    return add_noise(y, noise_std, rng)
+    return y.reshape(M, n_blk * step)[:, :T]

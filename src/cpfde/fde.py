@@ -12,15 +12,15 @@ transform that diagonalizes the circulant onto the tap-wise DFT subbands is
 F[a, b] = exp(+2j pi a b / N) / sqrt(N); its conjugate maps back to time.
 
 Large filter-bank builds and overlap-save streams are cut into chunks that fit
-in cache and mapped over one shared thread pool (numpy's FFT, matmul, einsum
-and inv release the GIL).  Every chunk runs the same arithmetic as a one-shot
-call, so results are bit-identical for any thread count.
+in cache and mapped over a thread pool that lives for that one call (numpy's
+FFT, matmul, einsum and inv release the GIL).  Every chunk runs the same
+arithmetic as a one-shot call, so results are bit-identical for any thread
+count.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -41,8 +41,6 @@ _CHUNK_BYTES = 2 << 20
 # Work on the pool calls only private helpers: a tracer may wrap the public
 # functions of this module, and a wrapper keeps a single span stack.
 _threads: int | None = None  # equalizer threads; None means every usable CPU
-_pool: ThreadPoolExecutor | None = None  # created on first use
-_pool_lock = threading.Lock()
 
 
 def _thread_count() -> int:
@@ -60,35 +58,20 @@ def _set_threads(n: int) -> None:
     _threads = n
 
 
-def _forget_pool() -> None:
-    # A forked child inherits the pool object but none of its threads; work
-    # submitted to it would never run.  The child builds its own on first use.
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _map(fn, jobs: list[tuple]) -> None:
-    """Run fn(*job) for every job: on the pool, or inline with one thread or job.
+    """Run fn(*job) for every job: on a pool of its own, or inline with one
+    thread or job.
 
     Every future's result is read, so an exception in any job is raised here.
     """
-    global _pool
-    n = _thread_count() if len(jobs) > 1 else 1
+    n = min(_thread_count(), len(jobs))
     if n < 2:
         for job in jobs:
             fn(*job)
         return
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=n, thread_name_prefix="cpfde-fde")
-        pool = _pool
-    for future in [pool.submit(fn, *job) for job in jobs]:
-        future.result()
+    with ThreadPoolExecutor(max_workers=n, thread_name_prefix="cpfde-fde") as pool:
+        for future in [pool.submit(fn, *job) for job in jobs]:
+            future.result()
 
 
 @dataclass(frozen=True)

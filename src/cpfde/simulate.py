@@ -222,8 +222,11 @@ class SimReport:
                 )
 
     def write_metadata(self, path) -> None:
+        """JSON sidecar: seed, configuration and mse_stderr in CSV row order."""
+        payload = {"seed": self.seed, "config": self.config}
+        payload["mse_stderr"] = [r.mse_stderr for r in self.rows]
         with open(path, "w") as f:
-            json.dump({"seed": self.seed, "config": self.config}, f, indent=2, default=str)
+            json.dump(payload, f, indent=2, default=str)
 
 
 # --------------------------------------------------------------------------
@@ -261,15 +264,6 @@ def _realization_taps(cfg: SimConfig, index: int) -> ChannelTaps:
     return generate_channel(cfg.pdp, cfg.M, cfg.K, np.random.default_rng(ss))
 
 
-def _grid(cfg: SimConfig):
-    return [
-        (ebn0, n_b, method)
-        for ebn0 in cfg.ebn0_grid
-        for n_b in cfg.block_lens
-        for method in cfg.methods
-    ]
-
-
 def _sigma_x2(cfg: SimConfig, ebn0s, ref: int) -> dict:
     """Transmit power per Eb/N0 point at reference block length ref (or fixed_sigma_x2)."""
     if cfg.fixed_sigma_x2 is not None:
@@ -286,7 +280,7 @@ def _transmit(cfg: SimConfig, index: int):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, index)))
     bits = rng.integers(0, 2, size=cfg.K * cfg.T_c * cfg.bits_per_symbol)
     unit_syms = map_symbols(bits, cfg.modulation).reshape(cfg.K, cfg.T_c)
-    return taps, rng, bits, unit_syms, convolve_transmit(taps, unit_syms, 0.0)
+    return taps, rng, bits, unit_syms, convolve_transmit(taps, unit_syms)
 
 
 def _receive(cfg: SimConfig, taps: ChannelTaps, hx, sigma_x2: float, rng):
@@ -303,42 +297,46 @@ def _receive(cfg: SimConfig, taps: ChannelTaps, hx, sigma_x2: float, rng):
 
 
 def _run_one_realization(args):
+    """Score one realization at every grid point: (index, sq, bit_err).
+
+    sq (float64) is the squared error per unit symbol energy and bit_err
+    (int64) the bit errors, both shaped (Eb/N0 points, block lengths,
+    methods).  Only the first T_c - L positions of each user are scored:
+    overlap_save_stream flags the last L as edge for every N_b.
+    """
     cfg, index, sigma_x2_by_ebn0 = args
     taps, rng, bits, unit_syms, hx = _transmit(cfg, index)
-    B = cfg.bits_per_symbol
-    bits_k = bits.reshape(cfg.K, cfg.T_c * B)
+    n = cfg.T_c - cfg.L  # scored positions per user
+    tx_bits = bits.reshape(cfg.K, -1)[:, : n * cfg.bits_per_symbol].ravel()
 
     # Once per realization: the subband channels per N_b.  Both methods share
     # the gain-free subbands; build_filter_bank applies each model's gain.
     subbands = {n_b: freq_channel(taps, n_b) for n_b in cfg.block_lens}
 
-    out = {}
-    for ebn0 in cfg.ebn0_grid:
+    shape = (len(cfg.ebn0_grid), len(cfg.block_lens), len(cfg.methods))
+    sq = np.empty(shape)
+    bit_err = np.empty(shape, dtype=np.int64)
+    for i, ebn0 in enumerate(cfg.ebn0_grid):
         sigma_x2 = sigma_x2_by_ebn0[ebn0]
-        x = np.sqrt(sigma_x2) * unit_syms
+        x = np.sqrt(sigma_x2) * unit_syms[:, :n]
         r, rho = _receive(cfg, taps, hx, sigma_x2, rng)
         # WF is the filter of the model that ignores quantization (rho_q = 0).
-        models = {
-            method: bussgang_model(taps, rho if method == "WF_Q" else 0.0, cfg.sigma_eta2, sigma_x2)
+        models = [
+            bussgang_model(taps, rho if method == "WF_Q" else 0.0, cfg.sigma_eta2, sigma_x2)
             for method in cfg.methods
-        }
-        for n_b in cfg.block_lens:
+        ]
+        for j, n_b in enumerate(cfg.block_lens):
             fde_cfg = FdeConfig(block_len=n_b, overlap=cfg.L)
-            for method in cfg.methods:
-                bank = build_filter_bank(subbands[n_b], models[method], fde_cfg)
-                xhat, edge = overlap_save_stream(r, bank, fde_cfg)
+            for k, model in enumerate(models):
+                bank = build_filter_bank(subbands[n_b], model, fde_cfg)
+                xhat = overlap_save_stream(r, bank, fde_cfg)[0][:, :n]
                 del bank  # not alive while the next method's bank is built
-                keep = ~edge
                 # MSE per unit symbol energy: fixed unit change, not blind scaling
-                err = (xhat - x) / np.sqrt(sigma_x2)
-                sq = float(np.sum(np.abs(err[:, keep]) ** 2))
-                n_sym = int(cfg.K * np.count_nonzero(keep))
-                # BER on the same retained positions, against the scaled constellation
-                _, rx_bits = demap_symbols(xhat[:, keep] / np.sqrt(sigma_x2), cfg.modulation)
-                tx_bits = bits_k[:, np.repeat(keep, B)].ravel()
-                n_bit_err = int(np.count_nonzero(rx_bits != tx_bits))
-                out[(ebn0, n_b, method)] = (sq, n_sym, n_bit_err, n_sym * B)
-    return index, out
+                sq[i, j, k] = np.sum(np.abs((xhat - x) / np.sqrt(sigma_x2)) ** 2)
+                # BER on the same positions, against the scaled constellation
+                _, rx_bits = demap_symbols(xhat / np.sqrt(sigma_x2), cfg.modulation)
+                bit_err[i, j, k] = np.count_nonzero(rx_bits != tx_bits)
+    return index, sq, bit_err
 
 
 def run_experiment(cfg: SimConfig) -> SimReport:
@@ -350,55 +348,48 @@ def run_experiment(cfg: SimConfig) -> SimReport:
     """
     sigma_x2_by_ebn0 = _sigma_x2(cfg, cfg.ebn0_grid, min(cfg.block_lens))
     tasks = [(cfg, i, sigma_x2_by_ebn0) for i in range(cfg.N_sim)]
-    if cfg.workers > 1:
+    # Never more processes than realizations or CPUs: a process pool forks
+    # all of its workers up front.
+    workers = min(cfg.workers, cfg.N_sim, _thread_count())
+    if workers > 1:
         # Each worker process gets an equal share of the equalizer threads, so
         # workers x threads stays within the CPUs.
-        share = max(1, _thread_count() // cfg.workers)
+        share = max(1, _thread_count() // workers)
         with ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_set_threads, initargs=(share,)
+            max_workers=workers, initializer=_set_threads, initargs=(share,)
         ) as pool:
             results = list(pool.map(_run_one_realization, tasks))
     else:
         results = [_run_one_realization(t) for t in tasks]
     results.sort(key=lambda r: r[0])  # fixed-order reduction
+    # (N_sim, Eb/N0 points, block lengths, methods)
+    sq, bit_err = (np.stack([r[n] for r in results]) for n in (1, 2))
 
-    grid = _grid(cfg)
-    per_real_mse = {g: np.empty(cfg.N_sim) for g in grid}
-    totals = {g: [0.0, 0, 0, 0] for g in grid}
-    for index, out in results:
-        for g in grid:
-            sq, n_sym, n_bit_err, n_bits = out[g]
-            per_real_mse[g][index] = sq / n_sym
-            t = totals[g]
-            t[0] += sq
-            t[1] += n_sym
-            t[2] += n_bit_err
-            t[3] += n_bits
+    n_sym = cfg.K * (cfg.T_c - cfg.L)  # scored symbols per realization
+    counted = cfg.N_sim * n_sym
+    mse = sq / n_sym
+    sq_total = sum(sq)  # a running sum in index order, whatever the grid shape
+    err_total = bit_err.sum(axis=0)
+    stderr = np.zeros_like(mse[0])  # one realization has no spread to estimate
+    if cfg.N_sim > 1:
+        stderr = np.std(mse, axis=0, ddof=1) / np.sqrt(cfg.N_sim)
 
-    rows = []
-    for (ebn0, n_b, method) in grid:
-        sq, n_sym, n_bit_err, n_bits = totals[(ebn0, n_b, method)]
-        vals = per_real_mse[(ebn0, n_b, method)]
-        stderr = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        excluded = cfg.N_sim * cfg.K * cfg.T_c - n_sym
+    rows, realization_mse = [], {}
+    for idx in np.ndindex(*sq.shape[1:]):
+        i, j, k = idx
+        key = (cfg.ebn0_grid[i], cfg.block_lens[j], cfg.methods[k])
+        realization_mse[key] = mse[(slice(None), *idx)]
         rows.append(
             SimRow(
-                ebn0_db=ebn0,
-                n_b=n_b,
-                method=method,
-                mse=sq / n_sym,
-                ber=n_bit_err / n_bits,
-                symbols_counted=n_sym,
-                edge_symbols_excluded=excluded,
-                mse_stderr=stderr,
+                *key,
+                mse=float(sq_total[idx] / counted),
+                ber=float(err_total[idx] / (counted * cfg.bits_per_symbol)),
+                symbols_counted=counted,
+                edge_symbols_excluded=cfg.N_sim * cfg.K * cfg.L,
+                mse_stderr=float(stderr[idx]),
             )
         )
-    return SimReport(
-        rows=rows,
-        config=cfg.snapshot(),
-        seed=cfg.seed,
-        realization_mse=per_real_mse,
-    )
+    return SimReport(rows, cfg.snapshot(), cfg.seed, realization_mse)
 
 
 def per_position_error_profile(cfg: SimConfig, n_b: int, ebn0_db: float) -> np.ndarray:

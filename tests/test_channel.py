@@ -105,7 +105,7 @@ class TestBlockToeplitz:
         taps = random_taps(rng, L, M, K)
         toe = build_block_toeplitz(taps, N_b)
         x = rng.standard_normal((K, N_b + L)) + 1j * rng.standard_normal((K, N_b + L))
-        y = convolve_transmit(taps, x, 0.0)
+        y = convolve_transmit(taps, x)
         stacked = toe @ x[:, ::-1].reshape(-1, order="F")
         expected = y[:, ::-1][:, :N_b].reshape(-1, order="F")
         np.testing.assert_allclose(stacked, expected, atol=1e-12)
@@ -130,7 +130,7 @@ class TestBlockToeplitz:
         taps = random_taps(rng, L, M, K)
         toe = build_block_toeplitz(taps, N_b)
         x = rng.standard_normal((K, N_b + L)) + 1j * rng.standard_normal((K, N_b + L))
-        y = convolve_transmit(taps, x, 0.0)
+        y = convolve_transmit(taps, x)
         stacked = toe @ x[:, ::-1].reshape(-1, order="F")
         expected = y[:, ::-1][:, :N_b].reshape(-1, order="F")
         np.testing.assert_allclose(stacked, expected, atol=1e-10)
@@ -213,27 +213,25 @@ class TestConvolveTransmit:
     def test_zero_in_zero_out(self):
         rng = np.random.default_rng(12)
         taps = random_taps(rng, 2, 3, 2)
-        y = convolve_transmit(taps, np.zeros((2, 5)), 0.0)
+        y = convolve_transmit(taps, np.zeros((2, 5)))
         assert not np.any(y)
 
     def test_scalar_impulse_response(self):
         taps = ChannelTaps(np.array([[[1.0 + 0j]], [[0.5 + 0j]]]))
         x = np.array([[1.0, 0.0, 0.0]], dtype=complex)
-        y = convolve_transmit(taps, x, 0.0)
+        y = convolve_transmit(taps, x)
         np.testing.assert_allclose(y, [[1.0, 0.5, 0.0]])
 
     def test_noise_covariance(self):
-        taps = ChannelTaps(np.zeros((1, 4, 1), dtype=complex))
         rng = np.random.default_rng(13)
         sigma = 0.7
-        y = convolve_transmit(taps, np.zeros((1, 100_000), dtype=complex), sigma, rng)
+        y = add_noise(np.zeros((4, 100_000), dtype=complex), sigma, rng)
         cov = (y @ y.conj().T) / y.shape[1]
         np.testing.assert_allclose(cov, sigma**2 * np.eye(4), atol=0.02 * sigma**2)
 
     def test_rng_required_with_noise(self):
-        taps = ChannelTaps(np.ones((1, 1, 1), dtype=complex))
         with pytest.raises(ConfigurationError):
-            convolve_transmit(taps, np.zeros((1, 4)), 1.0, rng=None)
+            add_noise(np.zeros((1, 4), dtype=complex), 1.0, rng=None)
 
     @staticmethod
     def direct_convolution(taps, x):
@@ -256,7 +254,7 @@ class TestConvolveTransmit:
         rng = np.random.default_rng(seed)
         taps = random_taps(rng, L, M, K)
         x = rng.standard_normal((K, T)) + 1j * rng.standard_normal((K, T))
-        y = convolve_transmit(taps, x, 0.0)
+        y = convolve_transmit(taps, x)
         expected = self.direct_convolution(taps, x)
         assert y.shape == (M, T)
         assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -266,7 +264,7 @@ class TestConvolveTransmit:
         rng = np.random.default_rng(15)
         taps = random_taps(rng, 31, 3, 2)
         x = rng.standard_normal((2, 5001)) + 1j * rng.standard_normal((2, 5001))
-        y = convolve_transmit(taps, x, 0.0)
+        y = convolve_transmit(taps, x)
         expected = self.direct_convolution(taps, x)
         assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -275,8 +273,8 @@ class TestConvolveTransmit:
         taps = random_taps(rng, 5, 3, 2)
         x = rng.standard_normal((2, 200)) + 1j * rng.standard_normal((2, 200))
         s = 0.3
-        noisy = convolve_transmit(taps, x, s, np.random.default_rng(99))
-        clean = convolve_transmit(taps, x, 0.0)
+        clean = convolve_transmit(taps, x)
+        noisy = add_noise(clean.copy(), s, np.random.default_rng(99))
         fresh = np.random.default_rng(99)
         n1 = fresh.standard_normal((3, 200))
         n2 = fresh.standard_normal((3, 200))

@@ -10,7 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpfde import fde
-from cpfde.channel import ChannelTaps, build_block_circulant, convolve_transmit, freq_channel
+from cpfde.channel import (
+    ChannelTaps,
+    add_noise,
+    build_block_circulant,
+    convolve_transmit,
+    freq_channel,
+)
 from cpfde.errors import ConfigurationError, DimensionError, SizeGuardError
 from cpfde.fde import (
     DENSE_SIZE_CAP,
@@ -273,7 +279,7 @@ class TestOverlapSave:
         taps = random_taps(rng, L, 4, 1)
         bank, _, cfg = make_bank(taps, 8, 0.0, 1.0, 1.0, overlap=L)
         x = rng.standard_normal((1, 30)) + 1j * rng.standard_normal((1, 30))
-        r = convolve_transmit(taps, x, 0.0)
+        r = convolve_transmit(taps, x)
         out, edge = overlap_save_stream(r, bank, cfg)
         # block starting at s=6 covers times 6..13; retained are the oldest 6
         blk = equalize_block(r[:, 6:14][:, ::-1], bank)[:, ::-1]
@@ -292,7 +298,7 @@ class TestDiscardBenefit:
                 / np.sqrt(2 * (L + 1))
             )
             x = (rng.standard_normal((K, T)) + 1j * rng.standard_normal((K, T))) / np.sqrt(2)
-            r = convolve_transmit(taps, x, 0.1, rng)
+            r = add_noise(convolve_transmit(taps, x), 0.1, rng)
             for overlap in (L, 0):
                 bank, _, cfg = make_bank(taps, N_b, 0.0, 0.01, 1.0, overlap=overlap)
                 out, edge = overlap_save_stream(r, bank, cfg)

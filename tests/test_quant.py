@@ -216,7 +216,7 @@ class TestAgc:
         assert per_antenna_agc(taps, 1.0, 1.0)[0] == pytest.approx(1.0)
 
     def test_matches_empirical_std(self):
-        from cpfde.channel import convolve_transmit
+        from cpfde.channel import add_noise, convolve_transmit
 
         rng = np.random.default_rng(3)
         taps = ChannelTaps(
@@ -227,7 +227,7 @@ class TestAgc:
         x = np.sqrt(sigma_x2 / 2) * (
             rng.standard_normal((2, T)) + 1j * rng.standard_normal((2, T))
         )
-        y = convolve_transmit(taps, x, np.sqrt(sigma_eta2), rng)
+        y = add_noise(convolve_transmit(taps, x), np.sqrt(sigma_eta2), rng)
         emp = np.std(y.real, axis=1)
         np.testing.assert_allclose(emp, per_antenna_agc(taps, sigma_x2, sigma_eta2), rtol=0.02)
 

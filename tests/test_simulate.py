@@ -209,6 +209,44 @@ class TestEngine:
         base.update(kw)
         return SimConfig(**base)
 
+    @pytest.mark.parametrize("L", [0, 3])
+    def test_counts_are_the_scored_prefix(self, L):
+        # At L = 3, N_b = 16 and 20 end in a clamped final block; 28 and 128 do not.
+        cfg = self.small_cfg(L=L, block_lens=(16, 20, 28, 128))
+        rep = run_experiment(cfg)
+        for r in rep.rows:
+            assert r.symbols_counted == cfg.N_sim * cfg.K * (cfg.T_c - L)
+            assert r.edge_symbols_excluded == cfg.N_sim * cfg.K * L
+            per_real = rep.realization_mse[(r.ebn0_db, r.n_b, r.method)]
+            assert np.mean(per_real) == pytest.approx(r.mse, rel=1e-12)
+
+    def test_worker_processes_capped(self, monkeypatch):
+        # A process pool forks all of its workers at once: never more than
+        # realizations or CPUs.  The fake pool records its size and maps serially.
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append((max_workers, initargs))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+        serial = run_experiment(self.small_cfg())
+        for cpus, expected in ((4, [(3, (1,))]), (2, [(2, (1,))]), (1, [])):
+            started.clear()
+            monkeypatch.setattr(fde, "_threads", cpus)
+            rep = run_experiment(self.small_cfg(workers=5000))
+            assert started == expected
+            assert rep.rows == serial.rows
+
     def test_report_shape_and_counting(self):
         cfg = self.small_cfg()
         rep = run_experiment(cfg)
@@ -267,11 +305,13 @@ class TestEngine:
         assert (tmp_path / "2.csv").read_bytes() == serial
 
     def test_forked_workers_after_parent_pool(self, tmp_path):
-        # The parent's thread pool exists before run_experiment forks; each
-        # worker gets 2 equalizer threads and must not submit to the dead pool.
+        # The parent equalizes on thread pools before run_experiment forks;
+        # none of their threads outlives its call, so a worker (2 equalizer
+        # threads each) inherits no pool.
         script = textwrap.dedent(
             f"""
             import dataclasses
+            import threading
             from cpfde import fde, simulate
 
             fde._PARALLEL_MIN_BYTES = 0
@@ -281,7 +321,7 @@ class TestEngine:
                 block_lens=(16, 128), seed=7,
             )
             simulate.run_experiment(cfg).to_csv({str(tmp_path / "one.csv")!r})
-            assert fde._pool is not None
+            assert not [t for t in threading.enumerate() if t.name.startswith("cpfde-fde")]
             forked = simulate.run_experiment(dataclasses.replace(cfg, workers=2))
             forked.to_csv({str(tmp_path / "two.csv")!r})
             """
@@ -343,6 +383,8 @@ class TestEngine:
         d = json.loads(meta.read_text())
         assert d["seed"] == cfg.seed
         assert d["config"]["M"] == cfg.M
+        assert d["mse_stderr"] == [r.mse_stderr for r in rep.rows]
+        assert all(r.mse_stderr > 0 for r in rep.rows)
 
 
 class TestErrorProfile:
