@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolation
+from .errors import ConfigurationError
+
+# Largest coherence time accepted.  optimal_block_length scans every candidate
+# block length at about 55 bytes each, so 2**22 keeps the scan near 0.25 GB;
+# the paper's T_c is 50000.
+MAX_COHERENCE = 2**22
 
 
 @dataclass(frozen=True)
@@ -27,9 +32,11 @@ class ComplexityParams:
 
     def __post_init__(self):
         if self.K < 1 or self.M < 1 or self.L_prime < 0 or self.T_c < 1:
-            raise ConstraintViolation("K, M >= 1; L' >= 0; T_c >= 1 required")
+            raise ConfigurationError("K, M >= 1; L' >= 0; T_c >= 1 required")
+        if self.T_c > MAX_COHERENCE:
+            raise ConfigurationError(f"T_c={self.T_c} > {MAX_COHERENCE} unsupported")
         if self.T_c < self.L_prime + 1:
-            raise ConstraintViolation(
+            raise ConfigurationError(
                 f"T_c={self.T_c} leaves no feasible block length (need >= L'+1={self.L_prime + 1})"
             )
 
@@ -49,7 +56,7 @@ def dynamic_cost(N_b, p: ComplexityParams):
     """Per-frame cost: (M+K) N_b log2(N_b) + K M N_b complex multiplications."""
     N_b = np.asarray(N_b, dtype=np.float64)
     if np.any(N_b < 2):
-        raise ConstraintViolation("N_b must be >= 2")
+        raise ConfigurationError("N_b must be >= 2")
     out = (p.M + p.K) * N_b * np.log2(N_b) + p.K * p.M * N_b
     return float(out) if out.ndim == 0 else out
 
@@ -58,7 +65,7 @@ def static_cost(N_b, p: ComplexityParams):
     """Once-per-coherence-time cost: (K M log2(N_b) + K M + 2 K^2 M + K^3) N_b."""
     N_b = np.asarray(N_b, dtype=np.float64)
     if np.any(N_b < 2):
-        raise ConstraintViolation("N_b must be >= 2")
+        raise ConfigurationError("N_b must be >= 2")
     out = (
         p.K * p.M * np.log2(N_b) + p.K * p.M + 2 * p.K**2 * p.M + p.K**3
     ) * N_b
@@ -81,7 +88,7 @@ def per_symbol_cost(N_b, p: ComplexityParams, exact: bool = False):
     """Complex multiplications per estimated symbol at block length N_b."""
     arr = np.asarray(N_b, dtype=np.float64)
     if np.any(arr < p.L_prime + 1) or np.any(arr > p.T_c):
-        raise ConstraintViolation(
+        raise ConfigurationError(
             f"N_b must lie in [{p.L_prime + 1}, {p.T_c}]"
         )
     ts = static_cost(arr, p)
@@ -102,7 +109,7 @@ def optimal_block_length(p: ComplexityParams, emit_curve: bool = False) -> OptRe
     lo = max(p.L_prime + 1, 2)
     hi = p.T_c
     if hi < lo:
-        raise ConstraintViolation(f"no feasible block length in [{lo}, {hi}]")
+        raise ConfigurationError(f"no feasible block length in [{lo}, {hi}]")
     grid = np.arange(lo, hi + 1, dtype=np.int64)
     cost = per_symbol_cost(grid, p)
     i = int(np.argmin(cost))
@@ -120,11 +127,3 @@ def optimal_block_length(p: ComplexityParams, emit_curve: bool = False) -> OptRe
         cost_at_pow2=float(cost[j]),
         curve=curve,
     )
-
-
-def write_curve_csv(curve: np.ndarray, path) -> None:
-    """Write a sampled cost curve as CSV (n_b,t_sym,t_s,t_d_per_frame)."""
-    with open(path, "w") as f:
-        f.write("n_b,t_sym,t_s,t_d_per_frame\n")
-        for n_b, t_sym, t_s, t_d in curve:
-            f.write(f"{int(n_b)},{t_sym:.12g},{t_s:.12g},{t_d:.12g}\n")

@@ -152,14 +152,12 @@ def build_block_toeplitz(taps: ChannelTaps, N_b: int) -> np.ndarray:
     return H
 
 
-def build_block_circulant(
-    taps: ChannelTaps, N_b: int, rho_q: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build the block-circulant approximation and its causal/interference split.
+def build_block_circulant(taps: ChannelTaps, N_b: int, rho_q: float = 0.0) -> np.ndarray:
+    """Build the M*N_b x K*N_b block-circulant approximation of the channel.
 
-    Returns (circulant, causal, interference).  Both parts carry the Bussgang
-    gain (1 - rho_q); the interference part holds the wrap-around blocks
-    H_L..H_1 in the bottom-left corner and the circulant is their exact sum.
+    Block-row i carries (1 - rho_q) H_l at column-block (i + l) mod N_b: the
+    block-Toeplitz part plus the wrap-around blocks H_L..H_1 in the
+    bottom-left corner.
     """
     L, M, K = taps.memory, taps.n_rx, taps.n_users
     if N_b <= L:
@@ -167,17 +165,12 @@ def build_block_circulant(
     if not (0.0 <= rho_q < 1.0):
         raise ConfigurationError("rho_q must lie in [0, 1)")
     gain = 1.0 - rho_q
-    causal = np.zeros((M * N_b, K * N_b), dtype=np.complex128)
-    interf = np.zeros_like(causal)
+    H = np.zeros((M * N_b, K * N_b), dtype=np.complex128)
     for i in range(N_b):
         for l in range(L + 1):
-            block = gain * taps.taps[l]
-            if i + l < N_b:
-                causal[i * M : (i + 1) * M, (i + l) * K : (i + l + 1) * K] = block
-            else:
-                j = (i + l) % N_b
-                interf[i * M : (i + 1) * M, j * K : (j + 1) * K] = block
-    return causal + interf, causal, interf
+            j = (i + l) % N_b
+            H[i * M : (i + 1) * M, j * K : (j + 1) * K] = gain * taps.taps[l]
+    return H
 
 
 def freq_channel(taps: ChannelTaps, N_b: int, rho_q: float = 0.0) -> np.ndarray:

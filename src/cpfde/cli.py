@@ -51,9 +51,14 @@ def _output_path(args, name: str) -> Path:
     return out
 
 
-def _sidecar(path: Path, payload: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, default=str)
+def _write_report(out: Path, header: str, lines, sidecar: dict) -> None:
+    """Write a CSV of `header` and one line per item of `lines` to out, and
+    `sidecar` as JSON to out's name plus `.json`."""
+    with open(out, "w") as f:
+        f.write(header + "\n")
+        f.writelines(line + "\n" for line in lines)
+    with open(out.with_suffix(out.suffix + ".json"), "w") as f:
+        json.dump(sidecar, f, indent=2, default=str)
 
 
 # --------------------------------------------------------------------------
@@ -72,9 +77,10 @@ def cmd_optimize_block(args) -> int:
     print(f"t_sym_at_opt {res.cost_at_opt:.12g}")
     print(f"t_sym_at_pow2 {res.cost_at_pow2:.12g}")
     if out is not None:
-        blockopt.write_curve_csv(res.curve, out)
-        _sidecar(
-            out.with_suffix(out.suffix + ".json"),
+        _write_report(
+            out,
+            "n_b,t_sym,t_s,t_d_per_frame",
+            (f"{int(n)},{t:.12g},{ts:.12g},{td:.12g}" for n, t, ts, td in res.curve),
             {
                 "subcommand": "optimize-block",
                 "params": {"K": p.K, "M": p.M, "L_prime": p.L_prime, "T_c": p.T_c},
@@ -129,8 +135,20 @@ def cmd_sweep(args) -> int:
     cfg = _sim_config(args, ebn0_grid=args.ebn0)
     out = _output_path(args, args.output)
     report = simulate.run_experiment(cfg)
-    report.to_csv(out)
-    report.write_metadata(out.with_suffix(out.suffix + ".json"))
+    _write_report(
+        out,
+        "ebn0_db,n_b,method,mse,ber,symbols,edge_excluded,seed",
+        (
+            f"{r.ebn0_db:.12g},{r.n_b},{r.method},{r.mse:.12g},{r.ber:.12g},"
+            f"{r.symbols_counted},{r.edge_symbols_excluded},{cfg.seed}"
+            for r in report.rows
+        ),
+        {
+            "seed": cfg.seed,
+            "config": cfg.snapshot(),
+            "mse_stderr": [r.mse_stderr for r in report.rows],  # in CSV row order
+        },
+    )
     for r in report.rows:
         print(
             f"ebn0={r.ebn0_db:g} n_b={r.n_b} {r.method}: "
@@ -155,9 +173,10 @@ def cmd_bathtub(args) -> int:
     edge = (profile[:k].mean() + profile[-k:].mean()) / 2
     center = profile[n_b // 4 : n_b - n_b // 4].mean()
     ratio = float(edge / center)
-    fde.error_profile_csv(profile, out)
-    _sidecar(
-        out.with_suffix(out.suffix + ".json"),
+    _write_report(
+        out,
+        "position,error_power",
+        (f"{i},{p:.12g}" for i, p in enumerate(profile)),
         {
             "subcommand": "bathtub",
             "n_b": n_b,
@@ -197,7 +216,7 @@ def _check_diagonalization(broken: bool) -> tuple[bool, str]:
         taps = channel.ChannelTaps(
             rng.standard_normal((L + 1, M, K)) + 1j * rng.standard_normal((L + 1, M, K))
         )
-        cir, _, _ = channel.build_block_circulant(taps, N_b)
+        cir = channel.build_block_circulant(taps, N_b)
         if broken:
             # negative-control hook: perturb one tap after the circulant build
             taps = channel.ChannelTaps(taps.taps + 0.1)
@@ -221,7 +240,7 @@ def _check_fde_oracle() -> tuple[bool, str]:
         )
         rho = float(rng.uniform(0.0, 0.5))
         bm = quant.bussgang_model(taps, rho, 1.0)
-        cir, _, _ = channel.build_block_circulant(taps, N_b, rho)
+        cir = channel.build_block_circulant(taps, N_b, rho)
         cfg = fde.FdeConfig(block_len=N_b, overlap=L)
         bank = fde.build_filter_bank(channel.freq_channel(taps, N_b), bm, cfg)
         x = rng.standard_normal(K * N_b) + 1j * rng.standard_normal(K * N_b)

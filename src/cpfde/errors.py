@@ -6,20 +6,8 @@ class CpfdeError(Exception):
 
 
 class ConfigurationError(CpfdeError, ValueError):
-    """Invalid user-supplied configuration."""
+    """Invalid user-supplied configuration or an infeasible parameter."""
 
 
 class DimensionError(CpfdeError, ValueError):
-    """Shapes or sizes that violate a structural precondition."""
-
-
-class ConstraintViolation(CpfdeError, ValueError):
-    """A value outside the feasible region of an optimization problem."""
-
-
-class SizeGuardError(CpfdeError, ValueError):
-    """Dense-path instance exceeds the configured size cap."""
-
-
-class UnsupportedResolutionError(CpfdeError, ValueError):
-    """Quantizer bit depth outside the supported range."""
+    """Shapes or sizes that violate a structural precondition or a size cap."""

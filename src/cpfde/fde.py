@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, SizeGuardError
+from .errors import ConfigurationError, DimensionError
 from .quant import BussgangModel
 
 DENSE_SIZE_CAP = 4096
@@ -221,7 +221,7 @@ def time_domain_wf(r_stacked: np.ndarray, H_cir: np.ndarray, bm: BussgangModel) 
     if H.shape[0] != r.size:
         raise DimensionError("stacked receive vector does not match H_cir rows")
     if H.shape[0] > DENSE_SIZE_CAP:
-        raise SizeGuardError(f"dense instance {H.shape[0]} exceeds cap {DENSE_SIZE_CAP}")
+        raise DimensionError(f"dense instance {H.shape[0]} exceeds cap {DENSE_SIZE_CAP}")
     M = bm.eff_noise_diag.shape[0]
     if H.shape[0] % M:
         raise DimensionError("H_cir rows not a multiple of the antenna count")
@@ -231,10 +231,3 @@ def time_domain_wf(r_stacked: np.ndarray, H_cir: np.ndarray, bm: BussgangModel) 
     gram = Hh_Rinv @ H + (1.0 / bm.sigma_x2) * np.eye(H.shape[1])
     return np.linalg.solve(gram, Hh_Rinv @ r)
 
-
-def error_profile_csv(profile: np.ndarray, path) -> None:
-    """Dump a per-position error-power profile as CSV (position,error_power)."""
-    with open(path, "w") as f:
-        f.write("position,error_power\n")
-        for i, p in enumerate(profile):
-            f.write(f"{i},{p:.12g}\n")

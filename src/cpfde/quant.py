@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelTaps
-from .errors import ConfigurationError, DimensionError, UnsupportedResolutionError
+from .errors import ConfigurationError, DimensionError
 
 MAX_BITS = 16
 
@@ -109,10 +109,8 @@ def design_quantizer(b: int, sigma: float) -> QuantizerSpec:
     Equal steps, levels at interval centers, and the step that minimizes the
     closed-form Gaussian MSE, read from the unit-std table and rescaled.
     """
-    if b < 1:
-        raise ConfigurationError("bit depth must be >= 1")
-    if b > MAX_BITS:
-        raise UnsupportedResolutionError(f"bit depth {b} > {MAX_BITS} unsupported")
+    if not 1 <= b <= MAX_BITS:
+        raise ConfigurationError(f"bit depth {b} outside 1..{MAX_BITS}")
     if not (sigma > 0 and np.isfinite(sigma)):
         raise ConfigurationError("sigma must be finite and positive")
     thresholds, levels, rho = _design_unit(b)

@@ -8,10 +8,9 @@ are identical for any worker count.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,6 +34,10 @@ from .fde import (
 from .quant import MAX_BITS, bussgang_model, design_quantizer, per_antenna_agc, quantize
 
 METHODS = ("WF", "WF_Q")
+
+# Largest |Eb/N0| in dB accepted.  10**(300/10) leaves the mapped transmit
+# power hundreds of decades inside the finite positive float range.
+MAX_EBN0_DB = 300.0
 
 
 # --------------------------------------------------------------------------
@@ -135,8 +138,6 @@ class SimConfig:
     quant_bits: int | None = 1  # None disables quantization entirely
     methods: tuple[str, ...] = METHODS
     seed: int = 0
-    sigma_eta2: float = 1.0
-    fixed_sigma_x2: float | None = None  # bypass the Eb/N0 mapping when set
     workers: int = 1
 
     def __post_init__(self):
@@ -148,14 +149,12 @@ class SimConfig:
             raise ConfigurationError("workers must be >= 1")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
-        if not (self.sigma_eta2 > 0 and np.isfinite(self.sigma_eta2)):
-            raise ConfigurationError("sigma_eta2 must be finite and positive")
         if self.quant_bits is not None and not 1 <= self.quant_bits <= MAX_BITS:
             raise ConfigurationError(f"quant_bits must be in 1..{MAX_BITS} (or None)")
         if len(self.ebn0_grid) == 0:
             raise ConfigurationError("Eb/N0 grid is empty")
-        if not np.all(np.isfinite(self.ebn0_grid)):
-            raise ConfigurationError("Eb/N0 grid points must be finite")
+        if not np.all(np.abs(self.ebn0_grid) <= MAX_EBN0_DB):
+            raise ConfigurationError(f"Eb/N0 grid points must lie within +-{MAX_EBN0_DB:g} dB")
         # Grid points key the per-point results; a repeat would count twice.
         for name in ("ebn0_grid", "block_lens", "methods"):
             values = getattr(self, name)
@@ -199,34 +198,16 @@ class SimRow:
 
 @dataclass
 class SimReport:
-    """Per-grid-point MSE/BER results plus the reproducing configuration."""
+    """Per-grid-point MSE/BER results and the per-realization MSEs behind them."""
 
     rows: list[SimRow]
-    config: dict
-    seed: int
-    realization_mse: dict = field(default_factory=dict)  # (ebn0, n_b, method) -> array
+    realization_mse: dict  # (ebn0, n_b, method) -> array over realizations
 
     def row(self, ebn0_db: float, n_b: int, method: str) -> SimRow:
         for r in self.rows:
             if r.ebn0_db == ebn0_db and r.n_b == n_b and r.method == method:
                 return r
         raise KeyError((ebn0_db, n_b, method))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write("ebn0_db,n_b,method,mse,ber,symbols,edge_excluded,seed\n")
-            for r in self.rows:
-                f.write(
-                    f"{r.ebn0_db:.12g},{r.n_b},{r.method},{r.mse:.12g},"
-                    f"{r.ber:.12g},{r.symbols_counted},{r.edge_symbols_excluded},{self.seed}\n"
-                )
-
-    def write_metadata(self, path) -> None:
-        """JSON sidecar: seed, configuration and mse_stderr in CSV row order."""
-        payload = {"seed": self.seed, "config": self.config}
-        payload["mse_stderr"] = [r.mse_stderr for r in self.rows]
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=2, default=str)
 
 
 # --------------------------------------------------------------------------
@@ -240,7 +221,8 @@ def ebn0_to_sigma_x2(
 
     taps_ensemble_trace is the ensemble average of the per-realization tap
     energy sum_l ||H_l||_F^2; the stacked-channel trace at the reference block
-    length is N_b_ref times that.  Total power P_t = K sigma_x^2.
+    length is N_b_ref times that.  Total power P_t = K sigma_x^2 against unit
+    noise power per antenna sample.
 
     sigma_x^2 scales as 1/N_b_ref.  run_experiment takes min(block_lens) as the
     reference and per_position_error_profile the profiled N_b, so the same
@@ -251,7 +233,7 @@ def ebn0_to_sigma_x2(
         raise ConfigurationError("trace estimate must be positive")
     trace = N_b_ref * taps_ensemble_trace
     ebn0 = 10.0 ** (ebn0_db / 10.0)
-    pt = ebn0 * cfg.K * cfg.M * cfg.sigma_eta2 * cfg.bits_per_symbol / trace
+    pt = ebn0 * cfg.K * cfg.M * cfg.bits_per_symbol / trace
     return pt / cfg.K
 
 
@@ -265,9 +247,7 @@ def _realization_taps(cfg: SimConfig, index: int) -> ChannelTaps:
 
 
 def _sigma_x2(cfg: SimConfig, ebn0s, ref: int) -> dict:
-    """Transmit power per Eb/N0 point at reference block length ref (or fixed_sigma_x2)."""
-    if cfg.fixed_sigma_x2 is not None:
-        return {e: cfg.fixed_sigma_x2 for e in ebn0s}
+    """Transmit power per Eb/N0 point at reference block length ref."""
     trace_avg = float(
         np.mean([_realization_taps(cfg, i).energy() for i in range(cfg.N_sim)])
     )
@@ -284,15 +264,15 @@ def _transmit(cfg: SimConfig, index: int):
 
 
 def _receive(cfg: SimConfig, taps: ChannelTaps, hx, sigma_x2: float, rng):
-    """Noisy stream at power sigma_x2, quantized in place, and its rho_q.
+    """Stream at power sigma_x2 plus unit-power noise, quantized in place, and its rho_q.
 
     One unit-std quantizer design is scaled by each antenna's AGC std.
     """
-    r = add_noise(np.sqrt(sigma_x2) * hx, np.sqrt(cfg.sigma_eta2), rng)
+    r = add_noise(np.sqrt(sigma_x2) * hx, 1.0, rng)
     if cfg.quant_bits is None:
         return r, 0.0
     spec = design_quantizer(cfg.quant_bits, 1.0)
-    quantize(r, spec, per_antenna_agc(taps, sigma_x2, cfg.sigma_eta2), out=r)
+    quantize(r, spec, per_antenna_agc(taps, sigma_x2, 1.0), out=r)
     return r, spec.rho_q
 
 
@@ -322,7 +302,7 @@ def _run_one_realization(args):
         r, rho = _receive(cfg, taps, hx, sigma_x2, rng)
         # WF is the filter of the model that ignores quantization (rho_q = 0).
         models = [
-            bussgang_model(taps, rho if method == "WF_Q" else 0.0, cfg.sigma_eta2, sigma_x2)
+            bussgang_model(taps, rho if method == "WF_Q" else 0.0, 1.0, sigma_x2)
             for method in cfg.methods
         ]
         for j, n_b in enumerate(cfg.block_lens):
@@ -389,7 +369,7 @@ def run_experiment(cfg: SimConfig) -> SimReport:
                 mse_stderr=float(stderr[idx]),
             )
         )
-    return SimReport(rows, cfg.snapshot(), cfg.seed, realization_mse)
+    return SimReport(rows, realization_mse)
 
 
 def per_position_error_profile(cfg: SimConfig, n_b: int, ebn0_db: float) -> np.ndarray:
@@ -412,7 +392,7 @@ def per_position_error_profile(cfg: SimConfig, n_b: int, ebn0_db: float) -> np.n
         taps, rng, _, unit_syms, hx = _transmit(cfg, i)
         x = np.sqrt(sigma_x2) * unit_syms
         r, rho = _receive(cfg, taps, hx, sigma_x2, rng)
-        bm = bussgang_model(taps, rho, cfg.sigma_eta2, sigma_x2)
+        bm = bussgang_model(taps, rho, 1.0, sigma_x2)
         bank = build_filter_bank(freq_channel(taps, n_b), bm, FdeConfig(block_len=n_b, overlap=0))
         # skip the first block: its history is the zero-padded stream start
         for s in range(n_b, cfg.T_c - n_b + 1, n_b):

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpfde.blockopt import (
+    MAX_COHERENCE,
     ComplexityParams,
     dynamic_cost,
     frame_count,
     optimal_block_length,
     per_symbol_cost,
     static_cost,
-    write_curve_csv,
 )
-from cpfde.errors import ConstraintViolation
+from cpfde.errors import ConfigurationError
 
 REF = ComplexityParams(K=2, M=64, L_prime=127, T_c=50_000)
 
@@ -43,16 +43,23 @@ class TestCostFormulas:
         assert frame_count(20, p) == pytest.approx(100 / 16)
 
     def test_infeasible_block_len_rejected(self):
-        with pytest.raises(ConstraintViolation):
+        with pytest.raises(ConfigurationError):
             per_symbol_cost(100, REF)  # below L'+1
-        with pytest.raises(ConstraintViolation):
+        with pytest.raises(ConfigurationError):
             per_symbol_cost(REF.T_c + 1, REF)
 
     def test_bad_params_rejected(self):
-        with pytest.raises(ConstraintViolation):
+        with pytest.raises(ConfigurationError):
             ComplexityParams(K=0, M=1, L_prime=0, T_c=10)
-        with pytest.raises(ConstraintViolation):
+        with pytest.raises(ConfigurationError):
             ComplexityParams(K=1, M=1, L_prime=10, T_c=10)
+
+    def test_coherence_cap(self):
+        # The exhaustive scan is O(T_c) in memory; a T_c above the cap fails
+        # in validation, before the scan allocates anything.
+        assert ComplexityParams(K=2, M=64, L_prime=127, T_c=MAX_COHERENCE).T_c == MAX_COHERENCE
+        with pytest.raises(ConfigurationError, match="unsupported"):
+            ComplexityParams(K=2, M=64, L_prime=127, T_c=10**12)
 
 
 class TestOptimizer:
@@ -101,7 +108,7 @@ class TestOptimizer:
             short = optimal_block_length(ComplexityParams(2, 64, lp, 5_000)).n_opt
             assert short < long
 
-    def test_curve_emission(self, tmp_path):
+    def test_curve_emission(self):
         res = optimal_block_length(REF, emit_curve=True)
         assert res.curve is not None
         assert res.curve.shape[1] == 4
@@ -110,15 +117,10 @@ class TestOptimizer:
         # curve minimum matches the reported optimum
         i = int(np.argmin(res.curve[:, 1]))
         assert int(grid[i]) == res.n_opt
-        path = tmp_path / "curve.csv"
-        write_curve_csv(res.curve, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n_b,t_sym,t_s,t_d_per_frame"
-        assert len(lines) == res.curve.shape[0] + 1
 
     def test_no_feasible_pow2(self):
         p = ComplexityParams(K=1, M=1, L_prime=0, T_c=1)
-        with pytest.raises(ConstraintViolation):
+        with pytest.raises(ConfigurationError):
             optimal_block_length(p)
         # [5, 7] holds no power of 2: the integer optimum stands in for it.
         res = optimal_block_length(ComplexityParams(K=2, M=64, L_prime=4, T_c=7))

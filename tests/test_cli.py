@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, sidecars, and fault hooks."""
 
 import argparse
+import dataclasses
 import json
 import shlex
 from pathlib import Path
@@ -38,6 +39,7 @@ class TestOptimizeBlock:
         assert code == 0
         rows = (tmp_path / "curve.csv").read_text().splitlines()
         assert rows[0] == "n_b,t_sym,t_s,t_d_per_frame"
+        assert len(rows) == 1 + 50_000 - 127  # N_b = L'+1 .. T_c
         row = next(r for r in rows if r.startswith("1024,"))
         _, t_sym, t_s, t_d = row.split(",")
         assert float(t_sym) == pytest.approx(469.526443523, rel=1e-6)
@@ -64,6 +66,19 @@ class TestOptimizeBlock:
         )
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("subcommand", ["optimize-block", "sweep", "bathtub"])
+    def test_coherence_above_cap_exit_2(self, capsys, tmp_path, monkeypatch, subcommand):
+        # The default block length comes from the same capped scan.
+        monkeypatch.setattr(simulate, "run_experiment", None)  # never reached
+        monkeypatch.setattr(simulate, "per_position_error_profile", None)
+        code, _, err = run_cli(
+            capsys, subcommand, "--coherence", str(10**12), "--output-dir", str(tmp_path)
+        )
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: T_c={10**12} > {blockopt.MAX_COHERENCE} unsupported"
+        ]
 
     def test_config_file_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "opt.ini"
@@ -93,14 +108,27 @@ class TestSweep:
         "--seed", "3",
     )
 
-    def test_rows_and_sidecar(self, capsys, tmp_path):
+    def test_rows_and_sidecar(self, capsys, tmp_path, monkeypatch):
+        original, reports = simulate.run_experiment, []
+
+        def recording_run(cfg):
+            reports.append(original(cfg))
+            return reports[-1]
+
+        monkeypatch.setattr(simulate, "run_experiment", recording_run)
         code, out, _ = run_cli(capsys, *self.ARGS, "--output-dir", str(tmp_path))
         assert code == 0
         rows = (tmp_path / "report.csv").read_text().splitlines()
         assert rows[0] == "ebn0_db,n_b,method,mse,ber,symbols,edge_excluded,seed"
         assert len(rows) == 1 + 1 * 2 * 2  # one ebn0 x two N_b x two methods
+        assert all(r.endswith(",3") for r in rows[1:])
         meta = json.loads((tmp_path / "report.csv.json").read_text())
+        assert list(meta) == ["seed", "config", "mse_stderr"]
         assert meta["seed"] == 3 and meta["config"]["M"] == 8
+        assert list(meta["config"]) == [f.name for f in dataclasses.fields(simulate.SimConfig)]
+        # mse_stderr in CSV row order; two realizations give a nonzero spread
+        assert meta["mse_stderr"] == [r.mse_stderr for r in reports[0].rows]
+        assert all(s > 0 for s in meta["mse_stderr"])
         assert "mse=" in out
 
     def test_determinism_across_runs(self, capsys, tmp_path):
@@ -143,6 +171,31 @@ class TestSweep:
         assert code == 2
         assert sum("error:" in line for line in err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--ebn0=4000"),
+            ("sweep", "--ebn0=-4000"),
+            ("sweep", "--ebn0=0,4000"),
+            ("bathtub", "--ebn0-point=4000"),
+            ("bathtub", "--ebn0-point=-4000"),
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_ebn0_exit_2(self, capsys, tmp_path, monkeypatch, argv):
+        # Rejected with the configuration: no channel is drawn for the Eb/N0
+        # trace pass and no realization starts.
+        def fail(*_):
+            raise AssertionError("realization started")
+
+        monkeypatch.setattr(simulate, "_transmit", fail)
+        monkeypatch.setattr(simulate, "_realization_taps", fail)
+        code, _, err = run_cli(capsys, *argv, "--output-dir", str(tmp_path))
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: Eb/N0 grid points must lie within +-{simulate.MAX_EBN0_DB:g} dB"
+        ]
 
 
 class TestBathtub:

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cpfde.channel import ChannelTaps
-from cpfde.errors import ConfigurationError, DimensionError, UnsupportedResolutionError
+from cpfde.errors import ConfigurationError, DimensionError
 from cpfde.quant import (
     MAX_BITS,
     _UNIT_DESIGNS,
@@ -78,7 +78,7 @@ class TestDesign:
         assert spec.rho_q == pytest.approx(expected / sigma**2, rel=1e-12)
 
     def test_resolution_cap(self):
-        with pytest.raises(UnsupportedResolutionError):
+        with pytest.raises(ConfigurationError, match="outside 1..16"):
             design_quantizer(17, 1.0)
 
     def test_bad_sigma(self):
