@@ -360,6 +360,43 @@ class TestEngine:
             wfq = rep.row(15.0, n_b, "WF_Q").mse
             assert wfq < wf
 
+    def test_csv_and_metadata(self, tmp_path, monkeypatch):
+        # The report as the sweep command writes it: one CSV line per row, and
+        # a sidecar holding the seed, the configuration and the stderrs.
+        import json
+
+        from cpfde.cli import main
+
+        runs = []
+
+        def recording_run(cfg):
+            runs.append((cfg, run_experiment(cfg)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(simulate, "run_experiment", recording_run)
+        code = main([
+            "sweep", "--antennas", "8", "--taps", "4", "--coherence", "128",
+            "--realizations", "2", "--ebn0", "10", "--block-lens", "16",
+            "--seed", "7", "--output-dir", str(tmp_path),
+        ])
+        assert code == 0
+        (cfg, rep), = runs
+        assert cfg == self.small_cfg(N_sim=2, block_lens=(16,))
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        assert lines[0] == "ebn0_db,n_b,method,mse,ber,symbols,edge_excluded,seed"
+        assert len(lines) == len(rep.rows) + 1
+        for line, r in zip(lines[1:], rep.rows):
+            ebn0, n_b, method, mse, ber, symbols, edge, seed = line.split(",")
+            assert (float(ebn0), int(n_b), method) == (r.ebn0_db, r.n_b, r.method)
+            assert float(mse) == pytest.approx(r.mse, rel=1e-11)
+            assert float(ber) == pytest.approx(r.ber, rel=1e-11)
+            assert (int(symbols), int(edge)) == (r.symbols_counted, r.edge_symbols_excluded)
+            assert int(seed) == cfg.seed
+        d = json.loads((tmp_path / "report.csv.json").read_text())
+        assert d["seed"] == cfg.seed
+        assert d["config"]["M"] == cfg.M
+        assert d["mse_stderr"] == [r.mse_stderr for r in rep.rows]
+        assert all(r.mse_stderr > 0 for r in rep.rows)
 
 
 class TestErrorProfile:
