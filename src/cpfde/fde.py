@@ -16,6 +16,12 @@ in cache and mapped over a thread pool that lives for that one call (numpy's
 FFT, matmul, einsum and inv release the GIL).  Every chunk runs the same
 arithmetic as a one-shot call, so results are bit-identical for any thread
 count.
+
+equalize_stream is the one entry point of the simulator.  A stream of exactly
+one block (T = N_b, the paper's N_b = T_c) holds no filter bank: each subband
+chunk builds its filters and applies them at once to its slice of the block's
+transform, bitwise as the bank would.  Any other stream builds the bank once
+and reuses it for every block of overlap_save_stream.
 """
 
 from __future__ import annotations
@@ -103,6 +109,21 @@ def build_filter_bank(subbands: np.ndarray, bm: BussgangModel, cfg: FdeConfig) -
     freq_channel, D the model's effective-noise diagonal and sigma_x^2 its
     transmit power.  The rho_q = 0 model gives the quantization-unaware filter.
     """
+    inv_diag = _inverse_noise_diag(subbands, bm, cfg)
+    N_b, M, K = subbands.shape
+    G = np.empty((N_b, K, M), dtype=np.complex128)
+    _map(
+        _build_filters,
+        [
+            (subbands[lo:hi], bm.gain, inv_diag, bm.sigma_x2, G[lo:hi])
+            for lo, hi in _subband_chunks(N_b, K, M)
+        ],
+    )
+    return G
+
+
+def _inverse_noise_diag(subbands, bm: BussgangModel, cfg: FdeConfig) -> np.ndarray:
+    """1 / D after checking the subbands against cfg and D for positivity."""
     if subbands.shape[0] != cfg.block_len:
         raise DimensionError(
             f"frequency channel block_len {subbands.shape[0]} != config {cfg.block_len}"
@@ -110,18 +131,13 @@ def build_filter_bank(subbands: np.ndarray, bm: BussgangModel, cfg: FdeConfig) -
     diag = np.asarray(bm.eff_noise_diag, dtype=np.float64)
     if np.any(diag <= 0):
         raise ConfigurationError("effective-noise diagonal must be strictly positive")
-    N_b, M, K = subbands.shape
-    G = np.empty((N_b, K, M), dtype=np.complex128)
-    inv_diag = 1.0 / diag
-    step = max(1, _CHUNK_BYTES // (K * M * G.itemsize))
-    _map(
-        _build_filters,
-        [
-            (subbands[lo : lo + step], bm.gain, inv_diag, bm.sigma_x2, G[lo : lo + step])
-            for lo in range(0, N_b, step)
-        ],
-    )
-    return G
+    return 1.0 / diag
+
+
+def _subband_chunks(N_b: int, K: int, M: int) -> list[tuple[int, int]]:
+    """(lo, hi) subband ranges of about _CHUNK_BYTES of K x M filters each."""
+    step = max(1, _CHUNK_BYTES // (K * M * np.dtype(np.complex128).itemsize))
+    return [(lo, min(lo + step, N_b)) for lo in range(0, N_b, step)]
 
 
 def _build_filters(H, gain, inv_diag, sigma_x2, out) -> None:
@@ -134,6 +150,44 @@ def _build_filters(H, gain, inv_diag, sigma_x2, out) -> None:
     # Hermitian positive definite for any finite sigma_x2, so invertible; one
     # batched K x K inverse serves all M right-hand sides of a subband.
     np.matmul(np.linalg.inv(gram), O, out=out)
+
+
+def equalize_stream(
+    r: np.ndarray, subbands: np.ndarray, bm: BussgangModel, cfg: FdeConfig
+) -> np.ndarray:
+    """K x T MMSE estimates of an M x T stream, as overlap_save_stream gives them.
+
+    The filters are those build_filter_bank makes of subbands and bm.  A
+    stream of exactly one block is equalized one subband chunk at a time,
+    without the (N_b, K, M) bank; the estimates are bitwise the same.
+    """
+    r = np.asarray(r, dtype=np.complex128)
+    if r.ndim != 2 or r.shape[1] != cfg.block_len:
+        return overlap_save_stream(r, build_filter_bank(subbands, bm, cfg), cfg)[0]
+    inv_diag = _inverse_noise_diag(subbands, bm, cfg)
+    N_b, M, K = subbands.shape
+    if r.shape[0] != M:
+        raise DimensionError(f"stream must be M x T with M={M}")
+    # _equalize_block on the newest-first block, with the bank built per chunk.
+    Rf = np.fft.ifft(r[:, ::-1], axis=-1)
+    Rf *= np.sqrt(N_b)
+    Xf = np.empty((K, N_b), dtype=np.complex128)
+    _map(
+        _filter_subbands,
+        [
+            (subbands[lo:hi], bm.gain, inv_diag, bm.sigma_x2, Rf[:, lo:hi], Xf[:, lo:hi])
+            for lo, hi in _subband_chunks(N_b, K, M)
+        ],
+    )
+    est = np.fft.fft(Xf, axis=-1) / np.sqrt(N_b)
+    return np.ascontiguousarray(est[:, ::-1])  # back to time order
+
+
+def _filter_subbands(H, gain, inv_diag, sigma_x2, Rf, out) -> None:
+    """Build the filters of the subbands gain * H and apply them to Rf (M, n): out (K, n)."""
+    G = np.empty((H.shape[0], H.shape[2], H.shape[1]), dtype=np.complex128)
+    _build_filters(H, gain, inv_diag, sigma_x2, G)
+    np.einsum("skm,ms->ks", G, Rf, out=out)
 
 
 def equalize_block(R: np.ndarray, bank: np.ndarray) -> np.ndarray:

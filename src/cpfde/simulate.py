@@ -29,7 +29,7 @@ from .fde import (
     _thread_count,
     build_filter_bank,
     equalize_block,
-    overlap_save_stream,
+    equalize_stream,
 )
 from .quant import MAX_BITS, bussgang_model, design_quantizer, per_antenna_agc, quantize
 
@@ -38,6 +38,11 @@ METHODS = ("WF", "WF_Q")
 # Largest |Eb/N0| in dB accepted.  10**(300/10) leaves the mapped transmit
 # power hundreds of decades inside the finite positive float range.
 MAX_EBN0_DB = 300.0
+
+# Largest M x T_c complex128 receive stream, in bytes.  A realization holds a
+# few such streams at once; paper scale (M=64, T_c=50000) is 51 MB.  The block
+# length scan has its own, larger cap on T_c (blockopt.MAX_COHERENCE).
+MAX_STREAM_BYTES = 2**28
 
 
 # --------------------------------------------------------------------------
@@ -143,6 +148,10 @@ class SimConfig:
     def __post_init__(self):
         if self.K < 1 or self.M < 1:
             raise ConfigurationError("K and M must be >= 1")
+        if self.M * self.T_c * 16 > MAX_STREAM_BYTES:
+            raise ConfigurationError(
+                f"M x T_c = {self.M} x {self.T_c} stream exceeds {MAX_STREAM_BYTES} bytes"
+            )
         if self.N_sim < 1:
             raise ConfigurationError("N_sim must be >= 1")
         if self.workers < 1:
@@ -290,7 +299,7 @@ def _run_one_realization(args):
     tx_bits = bits.reshape(cfg.K, -1)[:, : n * cfg.bits_per_symbol].ravel()
 
     # Once per realization: the subband channels per N_b.  Both methods share
-    # the gain-free subbands; build_filter_bank applies each model's gain.
+    # the gain-free subbands; the equalizer applies each model's gain.
     subbands = {n_b: freq_channel(taps, n_b) for n_b in cfg.block_lens}
 
     shape = (len(cfg.ebn0_grid), len(cfg.block_lens), len(cfg.methods))
@@ -308,9 +317,7 @@ def _run_one_realization(args):
         for j, n_b in enumerate(cfg.block_lens):
             fde_cfg = FdeConfig(block_len=n_b, overlap=cfg.L)
             for k, model in enumerate(models):
-                bank = build_filter_bank(subbands[n_b], model, fde_cfg)
-                xhat = overlap_save_stream(r, bank, fde_cfg)[0][:, :n]
-                del bank  # not alive while the next method's bank is built
+                xhat = equalize_stream(r, subbands[n_b], model, fde_cfg)[:, :n]
                 # MSE per unit symbol energy: fixed unit change, not blind scaling
                 sq[i, j, k] = np.sum(np.abs((xhat - x) / np.sqrt(sigma_x2)) ** 2)
                 # BER on the same positions, against the scaled constellation

@@ -80,6 +80,24 @@ class TestOptimizeBlock:
             f"error: T_c={10**12} > {blockopt.MAX_COHERENCE} unsupported"
         ]
 
+    @pytest.mark.parametrize("subcommand", ["sweep", "bathtub"])
+    def test_stream_above_cap_exit_2(self, capsys, tmp_path, monkeypatch, subcommand):
+        # A given block length skips the capped scan; the stream bound still
+        # rejects T_c before any channel is drawn or stream allocated.
+        def fail(*_):
+            raise AssertionError("realization started")
+
+        monkeypatch.setattr(simulate, "_transmit", fail)
+        monkeypatch.setattr(simulate, "_realization_taps", fail)
+        code, _, err = run_cli(
+            capsys, subcommand, "--coherence", str(10**12), "--block-lens", "64",
+            "--realizations", "1", "--output-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: M x T_c = 32 x {10**12} stream exceeds {simulate.MAX_STREAM_BYTES} bytes"
+        ]
+
     def test_config_file_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "opt.ini"
         cfg.write_text("[complexity]\nantennas = 64\noverlap = 15\ncoherence = 2048\nusers = 2\n")

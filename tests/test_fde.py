@@ -3,6 +3,7 @@ dense time-domain oracle."""
 
 import contextlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from cpfde.fde import (
     FdeConfig,
     build_filter_bank,
     equalize_block,
+    equalize_stream,
     overlap_save_stream,
     time_domain_wf,
     unitary_dft_matrix,
@@ -381,43 +383,54 @@ class TestThreadInvariance:
         gram = O @ H + (1.0 / sigma_x2) * np.eye(H.shape[2])[None]
         return np.linalg.inv(gram) @ O
 
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("account", [False, True])
     @pytest.mark.parametrize("rho", [0.0, 0.3])
     def test_chunked_build_is_bitwise_one_shot(self, threads, account, rho):
         # rho = 0 gives a unit Bussgang gain, which _build_filters skips;
         # account=False is WF's model (rho_q = 0), pinned to gain 1 and D = s2 I.
+        # A one-block stream (T = N_b) builds the same filters chunk by chunk
+        # inside equalize_stream and applies each chunk at once.
         rng = np.random.default_rng(31)
-        N_b, M, K = 37, 3, 2
-        taps = random_taps(rng, 4, M, K)
-        s2, sx2 = 0.6, 1.7
-        bm = bussgang_model(taps, rho if account else 0.0, s2, sx2)
+        N_b, M, s2, sx2 = 37, 3, 0.6, 1.7
         cfg = FdeConfig(block_len=N_b, overlap=4)
-        subbands = freq_channel(taps, N_b)
-        if account:
-            H, diag = subbands * bm.gain, bm.eff_noise_diag
-        else:
-            H, diag = subbands, np.full(M, s2)
-        expected = self.one_shot_filters(H, diag, sx2)
-        serial = build_filter_bank(subbands, bm, cfg)
-        # 5 subbands per chunk: 37 = 7 * 5 + 2 leaves a ragged last chunk.
-        with equalizer_threads(threads, chunk_bytes=5 * K * M * 16):
-            chunked = build_filter_bank(subbands, bm, cfg)
-        np.testing.assert_array_equal(serial, expected)
-        np.testing.assert_array_equal(chunked, expected)
+        for K in (1, 2, 3):
+            taps = random_taps(rng, 4, M, K)
+            bm = bussgang_model(taps, rho if account else 0.0, s2, sx2)
+            subbands = freq_channel(taps, N_b)
+            if account:
+                H, diag = subbands * bm.gain, bm.eff_noise_diag
+            else:
+                H, diag = subbands, np.full(M, s2)
+            expected = self.one_shot_filters(H, diag, sx2)
+            r = rng.standard_normal((M, N_b)) + 1j * rng.standard_normal((M, N_b))
+            expected_est = overlap_save_stream(r, expected, cfg)[0]
+            serial = build_filter_bank(subbands, bm, cfg)
+            serial_est = equalize_stream(r, subbands, bm, cfg)
+            # 5 subbands per chunk: 37 = 7 * 5 + 2 leaves a ragged last chunk.
+            with equalizer_threads(threads, chunk_bytes=5 * K * M * 16):
+                chunked = build_filter_bank(subbands, bm, cfg)
+                chunked_est = equalize_stream(r, subbands, bm, cfg)
+            np.testing.assert_array_equal(serial, expected)
+            np.testing.assert_array_equal(chunked, expected)
+            np.testing.assert_array_equal(serial_est, expected_est)
+            np.testing.assert_array_equal(chunked_est, expected_est)
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
     @pytest.mark.parametrize("N_b, overlap, T", [(16, 3, 300), (8, 7, 61), (64, 0, 64)])
     def test_pooled_overlap_save_is_bitwise_serial(self, threads, N_b, overlap, T):
+        # equalize_stream too: (64, 0, 64) is one block, equalized in 5-subband chunks.
         rng = np.random.default_rng(32)
         taps = random_taps(rng, min(overlap, 3), 4, 2)
-        bank, _, cfg = make_bank(taps, N_b, 0.2, 1.0, 1.0, overlap=overlap)
+        bank, bm, cfg = make_bank(taps, N_b, 0.2, 1.0, 1.0, overlap=overlap)
         r = rng.standard_normal((4, T)) + 1j * rng.standard_normal((4, T))
         serial, serial_edge = overlap_save_stream(r, bank, cfg)
-        with equalizer_threads(threads):
+        with equalizer_threads(threads, chunk_bytes=5 * 2 * 4 * 16):
             pooled, pooled_edge = overlap_save_stream(r, bank, cfg)
+            streamed = equalize_stream(r, freq_channel(taps, N_b), bm, cfg)
         np.testing.assert_array_equal(pooled, serial)
         np.testing.assert_array_equal(pooled_edge, serial_edge)
+        np.testing.assert_array_equal(streamed, serial)
 
     def test_worker_exception_propagates(self):
         bank = np.ones((8, 1, 2), dtype=complex)
@@ -429,3 +442,37 @@ class TestThreadInvariance:
         jobs = [(fail, r, bank, [(s, s, s + 7)], r) for s in (0, 8)]
         with equalizer_threads(2), pytest.raises(RuntimeError, match="kernel failed"):
             fde._map(fde._equalize_segments, jobs)
+
+
+class TestOneBlockStream:
+    def test_peak_memory_below_the_bank(self, monkeypatch):
+        # tracemalloc counts numpy's buffers.  The (N_b, K, M) bank of this
+        # stream is 32 MiB; the one-block route holds the forward transform
+        # (16 MiB) and one chunk's filters and temporaries per thread.
+        rng = np.random.default_rng(33)
+        M, K, L, N_b = 32, 2, 15, 32768
+        taps = random_taps(rng, L, M, K)
+        bm = bussgang_model(taps, 0.3, 1.0, 0.5)
+        cfg = FdeConfig(block_len=N_b, overlap=L)
+        subbands = freq_channel(taps, N_b)
+        r = rng.standard_normal((M, N_b)) + 1j * rng.standard_normal((M, N_b))
+        monkeypatch.setattr(fde, "_threads", 1)
+        tracemalloc.start()
+        try:
+            est = equalize_stream(r, subbands, bm, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.shape == (K, N_b)
+        assert peak < N_b * K * M * 16
+
+    def test_rejects_mismatched_inputs(self):
+        rng = np.random.default_rng(34)
+        taps = random_taps(rng, 2, 4, 2)
+        bm = bussgang_model(taps, 0.2, 1.0, 1.0)
+        cfg = FdeConfig(block_len=16, overlap=2)
+        r = np.ones((4, 16), dtype=complex)
+        with pytest.raises(DimensionError):
+            equalize_stream(r[:3], freq_channel(taps, 16), bm, cfg)
+        with pytest.raises(DimensionError):
+            equalize_stream(r, freq_channel(taps, 8), bm, cfg)

@@ -196,6 +196,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SimConfig(**{**dict(L=3, block_lens=(8,), T_c=64), **bad})
 
+    def test_stream_cap(self):
+        # Paper scale (M=64, T_c=50000, a 51 MB stream) is well inside the cap.
+        SimConfig(K=2, M=64, L=127, T_c=50000, block_lens=(1024, 50000))
+        T_c = simulate.MAX_STREAM_BYTES // (64 * 16)
+        SimConfig(M=64, L=3, T_c=T_c, block_lens=(8,))
+        with pytest.raises(ConfigurationError, match="exceeds"):
+            SimConfig(M=64, L=3, T_c=T_c + 1, block_lens=(8,))
+
     def test_overlap_defaults_to_memory(self, monkeypatch):
         # The sweep equalizes every stream with overlap L' = L.
         overlaps = []
@@ -294,6 +302,7 @@ class TestEngine:
         assert any(ra.mse != rb.mse for ra, rb in zip(a.rows, b.rows))
 
     def test_worker_count_invariant(self):
+        # small_cfg's grid holds N_b = T_c = 128, the one-block route.
         a = run_experiment(self.small_cfg(workers=1))
         b = run_experiment(self.small_cfg(workers=2))
         assert_same_results(a, b)
@@ -301,7 +310,8 @@ class TestEngine:
     def test_equalizer_thread_count_invariant(self, monkeypatch):
         cfg = self.small_cfg()
         serial = run_experiment(cfg)
-        # Every call chunked: 5 subbands (K * M * 16 bytes each) per chunk.
+        # Every call chunked: 5 subbands (K * M * 16 bytes each) per chunk;
+        # at N_b = T_c = 128 each chunk builds and applies its own filters.
         monkeypatch.setattr(fde, "_PARALLEL_MIN_BYTES", 0)
         monkeypatch.setattr(fde, "_CHUNK_BYTES", 5 * cfg.K * cfg.M * 16)
         for threads in (1, 2):
