@@ -6,7 +6,9 @@ a power-delay profile and materializes the block-Toeplitz, block-circulant and
 per-subband frequency-domain representations used by the equalizer.
 
 Dense matrices (block-Toeplitz / block-circulant) are validation aids for small
-instances only; the streaming path never forms them.
+instances only; the streaming path never forms them.  freq_channel and the
+inverse transform of convolve_transmit split their antenna rows over the
+thread pool of _pool when the call is large, bitwise as one serial call.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import _map, _split
 from .errors import ConfigurationError, DimensionError
 
 # 3GPP Extended Vehicular A tapped-delay-line definition.
@@ -177,8 +180,9 @@ def freq_channel(taps: ChannelTaps, N_b: int, rho_q: float = 0.0) -> np.ndarray:
     """Per-subband channel matrices H_fi = sum_l H_l e^{-j 2pi l i / N_b}, (N_b, M, K).
 
     The tap-wise transform is the unnormalized DFT over the tap index.  It runs
-    along the contiguous last axis of the (M, K, L+1) taps and is then laid out
-    subband-major and contiguous.  The subbands never carry the Bussgang gain:
+    along the contiguous last axis of the (M, K, L+1) taps, a few antenna rows
+    at a time, and each group of rows is written subband-major straight into
+    the contiguous result.  The subbands never carry the Bussgang gain:
     build_filter_bank applies it.  rho_q must be 0; it stays in the signature
     because perfbench's tracer keys freq_channel calls on it.
     """
@@ -187,8 +191,27 @@ def freq_channel(taps: ChannelTaps, N_b: int, rho_q: float = 0.0) -> np.ndarray:
         raise DimensionError(f"N_b={N_b} must be >= L+1={L + 1}")
     if rho_q != 0.0:
         raise ConfigurationError("freq_channel is gain-free; build_filter_bank applies rho_q")
-    spectra = np.fft.fft(np.ascontiguousarray(taps.taps.transpose(1, 2, 0)), n=N_b, axis=-1)
-    return np.ascontiguousarray(spectra.transpose(2, 0, 1))
+    M, K = taps.n_rx, taps.n_users
+    rows = np.ascontiguousarray(taps.taps.transpose(1, 2, 0))
+    out = np.empty((N_b, M, K), dtype=np.complex128)
+    _map(_transform_taps, [(rows, out, lo, hi) for lo, hi in _split(M, out.nbytes)])
+    return out
+
+
+# freq_channel transforms antenna rows in groups of about this many bytes of
+# spectra: a group of 2+ rows writes whole cache lines of the subband-major result.
+_GROUP_BYTES = 4 << 20
+
+
+def _transform_taps(rows, out, lo, hi) -> None:
+    """Write the spectra of the (M, K, L+1) tap rows lo..hi-1 into out[:, lo:hi]."""
+    N_b, _, K = out.shape
+    step = max(1, _GROUP_BYTES // (K * N_b * 16))
+    spectra = np.empty((min(step, hi - lo), K, N_b), dtype=np.complex128)
+    for m in range(lo, hi, step):
+        group = spectra[: min(step, hi - m)]
+        np.fft.fft(rows[m : m + len(group)], n=N_b, axis=-1, out=group)
+        out[:, m : m + len(group)] = group.transpose(2, 0, 1)
 
 
 def _next_pow2(n: int) -> int:
@@ -238,8 +261,15 @@ def convolve_transmit(taps: ChannelTaps, x: np.ndarray) -> np.ndarray:
     xb[:, :T] = x
     Xf = np.fft.fft(xb.reshape(K, n_blk, step), n=nfft, axis=-1)
     Hf = np.fft.fft(taps.taps, n=nfft, axis=0)
-    yb = np.fft.ifft(Hf @ Xf.transpose(2, 0, 1), axis=0).transpose(1, 2, 0)
+    yf = Hf @ Xf.transpose(2, 0, 1)  # (nfft, M, n_blk)
+    _map(_inverse_rows, [(yf, lo, hi) for lo, hi in _split(M, yf.nbytes)])
+    yb = yf.transpose(1, 2, 0)
     y = np.ascontiguousarray(yb[:, :, :step])
     if n_blk > 1:
         y[:, 1:, :L] += yb[:, :-1, step:]
     return y.reshape(M, n_blk * step)[:, :T]
+
+
+def _inverse_rows(yf, lo, hi) -> None:
+    """Inverse-transform antenna rows lo..hi-1 of yf (nfft, M, n_blk) in place."""
+    np.fft.ifft(yf[:, lo:hi], axis=0, out=yf[:, lo:hi])

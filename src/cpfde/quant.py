@@ -6,6 +6,9 @@ distortion factor rho_q, which equals one minus the Bussgang gain for an
 MSE-optimal quantizer.  The unit-std designs for b = 1..MAX_BITS are tabulated
 (_UNIT_DESIGNS); _derive_unit(b), a bounded scalar minimization that needs
 scipy, is their derivation and the oracle the table is tested against.
+
+quantize splits a large stream's antenna rows over the thread pool of _pool
+(searchsorted releases the GIL), bitwise as one serial call.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._pool import _map, _split
 from .channel import ChannelTaps
 from .errors import ConfigurationError, DimensionError
 
@@ -173,13 +177,17 @@ def quantize(
     scale = np.ones(M) if scale is None else np.asarray(scale, dtype=np.float64)
     if scale.shape != (M,):
         raise DimensionError(f"scale must hold one factor per antenna ({M})")
+    _map(_quantize_rows, [(y, spec, scale, out, lo, hi) for lo, hi in _split(M, y.nbytes)])
+    return out[:, 0] if squeeze else out
+
+
+def _quantize_rows(y, spec, scale, out, lo, hi) -> None:
     # Row by row: one normalized whole-stream searchsorted measured slower.
-    for m in range(M):
+    for m in range(lo, hi):
         thresholds = spec.thresholds[1:-1] * scale[m]
         levels = spec.levels * scale[m]
         out[m].real = levels[np.searchsorted(thresholds, y[m].real, side="left")]
         out[m].imag = levels[np.searchsorted(thresholds, y[m].imag, side="left")]
-    return out[:, 0] if squeeze else out
 
 
 def bussgang_model(

@@ -22,15 +22,9 @@ from .channel import (
     freq_channel,
     generate_channel,
 )
+from ._pool import _set_threads, _thread_count
 from .errors import ConfigurationError
-from .fde import (
-    FdeConfig,
-    _set_threads,
-    _thread_count,
-    build_filter_bank,
-    equalize_block,
-    equalize_stream,
-)
+from .fde import FdeConfig, build_filter_bank, equalize_block, equalize_stream
 from .quant import MAX_BITS, bussgang_model, design_quantizer, per_antenna_agc, quantize
 
 METHODS = ("WF", "WF_Q")
@@ -40,7 +34,8 @@ METHODS = ("WF", "WF_Q")
 MAX_EBN0_DB = 300.0
 
 # Largest M x T_c complex128 receive stream, in bytes.  A realization holds a
-# few such streams at once; paper scale (M=64, T_c=50000) is 51 MB.  The block
+# few such streams at once; paper scale (M=64, T_c=50000) is 51 MB.  The K x T_c
+# symbol stream and the (L+1, M, K) channel taps have the same bound.  The block
 # length scan has its own, larger cap on T_c (blockopt.MAX_COHERENCE).
 MAX_STREAM_BYTES = 2**28
 
@@ -148,10 +143,16 @@ class SimConfig:
     def __post_init__(self):
         if self.K < 1 or self.M < 1:
             raise ConfigurationError("K and M must be >= 1")
-        if self.M * self.T_c * 16 > MAX_STREAM_BYTES:
-            raise ConfigurationError(
-                f"M x T_c = {self.M} x {self.T_c} stream exceeds {MAX_STREAM_BYTES} bytes"
-            )
+        for name, dims, what in (
+            ("M x T_c", (self.M, self.T_c), "stream"),
+            ("K x T_c", (self.K, self.T_c), "symbol stream"),
+            ("(L+1) x M x K", (self.L + 1, self.M, self.K), "taps array"),
+        ):
+            if math.prod(dims) * 16 > MAX_STREAM_BYTES:
+                shape = " x ".join(map(str, dims))
+                raise ConfigurationError(
+                    f"{name} = {shape} {what} exceeds {MAX_STREAM_BYTES} bytes"
+                )
         if self.N_sim < 1:
             raise ConfigurationError("N_sim must be >= 1")
         if self.workers < 1:
@@ -160,13 +161,13 @@ class SimConfig:
             raise ConfigurationError("seed must be >= 0")
         if self.quant_bits is not None and not 1 <= self.quant_bits <= MAX_BITS:
             raise ConfigurationError(f"quant_bits must be in 1..{MAX_BITS} (or None)")
-        if len(self.ebn0_grid) == 0:
-            raise ConfigurationError("Eb/N0 grid is empty")
         if not np.all(np.abs(self.ebn0_grid) <= MAX_EBN0_DB):
             raise ConfigurationError(f"Eb/N0 grid points must lie within +-{MAX_EBN0_DB:g} dB")
         # Grid points key the per-point results; a repeat would count twice.
         for name in ("ebn0_grid", "block_lens", "methods"):
             values = getattr(self, name)
+            if len(values) == 0:
+                raise ConfigurationError(f"{name} is empty")
             if len(set(values)) != len(values):
                 raise ConfigurationError(f"{name} has duplicate entries: {values}")
         if self.pdp is None:
@@ -316,8 +317,8 @@ def _run_one_realization(args):
         ]
         for j, n_b in enumerate(cfg.block_lens):
             fde_cfg = FdeConfig(block_len=n_b, overlap=cfg.L)
-            for k, model in enumerate(models):
-                xhat = equalize_stream(r, subbands[n_b], model, fde_cfg)[:, :n]
+            estimates = equalize_stream(r, subbands[n_b], models, fde_cfg)
+            for k, xhat in enumerate(estimates[..., :n]):
                 # MSE per unit symbol energy: fixed unit change, not blind scaling
                 sq[i, j, k] = np.sum(np.abs((xhat - x) / np.sqrt(sigma_x2)) ** 2)
                 # BER on the same positions, against the scaled constellation

@@ -98,6 +98,24 @@ class TestOptimizeBlock:
             f"error: M x T_c = 32 x {10**12} stream exceeds {simulate.MAX_STREAM_BYTES} bytes"
         ]
 
+    @pytest.mark.parametrize("subcommand", ["sweep", "bathtub"])
+    def test_users_above_cap_exit_2(self, capsys, tmp_path, monkeypatch, subcommand):
+        # The K x T_c symbol stream is bounded like the receive stream: the
+        # config is rejected before any channel, symbol or tap array exists.
+        def fail(*_):
+            raise AssertionError("realization started")
+
+        monkeypatch.setattr(simulate, "_transmit", fail)
+        monkeypatch.setattr(simulate, "_realization_taps", fail)
+        code, _, err = run_cli(
+            capsys, subcommand, "--users", str(10**8), "--block-lens", "64",
+            "--realizations", "1", "--output-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: K x T_c = {10**8} x 2048 symbol stream exceeds {simulate.MAX_STREAM_BYTES} bytes"
+        ]
+
     def test_config_file_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "opt.ini"
         cfg.write_text("[complexity]\nantennas = 64\noverlap = 15\ncoherence = 2048\nusers = 2\n")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cpfde import fde
+from cpfde import _pool, channel, fde, quant
 from cpfde.channel import (
     ChannelTaps,
     add_noise,
@@ -29,7 +29,7 @@ from cpfde.fde import (
     time_domain_wf,
     unitary_dft_matrix,
 )
-from cpfde.quant import bussgang_model
+from cpfde.quant import bussgang_model, design_quantizer, quantize
 
 
 def random_taps(rng, L, M, K):
@@ -39,15 +39,17 @@ def random_taps(rng, L, M, K):
 
 
 @contextlib.contextmanager
-def equalizer_threads(n, chunk_bytes=None):
-    """Force the chunked, pooled path with n threads, whatever the call size.
+def pool_threads(n, chunk_bytes=None):
+    """Force every pooled stage onto n threads, whatever the call size.
 
+    The floor is 0, so the row-split stages (freq_channel, quantize,
+    convolve_transmit, the one-block transform) and overlap-save split too.
     The interpreter switches threads every microsecond meanwhile, so pool
     threads interleave as often as they can.
     """
-    saved = fde._threads, fde._PARALLEL_MIN_BYTES, fde._CHUNK_BYTES
+    saved = _pool._threads, _pool._PARALLEL_MIN_BYTES, fde._CHUNK_BYTES
     switch = sys.getswitchinterval()
-    fde._threads, fde._PARALLEL_MIN_BYTES = n, 0
+    _pool._threads, _pool._PARALLEL_MIN_BYTES = n, 0
     if chunk_bytes is not None:
         fde._CHUNK_BYTES = chunk_bytes
     sys.setswitchinterval(1e-6)
@@ -55,7 +57,7 @@ def equalizer_threads(n, chunk_bytes=None):
         yield
     finally:
         sys.setswitchinterval(switch)
-        fde._threads, fde._PARALLEL_MIN_BYTES, fde._CHUNK_BYTES = saved
+        _pool._threads, _pool._PARALLEL_MIN_BYTES, fde._CHUNK_BYTES = saved
 
 
 def make_bank(taps, N_b, rho, sigma_eta2, sigma_x2, overlap=None):
@@ -364,7 +366,7 @@ class TestOverlapSaveProperty:
         if threads is None:
             out, edge = overlap_save_stream(r, filters, cfg)
         else:
-            with equalizer_threads(threads):
+            with pool_threads(threads):
                 out, edge = overlap_save_stream(r, filters, cfg)
         expected = sliding_window_oracle(r, filters, cfg)
         assert not np.isnan(expected).any()
@@ -383,20 +385,22 @@ class TestThreadInvariance:
         gram = O @ H + (1.0 / sigma_x2) * np.eye(H.shape[2])[None]
         return np.linalg.inv(gram) @ O
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 5])
     @pytest.mark.parametrize("account", [False, True])
     @pytest.mark.parametrize("rho", [0.0, 0.3])
     def test_chunked_build_is_bitwise_one_shot(self, threads, account, rho):
         # rho = 0 gives a unit Bussgang gain, which _build_filters skips;
         # account=False is WF's model (rho_q = 0), pinned to gain 1 and D = s2 I.
         # A one-block stream (T = N_b) builds the same filters chunk by chunk
-        # inside equalize_stream and applies each chunk at once.
+        # inside equalize_stream and applies each chunk at once; there it is
+        # given both models, this one first.
         rng = np.random.default_rng(31)
         N_b, M, s2, sx2 = 37, 3, 0.6, 1.7
         cfg = FdeConfig(block_len=N_b, overlap=4)
         for K in (1, 2, 3):
             taps = random_taps(rng, 4, M, K)
             bm = bussgang_model(taps, rho if account else 0.0, s2, sx2)
+            other = bussgang_model(taps, 0.0 if account else rho, s2, sx2)
             subbands = freq_channel(taps, N_b)
             if account:
                 H, diag = subbands * bm.gain, bm.eff_noise_diag
@@ -404,13 +408,16 @@ class TestThreadInvariance:
                 H, diag = subbands, np.full(M, s2)
             expected = self.one_shot_filters(H, diag, sx2)
             r = rng.standard_normal((M, N_b)) + 1j * rng.standard_normal((M, N_b))
-            expected_est = overlap_save_stream(r, expected, cfg)[0]
+            expected_est = np.stack([
+                overlap_save_stream(r, expected, cfg)[0],
+                overlap_save_stream(r, build_filter_bank(subbands, other, cfg), cfg)[0],
+            ])
             serial = build_filter_bank(subbands, bm, cfg)
-            serial_est = equalize_stream(r, subbands, bm, cfg)
+            serial_est = equalize_stream(r, subbands, [bm, other], cfg)
             # 5 subbands per chunk: 37 = 7 * 5 + 2 leaves a ragged last chunk.
-            with equalizer_threads(threads, chunk_bytes=5 * K * M * 16):
+            with pool_threads(threads, chunk_bytes=5 * K * M * 16):
                 chunked = build_filter_bank(subbands, bm, cfg)
-                chunked_est = equalize_stream(r, subbands, bm, cfg)
+                chunked_est = equalize_stream(r, subbands, [bm, other], cfg)
             np.testing.assert_array_equal(serial, expected)
             np.testing.assert_array_equal(chunked, expected)
             np.testing.assert_array_equal(serial_est, expected_est)
@@ -418,19 +425,31 @@ class TestThreadInvariance:
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
     @pytest.mark.parametrize("N_b, overlap, T", [(16, 3, 300), (8, 7, 61), (64, 0, 64)])
-    def test_pooled_overlap_save_is_bitwise_serial(self, threads, N_b, overlap, T):
-        # equalize_stream too: (64, 0, 64) is one block, equalized in 5-subband chunks.
+    def test_pooled_overlap_save_is_bitwise_serial(self, threads, N_b, overlap, T, monkeypatch):
+        # equalize_stream too, given WF's and WF_Q's models at rho 0 and 0.2:
+        # (16, 3, 300) ends in a clamped final block, and (64, 0, 64) is one
+        # block, equalized in 5-subband chunks.  Other streams apply the banks
+        # side by side below a shared-bank floor, and one at a time above it.
         rng = np.random.default_rng(32)
         taps = random_taps(rng, min(overlap, 3), 4, 2)
-        bank, bm, cfg = make_bank(taps, N_b, 0.2, 1.0, 1.0, overlap=overlap)
+        bank, _, cfg = make_bank(taps, N_b, 0.2, 1.0, 1.0, overlap=overlap)
         r = rng.standard_normal((4, T)) + 1j * rng.standard_normal((4, T))
         serial, serial_edge = overlap_save_stream(r, bank, cfg)
-        with equalizer_threads(threads, chunk_bytes=5 * 2 * 4 * 16):
+        subbands = freq_channel(taps, N_b)
+        for rho in (0.0, 0.2):
+            models = [bussgang_model(taps, 0.0, 1.0, 1.0), bussgang_model(taps, rho, 1.0, 1.0)]
+            banks = [build_filter_bank(subbands, m, cfg) for m in models]
+            expected = np.stack([overlap_save_stream(r, bank, cfg)[0] for bank in banks])
+            for shared_bytes in (1 << 40, 0):
+                monkeypatch.setattr(fde, "_SHARED_BANK_BYTES", shared_bytes)
+                with pool_threads(threads, chunk_bytes=5 * 2 * 4 * 16):
+                    streamed = equalize_stream(r, subbands, models, cfg)
+                np.testing.assert_array_equal(streamed, expected)
+        with pool_threads(threads, chunk_bytes=5 * 2 * 4 * 16):
             pooled, pooled_edge = overlap_save_stream(r, bank, cfg)
-            streamed = equalize_stream(r, freq_channel(taps, N_b), bm, cfg)
         np.testing.assert_array_equal(pooled, serial)
         np.testing.assert_array_equal(pooled_edge, serial_edge)
-        np.testing.assert_array_equal(streamed, serial)
+        np.testing.assert_array_equal(expected[1], serial)
 
     def test_worker_exception_propagates(self):
         bank = np.ones((8, 1, 2), dtype=complex)
@@ -440,15 +459,78 @@ class TestThreadInvariance:
             raise RuntimeError("kernel failed")
 
         jobs = [(fail, r, bank, [(s, s, s + 7)], r) for s in (0, 8)]
-        with equalizer_threads(2), pytest.raises(RuntimeError, match="kernel failed"):
-            fde._map(fde._equalize_segments, jobs)
+        with pool_threads(2), pytest.raises(RuntimeError, match="kernel failed"):
+            _pool._map(fde._equalize_segments, jobs)
+
+
+class TestRowSplit:
+    # M = 3 is fewer rows than 5 threads and not a multiple of 2; M = 7 is
+    # not a multiple of either.
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    @pytest.mark.parametrize("M", [3, 7])
+    def test_row_split_stages_are_bitwise_serial(self, threads, M, monkeypatch):
+        # freq_channel transforms 2 rows at a time, leaving a ragged last
+        # group, and equals the one-shot transform of all rows.
+        monkeypatch.setattr(channel, "_GROUP_BYTES", 2 * 2 * 40 * 16)
+        rng = np.random.default_rng(35)
+        taps = random_taps(rng, 5, M, 2)
+        x = rng.standard_normal((2, 300)) + 1j * rng.standard_normal((2, 300))
+        y = rng.standard_normal((M, 300)) + 1j * rng.standard_normal((M, 300))
+        spec, scale = design_quantizer(3, 1.0), rng.uniform(0.5, 2.0, M)
+
+        def stages():
+            in_place = y.copy()
+            quantize(in_place, spec, scale, out=in_place)
+            return (freq_channel(taps, 40), convolve_transmit(taps, x),
+                    quantize(y, spec, scale), in_place)
+
+        assert _pool._split(M, y.nbytes) == [(0, M)]  # serial below the floor
+        serial = stages()
+        with pool_threads(threads):
+            assert len(_pool._split(M, y.nbytes)) == min(threads, M)
+            split = stages()
+        for a, b in zip(serial, split):
+            np.testing.assert_array_equal(b, a)
+        np.testing.assert_array_equal(serial[3], serial[2])
+        one_shot = np.fft.fft(np.ascontiguousarray(taps.taps.transpose(1, 2, 0)), n=40, axis=-1)
+        np.testing.assert_array_equal(serial[0], one_shot.transpose(2, 0, 1))
+
+    @pytest.mark.parametrize(
+        "module, job", [(channel, "_transform_taps"), (channel, "_inverse_rows"),
+                        (quant, "_quantize_rows"), (fde, "_transform_block")],
+    )
+    def test_row_job_exception_propagates(self, monkeypatch, module, job):
+        rng = np.random.default_rng(36)
+        taps = random_taps(rng, 2, 4, 2)
+        x = np.ones((2, 64), dtype=complex)
+        original = getattr(module, job)
+
+        def fail_last_rows(*args):
+            if args[-1] == 4:  # the job that ends at the last row
+                raise RuntimeError("row job failed")
+            original(*args)
+
+        monkeypatch.setattr(module, job, fail_last_rows)
+        bm = bussgang_model(taps, 0.2, 1.0, 1.0)
+        calls = {
+            "_transform_taps": lambda: freq_channel(taps, 16),
+            "_inverse_rows": lambda: convolve_transmit(taps, x),
+            "_quantize_rows": lambda: quantize(x.repeat(2, axis=0), design_quantizer(1, 1.0)),
+            "_transform_block": lambda: equalize_stream(
+                np.ones((4, 16), dtype=complex), freq_channel(taps, 16), [bm],
+                FdeConfig(block_len=16, overlap=2),
+            ),
+        }
+        with pool_threads(2), pytest.raises(RuntimeError, match="row job failed"):
+            calls[job]()
 
 
 class TestOneBlockStream:
     def test_peak_memory_below_the_bank(self, monkeypatch):
         # tracemalloc counts numpy's buffers.  The (N_b, K, M) bank of this
         # stream is 32 MiB; the one-block route holds the forward transform
-        # (16 MiB) and one chunk's filters and temporaries per thread.
+        # (16 MiB), both models' estimates (2 MiB) and one chunk's filters and
+        # temporaries per thread.
         rng = np.random.default_rng(33)
         M, K, L, N_b = 32, 2, 15, 32768
         taps = random_taps(rng, L, M, K)
@@ -456,14 +538,15 @@ class TestOneBlockStream:
         cfg = FdeConfig(block_len=N_b, overlap=L)
         subbands = freq_channel(taps, N_b)
         r = rng.standard_normal((M, N_b)) + 1j * rng.standard_normal((M, N_b))
-        monkeypatch.setattr(fde, "_threads", 1)
+        wf = bussgang_model(taps, 0.0, 1.0, 0.5)
+        monkeypatch.setattr(_pool, "_threads", 1)
         tracemalloc.start()
         try:
-            est = equalize_stream(r, subbands, bm, cfg)
+            est = equalize_stream(r, subbands, [wf, bm], cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert est.shape == (K, N_b)
+        assert est.shape == (2, K, N_b)
         assert peak < N_b * K * M * 16
 
     def test_rejects_mismatched_inputs(self):
@@ -473,6 +556,6 @@ class TestOneBlockStream:
         cfg = FdeConfig(block_len=16, overlap=2)
         r = np.ones((4, 16), dtype=complex)
         with pytest.raises(DimensionError):
-            equalize_stream(r[:3], freq_channel(taps, 16), bm, cfg)
+            equalize_stream(r[:3], freq_channel(taps, 16), [bm], cfg)
         with pytest.raises(DimensionError):
-            equalize_stream(r, freq_channel(taps, 8), bm, cfg)
+            equalize_stream(r, freq_channel(taps, 8), [bm], cfg)

@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import norm
 
 import cpfde
-from cpfde import fde, simulate
+from cpfde import _pool, fde, simulate
 from cpfde.channel import ChannelTaps, PowerDelayProfile
 from cpfde.errors import ConfigurationError
 from cpfde.simulate import (
@@ -183,7 +183,9 @@ class TestConfigValidation:
             dict(ebn0_grid=(-4000.0,)),
             dict(ebn0_grid=(5.0, 5.0)),
             dict(block_lens=(8, 8)),
+            dict(block_lens=()),
             dict(methods=("WF", "WF")),
+            dict(methods=()),
             dict(quant_bits=0),
             dict(quant_bits=17),
             dict(seed=-1),
@@ -203,6 +205,15 @@ class TestConfigValidation:
         SimConfig(M=64, L=3, T_c=T_c, block_lens=(8,))
         with pytest.raises(ConfigurationError, match="exceeds"):
             SimConfig(M=64, L=3, T_c=T_c + 1, block_lens=(8,))
+        # The K x T_c symbol stream and the (L+1, M, K) taps have the same cap.
+        SimConfig(K=64, M=1, L=3, T_c=T_c, block_lens=(8,))
+        with pytest.raises(ConfigurationError, match="K x T_c = 65 x"):
+            SimConfig(K=65, M=1, L=3, T_c=T_c, block_lens=(8,))
+        with pytest.raises(ConfigurationError, match="K x T_c = 100000000 x 2048"):
+            SimConfig(K=10**8, N_sim=1, block_lens=(64,))
+        SimConfig(K=256, M=256, L=255, T_c=1024, block_lens=(256,))  # 2**28-byte taps
+        with pytest.raises(ConfigurationError, match=r"\(L\+1\) x M x K = 257 x 256 x 256"):
+            SimConfig(K=256, M=256, L=256, T_c=1024, block_lens=(257,))
 
     def test_overlap_defaults_to_memory(self, monkeypatch):
         # The sweep equalizes every stream with overlap L' = L.
@@ -266,7 +277,7 @@ class TestEngine:
         serial = run_experiment(self.small_cfg())
         for cpus, expected in ((4, [(3, (1,))]), (2, [(2, (1,))]), (1, [])):
             started.clear()
-            monkeypatch.setattr(fde, "_threads", cpus)
+            monkeypatch.setattr(_pool, "_threads", cpus)
             rep = run_experiment(self.small_cfg(workers=5000))
             assert started == expected
             assert rep.rows == serial.rows
@@ -310,32 +321,34 @@ class TestEngine:
     def test_equalizer_thread_count_invariant(self, monkeypatch):
         cfg = self.small_cfg()
         serial = run_experiment(cfg)
-        # Every call chunked: 5 subbands (K * M * 16 bytes each) per chunk;
-        # at N_b = T_c = 128 each chunk builds and applies its own filters.
-        monkeypatch.setattr(fde, "_PARALLEL_MIN_BYTES", 0)
+        # Every call pooled: freq_channel, convolve_transmit and quantize split
+        # their M = 8 rows, overlap-save its blocks, and the filters come in
+        # chunks of 5 subbands (K * M * 16 bytes each); at N_b = T_c = 128 each
+        # chunk builds and applies its own filters.
+        monkeypatch.setattr(_pool, "_PARALLEL_MIN_BYTES", 0)
         monkeypatch.setattr(fde, "_CHUNK_BYTES", 5 * cfg.K * cfg.M * 16)
-        for threads in (1, 2):
-            monkeypatch.setattr(fde, "_threads", threads)
+        for threads in (1, 2, 5):
+            monkeypatch.setattr(_pool, "_threads", threads)
             assert_same_results(run_experiment(cfg), serial)
 
     def test_forked_workers_after_parent_pool(self):
-        # The parent equalizes on thread pools before run_experiment forks;
+        # The parent runs its stages on thread pools before run_experiment forks;
         # none of their threads outlives its call, so a worker (2 equalizer
         # threads each) inherits no pool.
         script = textwrap.dedent(
             f"""
             import dataclasses
             import threading
-            from cpfde import fde, simulate
+            from cpfde import _pool, simulate
 
-            fde._PARALLEL_MIN_BYTES = 0
-            fde._threads = 4
+            _pool._PARALLEL_MIN_BYTES = 0
+            _pool._threads = 4
             cfg = simulate.SimConfig(
                 K=2, M=8, L=3, T_c=128, N_sim=3, ebn0_grid=(10.0,),
                 block_lens=(16, 128), seed=7,
             )
             one = simulate.run_experiment(cfg)
-            assert not [t for t in threading.enumerate() if t.name.startswith("cpfde-fde")]
+            assert not [t for t in threading.enumerate() if t.name.startswith("cpfde-pool")]
             two = simulate.run_experiment(dataclasses.replace(cfg, workers=2))
             assert two.rows == one.rows
             for key, mse in one.realization_mse.items():
