@@ -13,11 +13,17 @@ functions of the calling modules, and a wrapper keeps a single span stack.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 # A call on fewer bytes than this runs serially in the calling thread;
 # desk-scale streams (1-2 MB) stay below it.
 _PARALLEL_MIN_BYTES = 4 << 20
+
+# A pooled call is cut into this many jobs per thread, so that a thread whose
+# CPU another process takes for a while hands its share to the others instead
+# of holding up the whole call.
+_JOBS_PER_THREAD = 4
 
 _threads: int | None = None  # pool threads; None means every usable CPU
 
@@ -38,25 +44,43 @@ def _set_threads(n: int) -> None:
 
 
 def _map(fn, jobs: list[tuple], nbytes: int | None = None) -> None:
-    """Run fn(*job) for every job: on a pool of its own, or inline with one
-    thread or job, or for a call on fewer than _PARALLEL_MIN_BYTES nbytes.
+    """Run fn(*job) for every job: on the calling thread and helper threads of
+    a pool of its own, or inline with one thread or job, or for a call on
+    fewer than _PARALLEL_MIN_BYTES nbytes.
 
-    Every future's result is read, so an exception in any job is raised here.
+    The threads take the jobs in order, one at a time, as they come free, and
+    the calling thread works rather than waits.  An exception in any job is
+    raised here once every thread has stopped.
     """
     n = min(_thread_count(), len(jobs))
     if n < 2 or (nbytes is not None and nbytes < _PARALLEL_MIN_BYTES):
         for job in jobs:
             fn(*job)
         return
-    with ThreadPoolExecutor(max_workers=n, thread_name_prefix="cpfde-pool") as pool:
-        for future in [pool.submit(fn, *job) for job in jobs]:
-            future.result()
+    pending, lock = iter(jobs), threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                job = next(pending, None)
+            if job is None:
+                return
+            fn(*job)
+
+    with ThreadPoolExecutor(max_workers=n - 1, thread_name_prefix="cpfde-pool") as pool:
+        helpers = [pool.submit(drain) for _ in range(n - 1)]
+        drain()
+    for helper in helpers:
+        helper.result()
 
 
 def _split(rows: int, nbytes: int) -> list[tuple[int, int]]:
-    """(lo, hi) ranges that share rows out evenly, one per thread.
+    """(lo, hi) ranges that share rows out evenly, _JOBS_PER_THREAD per thread.
 
-    A call on fewer than _PARALLEL_MIN_BYTES bytes gets the one range (0, rows).
+    A call on fewer than _PARALLEL_MIN_BYTES bytes, or with one thread, gets
+    the one range (0, rows).
     """
-    n = 1 if nbytes < _PARALLEL_MIN_BYTES else max(1, min(_thread_count(), rows))
+    threads = _thread_count()
+    serial = nbytes < _PARALLEL_MIN_BYTES or threads < 2
+    n = 1 if serial else max(1, min(_JOBS_PER_THREAD * threads, rows))
     return [(i * rows // n, (i + 1) * rows // n) for i in range(n)]

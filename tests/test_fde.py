@@ -3,6 +3,7 @@ dense time-domain oracle."""
 
 import contextlib
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -462,6 +463,40 @@ class TestThreadInvariance:
         with pool_threads(2), pytest.raises(RuntimeError, match="kernel failed"):
             _pool._map(fde._equalize_segments, jobs)
 
+    @pytest.mark.parametrize("threads", [2, 5])
+    def test_calling_thread_takes_jobs_beside_its_helpers(self, threads):
+        # Each job waits until every thread holds one, so the jobs can only
+        # finish on `threads` threads at once: the caller and its helpers.
+        barrier = threading.Barrier(threads, timeout=30)
+        ran = []
+
+        def job():
+            ran.append(threading.current_thread())
+            barrier.wait()
+
+        with pool_threads(threads):
+            _pool._map(job, [()] * threads)
+        assert len(set(ran)) == threads
+        assert threading.current_thread() in ran
+        assert not any(t.name.startswith("cpfde-pool") for t in threading.enumerate())
+
+    def test_every_job_runs_once_under_thread_switching(self):
+        # Five threads on fewer CPUs, switching as often as the interpreter
+        # allows, share one queue of jobs: a job taken twice or lost shows.
+        counts = [0] * 2000
+
+        def job(i):
+            counts[i] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pool_threads(5):
+                _pool._map(job, [(i,) for i in range(len(counts))])
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [1] * len(counts)
+
 
 class TestRowSplit:
     # M = 3 is fewer rows than 5 threads and not a multiple of 2; M = 7 is
@@ -487,7 +522,8 @@ class TestRowSplit:
         assert _pool._split(M, y.nbytes) == [(0, M)]  # serial below the floor
         serial = stages()
         with pool_threads(threads):
-            assert len(_pool._split(M, y.nbytes)) == min(threads, M)
+            jobs = 1 if threads == 1 else min(_pool._JOBS_PER_THREAD * threads, M)
+            assert len(_pool._split(M, y.nbytes)) == jobs
             split = stages()
         for a, b in zip(serial, split):
             np.testing.assert_array_equal(b, a)
