@@ -225,14 +225,18 @@ def add_noise(
 
     Noise is i.i.d. circularly symmetric complex Gaussian with total variance
     noise_std^2 per sample: (noise_std/sqrt(2)) * (N_1 + j N_2), where the real
-    draws N_1 (shape of y) come from rng before the imaginary draws N_2.
+    draws N_1 (shape of y) come from rng before the imaginary draws N_2.  Both
+    are drawn into one reused buffer.
     """
     if noise_std > 0:
         if rng is None:
             raise ConfigurationError("rng required when noise_std > 0")
         scale = noise_std / np.sqrt(2.0)
-        y.real += scale * rng.standard_normal(y.shape)
-        y.imag += scale * rng.standard_normal(y.shape)
+        draws = np.empty(y.shape)
+        for part in (y.real, y.imag):
+            rng.standard_normal(out=draws)
+            draws *= scale
+            part += draws
     return y
 
 

@@ -231,8 +231,10 @@ def _check_diagonalization(broken: bool) -> tuple[bool, str]:
 
 
 def _check_fde_oracle() -> tuple[bool, str]:
+    # Both equalizer routes against the dense filter: a built bank applied to
+    # the block, and the one-block stream, which solves each subband's system.
     rng = np.random.default_rng(7)
-    worst = 0.0
+    worst = worst_stream = 0.0
     for _ in range(20):
         M, K, L, N_b = 6, 2, 3, 16
         taps = channel.ChannelTaps(
@@ -242,15 +244,23 @@ def _check_fde_oracle() -> tuple[bool, str]:
         bm = quant.bussgang_model(taps, rho, 1.0)
         cir = channel.build_block_circulant(taps, N_b, rho)
         cfg = fde.FdeConfig(block_len=N_b, overlap=L)
-        bank = fde.build_filter_bank(channel.freq_channel(taps, N_b), bm, cfg)
+        subbands = channel.freq_channel(taps, N_b)
+        bank = fde.build_filter_bank(subbands, bm, cfg)
         x = rng.standard_normal(K * N_b) + 1j * rng.standard_normal(K * N_b)
         r = cir @ x + 0.1 * (
             rng.standard_normal(M * N_b) + 1j * rng.standard_normal(M * N_b)
         )
         dense = fde.time_domain_wf(r, cir, bm)
-        fast = fde.equalize_block(r.reshape(M, N_b, order="F"), bank).reshape(-1, order="F")
+        block = r.reshape(M, N_b, order="F")  # newest-first columns
+        fast = fde.equalize_block(block, bank).reshape(-1, order="F")
+        # The stream runs oldest-first.
+        stream = fde.equalize_stream(block[:, ::-1], subbands, [bm], cfg)[0]
+        solved = stream[:, ::-1].reshape(-1, order="F")
         worst = max(worst, np.linalg.norm(fast - dense) / np.linalg.norm(dense))
-    return worst < 1e-9, f"max relative error {worst:.3g}"
+        worst_stream = max(worst_stream, np.linalg.norm(solved - dense) / np.linalg.norm(dense))
+    return max(worst, worst_stream) < 1e-9, (
+        f"max relative error {worst:.3g} (bank), {worst_stream:.3g} (one-block stream)"
+    )
 
 
 def _check_bussgang_gain() -> tuple[bool, str]:

@@ -11,21 +11,28 @@ ordering a delay by l taps is a cyclic shift by +l columns, so the unitary
 transform that diagonalizes the circulant onto the tap-wise DFT subbands is
 F[a, b] = exp(+2j pi a b / N) / sqrt(N); its conjugate maps back to time.
 
-Large filter-bank builds, one-block transforms and overlap-save streams are
-cut into chunks that fit in cache, or into antenna rows, and mapped over the
+Large filter-bank builds, one-block streams and overlap-save streams are cut
+into chunks that fit in cache, or into antenna rows, and mapped over the
 thread pool of _pool (numpy's FFT, matmul, einsum and inv release the GIL).
-Every chunk runs the same arithmetic as a one-shot call, so results are
-bit-identical for any thread count.
+The chunks do not depend on the thread count, so results are bit-identical
+for any thread count.
 
 equalize_stream is the sweep's entry point: it equalizes one stream with the
 filters of several Bussgang models (WF and WF_Q) and transforms the stream
 once for all of them.  A stream of exactly one block (T = N_b, the paper's
-N_b = T_c) holds no filter bank: each subband chunk builds its filters and
-applies them at once to its slice of the block's transform, bitwise as the
-bank would.  Any other stream builds each model's bank; small banks are
-applied side by side, as one bank of more users, in one overlap-save pass,
-and a large one alone.  The bathtub profile calls build_filter_bank and
-equalize_block itself.
+N_b = T_c) builds no filters at all: per subband it forms the matched-filter
+output g H^H D^-1 R and the Gram matrix g^2 H^H D^-1 H + I/sigma_x^2 of every
+model and solves the K x K system, vectorized over the subbands of a chunk.
+Its estimates agree with the bank's to a relative 1e-12 (rounding: the
+arithmetic is ordered differently).  Any other stream builds each model's
+bank; small banks are applied side by side, as one bank of more users, in one
+overlap-save pass, and a large one alone.  The bathtub profile calls
+build_filter_bank and equalize_block itself.
+
+Both routes reject a Gram matrix that is singular to working precision (a
+pivot of its LDL^H factorization at most _PIVOT_RTOL times its diagonal entry,
+as with more users than antennas at a very high Eb/N0) with
+ConfigurationError, rather than return NaN or rounding noise.
 """
 
 from __future__ import annotations
@@ -41,8 +48,9 @@ from .quant import BussgangModel
 
 DENSE_SIZE_CAP = 4096
 
-# Filter-bank subbands are built in chunks of about this many bytes of filters;
-# a bank of one chunk is built in the calling thread.
+# Subbands are equalized in chunks of about this many bytes: of filters on
+# the bank route, of the temporaries per subband on the one-block route; a
+# call of one chunk runs in the calling thread.
 _CHUNK_BYTES = 2 << 20
 # A multi-block stream is equalized with all models' banks side by side, one
 # transform per block for all of them, while each bank is smaller than this.
@@ -50,6 +58,10 @@ _CHUNK_BYTES = 2 << 20
 # both banks and their concatenation raised paper-scale peak RSS by about
 # 25 MB to save about 2% of the time.
 _SHARED_BANK_BYTES = 4 << 20
+# A Gram matrix is singular to working precision when an LDL^H pivot falls to
+# this fraction of its diagonal entry: its solve would keep fewer than about
+# four significant digits.
+_PIVOT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,7 +100,7 @@ def build_filter_bank(subbands: np.ndarray, bm: BussgangModel, cfg: FdeConfig) -
         _build_filters,
         [
             (subbands[lo:hi], bm.gain, inv_diag, bm.sigma_x2, G[lo:hi])
-            for lo, hi in _subband_chunks(N_b, K, M)
+            for lo, hi in _subband_chunks(N_b, K * M)
         ],
     )
     return G
@@ -106,9 +118,9 @@ def _inverse_noise_diag(subbands, bm: BussgangModel, cfg: FdeConfig) -> np.ndarr
     return 1.0 / diag
 
 
-def _subband_chunks(N_b: int, K: int, M: int) -> list[tuple[int, int]]:
-    """(lo, hi) subband ranges of about _CHUNK_BYTES of K x M filters each."""
-    step = max(1, _CHUNK_BYTES // (K * M * np.dtype(np.complex128).itemsize))
+def _subband_chunks(N_b: int, entries: int) -> list[tuple[int, int]]:
+    """(lo, hi) subband ranges of about _CHUNK_BYTES of entries complex values each."""
+    step = max(1, _CHUNK_BYTES // (entries * np.dtype(np.complex128).itemsize))
     return [(lo, min(lo + step, N_b)) for lo in range(0, N_b, step)]
 
 
@@ -119,9 +131,42 @@ def _build_filters(H, gain, inv_diag, sigma_x2, out) -> None:
     O = H.conj().transpose(0, 2, 1)  # H^H D^-1, scaled in place
     O *= inv_diag[None, None, :]
     gram = O @ H + (1.0 / sigma_x2) * np.eye(H.shape[2])[None]
-    # Hermitian positive definite for any finite sigma_x2, so invertible; one
-    # batched K x K inverse serves all M right-hand sides of a subband.
+    _solve_hermitian(gram.transpose(1, 2, 0).copy(), [], [])  # the singularity check
+    # One batched K x K inverse serves all M right-hand sides of a subband.
     np.matmul(np.linalg.inv(gram), O, out=out)
+
+
+def _solve_hermitian(A, b, x) -> None:
+    """Solve the Hermitian systems A x = b by LDL^H elimination without pivoting.
+
+    A[i][j] (i <= j) holds entry (i, j) of every system and b[i], x[i] entry
+    i, as arrays over any batch shape, so each step runs vectorized over the
+    batch.  The diagonal's imaginary parts are not read.  A and b are
+    overwritten; with b and x empty only the pivots are checked.  Raises
+    ConfigurationError if a pivot is at most _PIVOT_RTOL times its diagonal
+    entry (or not a number).
+    """
+    K = len(A)
+    diag = [A[k][k].real for k in range(K)]  # views: the pivots, in place
+    floor = [_PIVOT_RTOL * d for d in diag]
+    for k in range(K):
+        if not np.all(diag[k] > floor[k]):
+            raise ConfigurationError(
+                f"the {K} x {K} Gram matrix is singular to working precision"
+                " (for example more users than antennas at a very high Eb/N0)"
+            )
+        for i in range(k + 1, K):
+            f = A[k][i].conj()
+            f /= diag[k]  # L[i, k]
+            diag[i] -= (f * A[k][i]).real
+            for j in range(i + 1, K):
+                A[i][j] -= f * A[k][j]
+            if b:
+                b[i] -= f * b[k]
+    for k in reversed(range(len(b))):
+        for j in range(k + 1, K):
+            b[k] -= A[k][j] * x[j]
+        np.divide(b[k], diag[k], out=x[k])
 
 
 def equalize_stream(
@@ -130,10 +175,11 @@ def equalize_stream(
     """(len(models), K, T) MMSE estimates of an M x T stream, one K x T per model.
 
     Estimate i is what overlap_save_stream gives with the bank that
-    build_filter_bank makes of subbands and models[i], bitwise.  A stream of
-    exactly one block is transformed once and equalized one subband chunk at
-    a time, without any (N_b, K, M) bank.  Any other stream is transformed
-    once per block for all models while their banks are below
+    build_filter_bank makes of subbands and models[i]: bitwise on a stream of
+    several blocks, and to a relative 1e-12 on a stream of exactly one block.
+    That one is transformed once and solved one subband chunk at a time for
+    all models, without any (N_b, K, M) filters.  Any other stream is
+    transformed once per block for all models while their banks are below
     _SHARED_BANK_BYTES each, and once per model above.
     """
     r = np.asarray(r, dtype=np.complex128)
@@ -147,17 +193,19 @@ def equalize_stream(
         # The banks side by side are one bank of len(models) * K users.
         bank = np.concatenate([build_filter_bank(subbands, bm, cfg) for bm in models], axis=1)
         return overlap_save_stream(r, bank, cfg)[0].reshape(len(models), K, -1)
-    inv_diags = [_inverse_noise_diag(subbands, bm, cfg) for bm in models]
-    # _equalize_block on the newest-first block, with each bank built per chunk.
+    # All models' inverse noise diagonals, gains and transmit powers, stacked.
+    weights = np.stack([_inverse_noise_diag(subbands, bm, cfg) for bm in models])
+    gains = np.array([bm.gain for bm in models], dtype=np.float64)
+    loads = 1.0 / np.array([bm.sigma_x2 for bm in models], dtype=np.float64)
+    # _equalize_block on the newest-first block, solved per subband chunk.
     Rf = np.empty((M, N_b), dtype=np.complex128)
     _map(_transform_block, [(r, Rf, lo, hi) for lo, hi in _split(M, r.nbytes)])
     Xf = np.empty((len(models), K, N_b), dtype=np.complex128)
     _map(
-        _filter_subbands,
+        _solve_subbands,
         [
-            (subbands[lo:hi], bm.gain, inv_diag, bm.sigma_x2, Rf[:, lo:hi], x[:, lo:hi])
-            for bm, inv_diag, x in zip(models, inv_diags, Xf)
-            for lo, hi in _subband_chunks(N_b, K, M)
+            (subbands[lo:hi], Rf[:, lo:hi], weights, gains, loads, Xf[..., lo:hi])
+            for lo, hi in _subband_chunks(N_b, (K * (K + 1) // 2 + 2 * K) * M)
         ],
         r.nbytes,
     )
@@ -172,11 +220,31 @@ def _transform_block(r, Rf, lo, hi) -> None:
     Rf[lo:hi] *= np.sqrt(r.shape[1])
 
 
-def _filter_subbands(H, gain, inv_diag, sigma_x2, Rf, out) -> None:
-    """Build the filters of the subbands gain * H and apply them to Rf (M, n): out (K, n)."""
-    G = np.empty((H.shape[0], H.shape[2], H.shape[1]), dtype=np.complex128)
-    _build_filters(H, gain, inv_diag, sigma_x2, G)
-    np.einsum("skm,ms->ks", G, Rf, out=out)
+def _solve_subbands(H, Rf, weights, gains, loads, out) -> None:
+    """Write every model's MMSE estimates of the subbands H (n, M, K) of Rf (M, n) into out.
+
+    Model q has inverse noise diagonal weights[q], gain gains[q] and transmit
+    power 1 / loads[q]; out is (models, K, n).  The products conj(H_i) H_j
+    (i <= j) and conj(H_i) Rf, antenna-major, are shared by all models; one
+    real product with the weights sums them over the antennas for all models.
+    """
+    n, M, K = H.shape
+    pairs = [(i, j) for i in range(K) for j in range(i, K)]
+    slots = pairs + [(k, K) for k in range(K)]  # Gram entries, then matched filter
+    Hc = np.empty((M, K, n), dtype=np.complex128)
+    np.conjugate(H.transpose(1, 2, 0), out=Hc)
+    P = np.empty((M, len(slots), n), dtype=np.complex128)
+    for p, (i, j) in enumerate(slots):
+        np.multiply(Hc[:, i], H[:, :, j].T if j < K else Rf, out=P[:, p])
+    S = weights @ P.reshape(M, -1).view(np.float64)  # (models, 2 * slots * n)
+    S = S.view(np.complex128).reshape(len(gains), len(slots), n)
+    S[:, : len(pairs)] *= (gains**2)[:, None, None]
+    S[:, len(pairs) :] *= gains[:, None, None]
+    entry = {ij: S[:, p] for p, ij in enumerate(slots)}
+    for k in range(K):
+        entry[k, k].real += loads[:, None]
+    A = [[entry.get((i, j)) for j in range(K)] for i in range(K)]
+    _solve_hermitian(A, [entry[k, K] for k in range(K)], [out[:, k] for k in range(K)])
 
 
 def equalize_block(R: np.ndarray, bank: np.ndarray) -> np.ndarray:

@@ -35,8 +35,9 @@ MAX_EBN0_DB = 300.0
 
 # Largest M x T_c complex128 receive stream, in bytes.  A realization holds a
 # few such streams at once; paper scale (M=64, T_c=50000) is 51 MB.  The K x T_c
-# symbol stream and the (L+1, M, K) channel taps have the same bound.  The block
-# length scan has its own, larger cap on T_c (blockopt.MAX_COHERENCE).
+# symbol stream, the (L+1, M, K) channel taps and the (N_b, M, K) subbands of
+# all block lengths together (113 MB at paper scale) have the same bound.  The
+# block length scan has its own, larger cap on T_c (blockopt.MAX_COHERENCE).
 MAX_STREAM_BYTES = 2**28
 
 
@@ -147,6 +148,7 @@ class SimConfig:
             ("M x T_c", (self.M, self.T_c), "stream"),
             ("K x T_c", (self.K, self.T_c), "symbol stream"),
             ("(L+1) x M x K", (self.L + 1, self.M, self.K), "taps array"),
+            ("sum(N_b) x M x K", (sum(self.block_lens), self.M, self.K), "subbands"),
         ):
             if math.prod(dims) * 16 > MAX_STREAM_BYTES:
                 shape = " x ".join(map(str, dims))

@@ -116,6 +116,39 @@ class TestOptimizeBlock:
             f"error: K x T_c = {10**8} x 2048 symbol stream exceeds {simulate.MAX_STREAM_BYTES} bytes"
         ]
 
+    def test_subbands_above_cap_exit_2(self, capsys, tmp_path, monkeypatch):
+        # The (N_b, M, K) subbands of all block lengths are bounded like the
+        # streams: 4 GiB here, rejected before any channel is drawn.
+        def fail(*_):
+            raise AssertionError("realization started")
+
+        monkeypatch.setattr(simulate, "_transmit", fail)
+        monkeypatch.setattr(simulate, "_realization_taps", fail)
+        code, _, err = run_cli(
+            capsys, "sweep", "--users", "256", "--antennas", "256", "--taps", "4",
+            "--coherence", "4096", "--block-lens", "4096", "--realizations", "1",
+            "--ebn0", "10", "--output-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: sum(N_b) x M x K = 4096 x 256 x 256 subbands exceeds"
+            f" {simulate.MAX_STREAM_BYTES} bytes"
+        ]
+
+    @pytest.mark.parametrize("block_lens", ["64", "2048"])
+    def test_singular_gram_exit_2(self, capsys, tmp_path, block_lens):
+        # 4 users on 2 antennas at 200 dB: WF's Gram matrix is singular to
+        # working precision on the bank route (N_b = 64) and the one-block
+        # route (N_b = T_c = 2048) alike.  One error line, no report.
+        code, _, err = run_cli(
+            capsys, "sweep", "--users", "4", "--antennas", "2", "--ebn0", "200",
+            "--realizations", "2", "--block-lens", block_lens, "--output-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: the 4 x 4 Gram matrix is singular")
+        assert not list(tmp_path.iterdir())
+
     def test_config_file_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "opt.ini"
         cfg.write_text("[complexity]\nantennas = 64\noverlap = 15\ncoherence = 2048\nusers = 2\n")

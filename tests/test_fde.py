@@ -61,6 +61,18 @@ def pool_threads(n, chunk_bytes=None):
         _pool._threads, _pool._PARALLEL_MIN_BYTES, fde._CHUNK_BYTES = saved
 
 
+# A one-block stream (T = N_b) solves each subband's K x K system instead of
+# applying built filters: the same estimates up to rounding, to this relative
+# tolerance (against the largest estimate).
+ONE_BLOCK_RTOL = 1e-12
+
+
+def assert_one_block_close(actual, expected):
+    np.testing.assert_allclose(
+        actual, expected, rtol=ONE_BLOCK_RTOL, atol=ONE_BLOCK_RTOL * np.abs(expected).max()
+    )
+
+
 def make_bank(taps, N_b, rho, sigma_eta2, sigma_x2, overlap=None):
     bm = bussgang_model(taps, rho, sigma_eta2, sigma_x2)
     cfg = FdeConfig(block_len=N_b, overlap=taps.memory if overlap is None else overlap)
@@ -166,6 +178,57 @@ class TestFilterBank:
         bm = bussgang_model(taps, 0.0, 1.0)
         with pytest.raises(DimensionError):
             build_filter_bank(freq_channel(taps, 8), bm, FdeConfig(block_len=4, overlap=0))
+
+
+class TestHermitianSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        K=st.integers(1, 6),
+        M=st.integers(1, 6),
+        n=st.integers(1, 5),
+        log_sigma_x2=st.floats(-2.0, 2.0),
+        seed=st.integers(0, 10**6),
+    )
+    @example(K=6, M=1, n=3, log_sigma_x2=2.0, seed=0)  # K > M: rank 1 plus the load
+    def test_matches_linalg_solve(self, K, M, n, log_sigma_x2, seed):
+        # The batched LDL^H solve of g^2 H^H D^-1 H + I/sigma_x^2, vectorized
+        # over n subbands, against LAPACK's solve one subband at a time.
+        rng = np.random.default_rng(seed)
+        H = rng.standard_normal((n, M, K)) + 1j * rng.standard_normal((n, M, K))
+        O = H.conj().transpose(0, 2, 1) * rng.uniform(0.2, 2.0, M)
+        gram = O @ H + 10.0**-log_sigma_x2 * np.eye(K)
+        b = rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n))
+        expected = np.linalg.solve(gram, b.T[..., None])[..., 0].T
+        A, x = gram.transpose(1, 2, 0).copy(), np.empty((K, n), dtype=complex)
+        A[np.tril_indices(K, -1)] = np.nan  # only the upper triangle is read
+        fde._solve_hermitian(A, list(b.copy()), list(x))
+        cond = np.linalg.cond(gram).max()
+        np.testing.assert_allclose(x, expected, rtol=0, atol=1e-14 * cond * np.abs(expected).max())
+
+    @pytest.mark.parametrize("K, M, singular", [(4, 2, True), (2, 4, False)])
+    @pytest.mark.parametrize("sigma_x2", [1e20, 1e30])
+    def test_singular_gram_raises_on_both_routes(self, K, M, singular, sigma_x2):
+        # More users than antennas at a huge transmit power: the Gram matrix
+        # H^H H + I/sigma_x^2 has rank M < K in working precision.  Both
+        # routes raise rather than return NaN; with K < M the same powers
+        # give the zero-forcing limit, finite.
+        rng = np.random.default_rng(37)
+        taps = random_taps(rng, 2, M, K)
+        bm = bussgang_model(taps, 0.0, 1.0, sigma_x2)
+        subbands = freq_channel(taps, 16)
+        r = rng.standard_normal((M, 48)) + 1j * rng.standard_normal((M, 48))
+        multi, one = FdeConfig(block_len=16, overlap=2), FdeConfig(block_len=48, overlap=2)
+        calls = [
+            lambda: build_filter_bank(subbands, bm, multi),
+            lambda: equalize_stream(r, subbands, [bm], multi),
+            lambda: equalize_stream(r, freq_channel(taps, 48), [bm], one),
+        ]
+        for call in calls:
+            if singular:
+                with pytest.raises(ConfigurationError, match="singular"):
+                    call()
+            else:
+                assert np.all(np.isfinite(call()))
 
 
 class TestEqualizeBlock:
@@ -392,9 +455,10 @@ class TestThreadInvariance:
     def test_chunked_build_is_bitwise_one_shot(self, threads, account, rho):
         # rho = 0 gives a unit Bussgang gain, which _build_filters skips;
         # account=False is WF's model (rho_q = 0), pinned to gain 1 and D = s2 I.
-        # A one-block stream (T = N_b) builds the same filters chunk by chunk
-        # inside equalize_stream and applies each chunk at once; there it is
-        # given both models, this one first.
+        # A one-block stream (T = N_b) solves the same filters' systems chunk
+        # by chunk inside equalize_stream, given both models, this one first:
+        # within ONE_BLOCK_RTOL of the bank, and bitwise the same for any
+        # thread count at one chunk width.
         rng = np.random.default_rng(31)
         N_b, M, s2, sx2 = 37, 3, 0.6, 1.7
         cfg = FdeConfig(block_len=N_b, overlap=4)
@@ -415,22 +479,28 @@ class TestThreadInvariance:
             ])
             serial = build_filter_bank(subbands, bm, cfg)
             serial_est = equalize_stream(r, subbands, [bm, other], cfg)
-            # 5 subbands per chunk: 37 = 7 * 5 + 2 leaves a ragged last chunk.
-            with pool_threads(threads, chunk_bytes=5 * K * M * 16):
+            # 5 filters per bank chunk: 37 = 7 * 5 + 2 leaves a ragged last
+            # chunk.  The one-block route's chunks are 1 subband wide.
+            chunk_bytes = 5 * K * M * 16
+            with pool_threads(1, chunk_bytes=chunk_bytes):
+                one_thread_est = equalize_stream(r, subbands, [bm, other], cfg)
+            with pool_threads(threads, chunk_bytes=chunk_bytes):
                 chunked = build_filter_bank(subbands, bm, cfg)
                 chunked_est = equalize_stream(r, subbands, [bm, other], cfg)
             np.testing.assert_array_equal(serial, expected)
             np.testing.assert_array_equal(chunked, expected)
-            np.testing.assert_array_equal(serial_est, expected_est)
-            np.testing.assert_array_equal(chunked_est, expected_est)
+            assert_one_block_close(serial_est, expected_est)
+            assert_one_block_close(chunked_est, expected_est)
+            np.testing.assert_array_equal(chunked_est, one_thread_est)
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
     @pytest.mark.parametrize("N_b, overlap, T", [(16, 3, 300), (8, 7, 61), (64, 0, 64)])
     def test_pooled_overlap_save_is_bitwise_serial(self, threads, N_b, overlap, T, monkeypatch):
         # equalize_stream too, given WF's and WF_Q's models at rho 0 and 0.2:
         # (16, 3, 300) ends in a clamped final block, and (64, 0, 64) is one
-        # block, equalized in 5-subband chunks.  Other streams apply the banks
-        # side by side below a shared-bank floor, and one at a time above it.
+        # block, solved in 1-subband chunks and within ONE_BLOCK_RTOL of the
+        # banks.  Other streams apply the banks side by side below a
+        # shared-bank floor, and one at a time above it, bitwise.
         rng = np.random.default_rng(32)
         taps = random_taps(rng, min(overlap, 3), 4, 2)
         bank, _, cfg = make_bank(taps, N_b, 0.2, 1.0, 1.0, overlap=overlap)
@@ -445,7 +515,10 @@ class TestThreadInvariance:
                 monkeypatch.setattr(fde, "_SHARED_BANK_BYTES", shared_bytes)
                 with pool_threads(threads, chunk_bytes=5 * 2 * 4 * 16):
                     streamed = equalize_stream(r, subbands, models, cfg)
-                np.testing.assert_array_equal(streamed, expected)
+                if T == N_b:
+                    assert_one_block_close(streamed, expected)
+                else:
+                    np.testing.assert_array_equal(streamed, expected)
         with pool_threads(threads, chunk_bytes=5 * 2 * 4 * 16):
             pooled, pooled_edge = overlap_save_stream(r, bank, cfg)
         np.testing.assert_array_equal(pooled, serial)
@@ -565,8 +638,8 @@ class TestOneBlockStream:
     def test_peak_memory_below_the_bank(self, monkeypatch):
         # tracemalloc counts numpy's buffers.  The (N_b, K, M) bank of this
         # stream is 32 MiB; the one-block route holds the forward transform
-        # (16 MiB), both models' estimates (2 MiB) and one chunk's filters and
-        # temporaries per thread.
+        # (16 MiB), both models' estimates (2 MiB) and one chunk's products
+        # and temporaries (about 2 MiB) per thread.
         rng = np.random.default_rng(33)
         M, K, L, N_b = 32, 2, 15, 32768
         taps = random_taps(rng, L, M, K)
@@ -584,6 +657,30 @@ class TestOneBlockStream:
             tracemalloc.stop()
         assert est.shape == (2, K, N_b)
         assert peak < N_b * K * M * 16
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("rho", [0.0, 0.3])
+    def test_matches_bank_and_dense_oracle(self, K, rho):
+        # On circulant data the one-block stream is the dense Wiener filter;
+        # on any stream it is the bank's overlap-save pass, up to rounding.
+        rng = np.random.default_rng(38 + K)
+        M, L, N_b = 5, 3, 24
+        taps = random_taps(rng, L, M, K)
+        bm = bussgang_model(taps, rho, 0.7, 1.3)
+        wf = bussgang_model(taps, 0.0, 0.7, 1.3)
+        cfg = FdeConfig(block_len=N_b, overlap=L)
+        subbands = freq_channel(taps, N_b)
+        cir = build_block_circulant(taps, N_b, rho)
+        x = rng.standard_normal(K * N_b) + 1j * rng.standard_normal(K * N_b)
+        r = cir @ x + 0.1 * (rng.standard_normal(M * N_b) + 1j * rng.standard_normal(M * N_b))
+        block = r.reshape(M, N_b, order="F")  # newest-first columns
+        est = equalize_stream(block[:, ::-1], subbands, [bm, wf], cfg)
+        dense = time_domain_wf(r, cir, bm)
+        solved = est[0][:, ::-1].reshape(-1, order="F")
+        assert np.linalg.norm(solved - dense) <= ONE_BLOCK_RTOL * np.linalg.norm(dense)
+        banks = [build_filter_bank(subbands, m, cfg) for m in (bm, wf)]
+        expected = np.stack([overlap_save_stream(block[:, ::-1], b, cfg)[0] for b in banks])
+        assert_one_block_close(est, expected)
 
     def test_rejects_mismatched_inputs(self):
         rng = np.random.default_rng(34)

@@ -1,5 +1,6 @@
 """QAM mapping, power calibration, and the Monte-Carlo engine."""
 
+import dataclasses
 import os
 import signal
 import subprocess
@@ -215,6 +216,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match=r"\(L\+1\) x M x K = 257 x 256 x 256"):
             SimConfig(K=256, M=256, L=256, T_c=1024, block_lens=(257,))
 
+    def test_subband_cap(self):
+        # A realization holds the (N_b, M, K) subbands of every block length at
+        # once: 113 MB at paper scale, inside the cap; 4 GiB here is not.
+        SimConfig(K=2, M=64, L=127, T_c=50000, block_lens=(256, 1024, 4096, 50000))
+        SimConfig(K=256, M=256, L=3, T_c=4096, block_lens=(100, 156))  # 2**28 bytes
+        with pytest.raises(ConfigurationError, match="sum\\(N_b\\) x M x K = 257 x 256 x 256"):
+            SimConfig(K=256, M=256, L=3, T_c=4096, block_lens=(100, 157))
+        with pytest.raises(ConfigurationError, match="4096 x 256 x 256 subbands exceeds"):
+            SimConfig(K=256, M=256, L=3, T_c=4096, N_sim=1, block_lens=(4096,))
+
     def test_overlap_defaults_to_memory(self, monkeypatch):
         # The sweep equalizes every stream with overlap L' = L.
         overlaps = []
@@ -320,16 +331,39 @@ class TestEngine:
 
     def test_equalizer_thread_count_invariant(self, monkeypatch):
         cfg = self.small_cfg()
-        serial = run_experiment(cfg)
+        default_chunks = run_experiment(cfg)
         # Every call pooled: freq_channel, convolve_transmit and quantize split
-        # their M = 8 rows, overlap-save its blocks, and the filters come in
-        # chunks of 5 subbands (K * M * 16 bytes each); at N_b = T_c = 128 each
-        # chunk builds and applies its own filters.
+        # their M = 8 rows, overlap-save its blocks, the filters come in chunks
+        # of 5 subbands (K * M * 16 bytes each), and at N_b = T_c = 128 the
+        # subband systems are solved in chunks of 1 (7 * M * 16 bytes each).
+        # The chunks do not depend on the thread count, so neither do the
+        # results, bitwise.
         monkeypatch.setattr(_pool, "_PARALLEL_MIN_BYTES", 0)
         monkeypatch.setattr(fde, "_CHUNK_BYTES", 5 * cfg.K * cfg.M * 16)
-        for threads in (1, 2, 5):
+        monkeypatch.setattr(_pool, "_threads", 1)
+        serial = run_experiment(cfg)
+        for threads in (2, 5):
             monkeypatch.setattr(_pool, "_threads", threads)
             assert_same_results(run_experiment(cfg), serial)
+        # Another chunk width sums the one-block solves in another order, so it
+        # agrees to rounding.  The bank route's chunks build bitwise one-shot.
+        for a, b in zip(serial.rows, default_chunks.rows):
+            assert dataclasses.replace(a, mse=b.mse, mse_stderr=b.mse_stderr) == b
+            assert a.mse == pytest.approx(b.mse, rel=1e-12)
+            if a.n_b != cfg.T_c:
+                assert a == b
+
+    @pytest.mark.parametrize("block_len", [16, 128])
+    def test_singular_gram_rejected(self, block_len):
+        # More users than antennas: at 200 dB the identity load 1/sigma_x^2 is
+        # lost in rounding, and WF's Gram matrix H^H H has rank M < K.  Both
+        # routes, N_b < T_c and N_b = T_c = 128, refuse it instead of writing NaN.
+        cfg = self.small_cfg(K=4, M=2, N_sim=1, ebn0_grid=(200.0,), block_lens=(block_len,))
+        with pytest.raises(ConfigurationError, match="singular"):
+            run_experiment(cfg)
+        # At 20 dB the same channels equalize.
+        report = run_experiment(dataclasses.replace(cfg, ebn0_grid=(20.0,)))
+        assert all(np.isfinite(r.mse) for r in report.rows)
 
     def test_forked_workers_after_parent_pool(self):
         # The parent runs its stages on thread pools before run_experiment forks;
