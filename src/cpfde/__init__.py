@@ -16,6 +16,7 @@ from .channel import (
 )
 from .fde import (
     FdeConfig,
+    FilterBank,
     build_filter_bank,
     equalize_block,
     overlap_save_stream,
@@ -54,6 +55,7 @@ __all__ = [
     "bussgang_model",
     "per_antenna_agc",
     "FdeConfig",
+    "FilterBank",
     "build_filter_bank",
     "equalize_block",
     "overlap_save_stream",

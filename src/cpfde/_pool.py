@@ -1,10 +1,10 @@
 """The thread pool that the large M-row stages of a realization share.
 
-numpy's FFT, matmul, einsum, inv and searchsorted release the GIL, so a large
-call splits its antenna rows (or its subbands, or its blocks) over threads.
-Every pool lives for one call: no thread outlives it, so a process forked
-later inherits none.  Each job runs the serial arithmetic on its own rows, so
-results are bitwise the same for any thread count.
+numpy's FFT, matmul, searchsorted and elementwise arithmetic release the GIL,
+so a large call splits its antenna rows (or its subbands, or its blocks) over
+threads.  Every pool lives for one call: no thread outlives it, so a process
+forked later inherits none.  Each job runs the serial arithmetic on its own
+rows, so results are bitwise the same for any thread count.
 
 Work on the pool calls only private helpers: a tracer may wrap the public
 functions of the calling modules, and a wrapper keeps a single span stack.

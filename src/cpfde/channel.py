@@ -177,41 +177,30 @@ def build_block_circulant(taps: ChannelTaps, N_b: int, rho_q: float = 0.0) -> np
 
 
 def freq_channel(taps: ChannelTaps, N_b: int, rho_q: float = 0.0) -> np.ndarray:
-    """Per-subband channel matrices H_fi = sum_l H_l e^{-j 2pi l i / N_b}, (N_b, M, K).
+    """Per-subband channel matrices H_fi = sum_l H_l e^{-j 2pi l i / N_b}, as (M, K, N_b).
 
-    The tap-wise transform is the unnormalized DFT over the tap index.  It runs
-    along the contiguous last axis of the (M, K, L+1) taps, a few antenna rows
-    at a time, and each group of rows is written subband-major straight into
-    the contiguous result.  The subbands never carry the Bussgang gain:
-    build_filter_bank applies it.  rho_q must be 0; it stays in the signature
-    because perfbench's tracer keys freq_channel calls on it.
+    The subbands are antenna-major: subband i is [:, :, i].  The tap-wise
+    transform is the unnormalized DFT over the tap index, taken along the
+    contiguous last axis of the (M, K, L+1) taps straight into the contiguous
+    result, a range of antenna rows per job.  The subbands never carry the
+    Bussgang gain: fde.build_filter_bank applies each model's.  rho_q must be
+    0; it stays in the signature because perfbench's tracer keys freq_channel
+    calls on it.
     """
     L = taps.memory
     if N_b < L + 1:
         raise DimensionError(f"N_b={N_b} must be >= L+1={L + 1}")
     if rho_q != 0.0:
         raise ConfigurationError("freq_channel is gain-free; build_filter_bank applies rho_q")
-    M, K = taps.n_rx, taps.n_users
     rows = np.ascontiguousarray(taps.taps.transpose(1, 2, 0))
-    out = np.empty((N_b, M, K), dtype=np.complex128)
-    _map(_transform_taps, [(rows, out, lo, hi) for lo, hi in _split(M, out.nbytes)])
+    out = np.empty((taps.n_rx, taps.n_users, N_b), dtype=np.complex128)
+    _map(_transform_taps, [(rows, out, lo, hi) for lo, hi in _split(taps.n_rx, out.nbytes)])
     return out
 
 
-# freq_channel transforms antenna rows in groups of about this many bytes of
-# spectra: a group of 2+ rows writes whole cache lines of the subband-major result.
-_GROUP_BYTES = 4 << 20
-
-
 def _transform_taps(rows, out, lo, hi) -> None:
-    """Write the spectra of the (M, K, L+1) tap rows lo..hi-1 into out[:, lo:hi]."""
-    N_b, _, K = out.shape
-    step = max(1, _GROUP_BYTES // (K * N_b * 16))
-    spectra = np.empty((min(step, hi - lo), K, N_b), dtype=np.complex128)
-    for m in range(lo, hi, step):
-        group = spectra[: min(step, hi - m)]
-        np.fft.fft(rows[m : m + len(group)], n=N_b, axis=-1, out=group)
-        out[:, m : m + len(group)] = group.transpose(2, 0, 1)
+    """Write the spectra of the (M, K, L+1) tap rows lo..hi-1 into out[lo:hi]."""
+    np.fft.fft(rows[lo:hi], n=out.shape[-1], axis=-1, out=out[lo:hi])
 
 
 def _next_pow2(n: int) -> int:

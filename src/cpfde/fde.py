@@ -1,38 +1,38 @@
 """Frequency-domain block equalization with overlap-save streaming.
 
-The block-circulant channel approximation is diagonalized subband-by-subband,
-a K x M MMSE filter is precomputed per subband for the coherence block, and
-received blocks are equalized through a row-wise FFT / per-subband filter /
-row-wise inverse FFT pipeline.  A dense time-domain Wiener filter is provided
-as an oracle for small instances.
+The block-circulant channel approximation is diagonalized subband by subband.
+Per subband and Bussgang model, the MMSE filter
+(g^2 H^H D^-1 H + I/sigma_x^2)^-1 g H^H D^-1 is kept in factored form: the
+LDL^H factors of its K x K Gram matrix.  A received block is transformed row
+by row, its matched-filter output g H^H D^-1 R_f is formed antenna-major for
+all models at once, each subband's system is solved with the stored factors,
+and the estimates are transformed back.  A dense time-domain Wiener filter is
+provided as an oracle for small instances.
+
+Every stream goes this one way: build_filter_bank, then overlap_save_stream,
+which calls equalize_block per block (a stream of one block, the paper's
+N_b = T_c, included).  equalize_stream chains the two for the sweep; the
+bathtub profile calls build_filter_bank and equalize_block itself.  The
+estimates agree with explicit per-subband filters F^H G_f F to a relative
+1e-12 (rounding: the arithmetic is ordered differently).
 
 Convention: blocks are newest-sample-first (column 0 holds time n).  With that
 ordering a delay by l taps is a cyclic shift by +l columns, so the unitary
 transform that diagonalizes the circulant onto the tap-wise DFT subbands is
-F[a, b] = exp(+2j pi a b / N) / sqrt(N); its conjugate maps back to time.
+F[a, b] = exp(+2j pi a b / N) / sqrt(N); its conjugate maps back to time.  In
+time order the same filter is ifft(G_f fft(r)), which is how blocks are
+computed.
 
-Large filter-bank builds, one-block streams and overlap-save streams are cut
-into chunks that fit in cache, or into antenna rows, and mapped over the
-thread pool of _pool (numpy's FFT, matmul, einsum and inv release the GIL).
-The chunks do not depend on the thread count, so results are bit-identical
-for any thread count.
+Large bank builds, blocks and overlap-save streams are cut into subband
+chunks that fit in cache, antenna rows or block ranges, and mapped over the
+thread pool of _pool (numpy's FFT, matmul and elementwise arithmetic release
+the GIL).  The chunks do not depend on the thread count, so results are
+bit-identical for any thread count.  A pool job never starts a pool of its own.
 
-equalize_stream is the sweep's entry point: it equalizes one stream with the
-filters of several Bussgang models (WF and WF_Q) and transforms the stream
-once for all of them.  A stream of exactly one block (T = N_b, the paper's
-N_b = T_c) builds no filters at all: per subband it forms the matched-filter
-output g H^H D^-1 R and the Gram matrix g^2 H^H D^-1 H + I/sigma_x^2 of every
-model and solves the K x K system, vectorized over the subbands of a chunk.
-Its estimates agree with the bank's to a relative 1e-12 (rounding: the
-arithmetic is ordered differently).  Any other stream builds each model's
-bank; small banks are applied side by side, as one bank of more users, in one
-overlap-save pass, and a large one alone.  The bathtub profile calls
-build_filter_bank and equalize_block itself.
-
-Both routes reject a Gram matrix that is singular to working precision (a
-pivot of its LDL^H factorization at most _PIVOT_RTOL times its diagonal entry,
-as with more users than antennas at a very high Eb/N0) with
-ConfigurationError, rather than return NaN or rounding noise.
+A Gram matrix that is singular to working precision (a pivot of its LDL^H
+factorization at most _PIVOT_RTOL times its diagonal entry, as with more users
+than antennas at a very high Eb/N0) raises ConfigurationError, rather than
+giving NaN or rounding noise.
 """
 
 from __future__ import annotations
@@ -48,16 +48,9 @@ from .quant import BussgangModel
 
 DENSE_SIZE_CAP = 4096
 
-# Subbands are equalized in chunks of about this many bytes: of filters on
-# the bank route, of the temporaries per subband on the one-block route; a
-# call of one chunk runs in the calling thread.
+# Subbands are built and equalized in chunks of about this many bytes of
+# temporaries; a call of one chunk runs in the calling thread.
 _CHUNK_BYTES = 2 << 20
-# A multi-block stream is equalized with all models' banks side by side, one
-# transform per block for all of them, while each bank is smaller than this.
-# A larger bank (8 MB at paper scale, N_b = 4096) is applied alone: holding
-# both banks and their concatenation raised paper-scale peak RSS by about
-# 25 MB to save about 2% of the time.
-_SHARED_BANK_BYTES = 4 << 20
 # A Gram matrix is singular to working precision when an LDL^H pivot falls to
 # this fraction of its diagonal entry: its solve would keep fewer than about
 # four significant digits.
@@ -80,196 +73,204 @@ class FdeConfig:
             )
 
 
+@dataclass(frozen=True)
+class FilterBank:
+    """The per-subband MMSE filters of Q Bussgang models, in factored form.
+
+    subbands are the gain-free (M, K, N_b) of freq_channel; weights (Q, M)
+    hold each model's gain over its effective-noise diagonal, g / D; mult
+    (K(K-1)/2, Q, N_b) and rpiv (K, Q, N_b) hold the LDL^H multipliers L[i, k]
+    (k < i, in the order k, then i) and the reciprocal pivots 1 / d_k of
+    every Gram matrix g^2 H^H D^-1 H + I/sigma_x^2 = L diag(d) L^H.
+    """
+
+    subbands: np.ndarray
+    weights: np.ndarray
+    mult: np.ndarray
+    rpiv: np.ndarray
+
+
 def unitary_dft_matrix(n: int) -> np.ndarray:
     """The unitary transform F used throughout (positive-exponent kernel)."""
     idx = np.arange(n)
     return np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
-def build_filter_bank(subbands: np.ndarray, bm: BussgangModel, cfg: FdeConfig) -> np.ndarray:
-    """Per-subband MMSE filters G_fi = (H^H D^-1 H + I/sigma_x^2)^-1 H^H D^-1, (N_b, K, M).
+def build_filter_bank(
+    subbands: np.ndarray, models: Sequence[BussgangModel], cfg: FdeConfig
+) -> FilterBank:
+    """The factored MMSE filters of every model on the (M, K, N_b) subbands.
 
-    H is the model's gain times the gain-free (N_b, M, K) subbands of
-    freq_channel, D the model's effective-noise diagonal and sigma_x^2 its
-    transmit power.  The rho_q = 0 model gives the quantization-unaware filter.
+    Model q's filter is that of its gain times the gain-free subbands of
+    freq_channel, its effective-noise diagonal and its transmit power; the
+    rho_q = 0 model gives the quantization-unaware filter.
     """
-    inv_diag = _inverse_noise_diag(subbands, bm, cfg)
-    N_b, M, K = subbands.shape
-    G = np.empty((N_b, K, M), dtype=np.complex128)
-    _map(
-        _build_filters,
-        [
-            (subbands[lo:hi], bm.gain, inv_diag, bm.sigma_x2, G[lo:hi])
-            for lo, hi in _subband_chunks(N_b, K * M)
-        ],
-    )
-    return G
-
-
-def _inverse_noise_diag(subbands, bm: BussgangModel, cfg: FdeConfig) -> np.ndarray:
-    """1 / D after checking the subbands against cfg and D for positivity."""
-    if subbands.shape[0] != cfg.block_len:
-        raise DimensionError(
-            f"frequency channel block_len {subbands.shape[0]} != config {cfg.block_len}"
-        )
-    diag = np.asarray(bm.eff_noise_diag, dtype=np.float64)
-    if np.any(diag <= 0):
+    M, K, N_b = subbands.shape
+    if N_b != cfg.block_len:
+        raise DimensionError(f"frequency channel block_len {N_b} != config {cfg.block_len}")
+    diags = np.array([bm.eff_noise_diag for bm in models], dtype=np.float64)
+    if np.any(diags <= 0):
         raise ConfigurationError("effective-noise diagonal must be strictly positive")
-    return 1.0 / diag
+    gains = np.array([bm.gain for bm in models], dtype=np.float64)[:, None]
+    loads = 1.0 / np.array([bm.sigma_x2 for bm in models], dtype=np.float64)
+    mult = np.empty((K * (K - 1) // 2, len(models), N_b), dtype=np.complex128)
+    rpiv = np.empty((K, len(models), N_b))
+    _map(
+        _factor_subbands,
+        [
+            (subbands, gains**2 / diags, loads, mult, rpiv, lo, hi)
+            for lo, hi in _subband_chunks(N_b, (K * (K + 1) // 2 + K) * M)
+        ],
+        subbands.nbytes,
+    )
+    return FilterBank(subbands, gains / diags, mult, rpiv)
 
 
 def _subband_chunks(N_b: int, entries: int) -> list[tuple[int, int]]:
     """(lo, hi) subband ranges of about _CHUNK_BYTES of entries complex values each."""
-    step = max(1, _CHUNK_BYTES // (entries * np.dtype(np.complex128).itemsize))
+    step = max(1, _CHUNK_BYTES // (entries * 16))
     return [(lo, min(lo + step, N_b)) for lo in range(0, N_b, step)]
 
 
-def _build_filters(H, gain, inv_diag, sigma_x2, out) -> None:
-    """Write the MMSE filters of the subbands gain * H (n, M, K) into out (n, K, M)."""
-    if gain != 1.0:
-        H = H * gain
-    O = H.conj().transpose(0, 2, 1)  # H^H D^-1, scaled in place
-    O *= inv_diag[None, None, :]
-    gram = O @ H + (1.0 / sigma_x2) * np.eye(H.shape[2])[None]
-    _solve_hermitian(gram.transpose(1, 2, 0).copy(), [], [])  # the singularity check
-    # One batched K x K inverse serves all M right-hand sides of a subband.
-    np.matmul(np.linalg.inv(gram), O, out=out)
+def _factor_subbands(subbands, weights, loads, mult, rpiv, lo, hi) -> None:
+    """Factor the Gram matrices of subbands lo..hi-1 into mult and rpiv.
+
+    The products conj(H_i) H_j (i <= j), antenna-major, are shared by all
+    models; one real product with the weights g^2 / D sums them over the
+    antennas for all models.
+    """
+    H = subbands[:, :, lo:hi]
+    M, K, n = H.shape
+    Hc = np.conjugate(H)
+    pairs = [(i, j) for i in range(K) for j in range(i, K)]
+    P = np.empty((M, len(pairs), n), dtype=np.complex128)
+    for p, (i, j) in enumerate(pairs):
+        np.multiply(Hc[:, i], H[:, j], out=P[:, p])
+    gram = (weights @ P.reshape(M, -1).view(np.float64)).view(np.complex128)
+    gram = gram.reshape(len(weights), len(pairs), n)
+    entry = {ij: gram[:, p] for p, ij in enumerate(pairs)}
+    for k in range(K):
+        entry[k, k].real += loads[:, None]
+    A = [[entry.get((i, j)) for j in range(K)] for i in range(K)]
+    _ldl_factor(A, mult[..., lo:hi], rpiv[..., lo:hi])
 
 
-def _solve_hermitian(A, b, x) -> None:
-    """Solve the Hermitian systems A x = b by LDL^H elimination without pivoting.
+def _ldl_factor(A, mult, rpiv) -> None:
+    """Factor the Hermitian systems A = L D L^H by elimination without pivoting.
 
-    A[i][j] (i <= j) holds entry (i, j) of every system and b[i], x[i] entry
-    i, as arrays over any batch shape, so each step runs vectorized over the
-    batch.  The diagonal's imaginary parts are not read.  A and b are
-    overwritten; with b and x empty only the pivots are checked.  Raises
-    ConfigurationError if a pivot is at most _PIVOT_RTOL times its diagonal
-    entry (or not a number).
+    A[i][j] (i <= j) holds entry (i, j) of every system, as arrays over any
+    batch shape, so each step runs vectorized over the batch; A is
+    overwritten and the diagonal's imaginary parts are not read.  The
+    multipliers L[i, k] (k < i, in the order k, then i) go to mult and the
+    reciprocal pivots to rpiv.  Raises ConfigurationError if a pivot is at most _PIVOT_RTOL
+    times its diagonal entry (or not a number).
     """
     K = len(A)
     diag = [A[k][k].real for k in range(K)]  # views: the pivots, in place
     floor = [_PIVOT_RTOL * d for d in diag]
+    p = 0
     for k in range(K):
         if not np.all(diag[k] > floor[k]):
             raise ConfigurationError(
                 f"the {K} x {K} Gram matrix is singular to working precision"
                 " (for example more users than antennas at a very high Eb/N0)"
             )
+        np.divide(1.0, diag[k], out=rpiv[k])
         for i in range(k + 1, K):
-            f = A[k][i].conj()
-            f /= diag[k]  # L[i, k]
+            f = mult[p]
+            np.multiply(A[k][i].conj(), rpiv[k], out=f)
             diag[i] -= (f * A[k][i]).real
             for j in range(i + 1, K):
                 A[i][j] -= f * A[k][j]
-            if b:
-                b[i] -= f * b[k]
-    for k in reversed(range(len(b))):
-        for j in range(k + 1, K):
-            b[k] -= A[k][j] * x[j]
-        np.divide(b[k], diag[k], out=x[k])
+            p += 1
+
+
+def _ldl_solve(mult, rpiv, b) -> None:
+    """Solve L D L^H x = b in place, with the factors of _ldl_factor.
+
+    b is a (K, ...) array over the factors' batch shape.
+    """
+    K = len(b)
+    pairs = [(k, i) for k in range(K) for i in range(k + 1, K)]
+    for p, (k, i) in enumerate(pairs):
+        b[i] -= mult[p] * b[k]
+    b *= rpiv
+    for p, (k, i) in reversed(list(enumerate(pairs))):
+        b[k] -= mult[p].conj() * b[i]
 
 
 def equalize_stream(
     r: np.ndarray, subbands: np.ndarray, models: Sequence[BussgangModel], cfg: FdeConfig
 ) -> np.ndarray:
-    """(len(models), K, T) MMSE estimates of an M x T stream, one K x T per model.
-
-    Estimate i is what overlap_save_stream gives with the bank that
-    build_filter_bank makes of subbands and models[i]: bitwise on a stream of
-    several blocks, and to a relative 1e-12 on a stream of exactly one block.
-    That one is transformed once and solved one subband chunk at a time for
-    all models, without any (N_b, K, M) filters.  Any other stream is
-    transformed once per block for all models while their banks are below
-    _SHARED_BANK_BYTES each, and once per model above.
-    """
-    r = np.asarray(r, dtype=np.complex128)
-    N_b, M, K = subbands.shape
-    if r.ndim != 2 or r.shape[0] != M:
-        raise DimensionError(f"stream must be M x T with M={M}")
-    if r.shape[1] != cfg.block_len:
-        if N_b * K * M * 16 >= _SHARED_BANK_BYTES:
-            banks = (build_filter_bank(subbands, bm, cfg) for bm in models)
-            return np.stack([overlap_save_stream(r, bank, cfg)[0] for bank in banks])
-        # The banks side by side are one bank of len(models) * K users.
-        bank = np.concatenate([build_filter_bank(subbands, bm, cfg) for bm in models], axis=1)
-        return overlap_save_stream(r, bank, cfg)[0].reshape(len(models), K, -1)
-    # All models' inverse noise diagonals, gains and transmit powers, stacked.
-    weights = np.stack([_inverse_noise_diag(subbands, bm, cfg) for bm in models])
-    gains = np.array([bm.gain for bm in models], dtype=np.float64)
-    loads = 1.0 / np.array([bm.sigma_x2 for bm in models], dtype=np.float64)
-    # _equalize_block on the newest-first block, solved per subband chunk.
-    Rf = np.empty((M, N_b), dtype=np.complex128)
-    _map(_transform_block, [(r, Rf, lo, hi) for lo, hi in _split(M, r.nbytes)])
-    Xf = np.empty((len(models), K, N_b), dtype=np.complex128)
-    _map(
-        _solve_subbands,
-        [
-            (subbands[lo:hi], Rf[:, lo:hi], weights, gains, loads, Xf[..., lo:hi])
-            for lo, hi in _subband_chunks(N_b, (K * (K + 1) // 2 + 2 * K) * M)
-        ],
-        r.nbytes,
-    )
-    np.fft.fft(Xf, axis=-1, out=Xf)
-    Xf /= np.sqrt(N_b)
-    return np.ascontiguousarray(Xf[..., ::-1])  # back to time order
+    """(len(models), K, T) MMSE estimates of an M x T stream, one K x T per model."""
+    bank = build_filter_bank(subbands, models, cfg)
+    return overlap_save_stream(r, bank, cfg)[0].reshape(len(models), subbands.shape[1], -1)
 
 
-def _transform_block(r, Rf, lo, hi) -> None:
-    """Write the transform of rows lo..hi-1 of the block r, newest-first, into Rf."""
-    np.fft.ifft(r[lo:hi, ::-1], axis=-1, out=Rf[lo:hi])
-    Rf[lo:hi] *= np.sqrt(r.shape[1])
+def equalize_block(R: np.ndarray, bank: FilterBank) -> np.ndarray:
+    """Equalize one M x N_b receive block (columns newest-first) to Q*K x N_b.
 
-
-def _solve_subbands(H, Rf, weights, gains, loads, out) -> None:
-    """Write every model's MMSE estimates of the subbands H (n, M, K) of Rf (M, n) into out.
-
-    Model q has inverse noise diagonal weights[q], gain gains[q] and transmit
-    power 1 / loads[q]; out is (models, K, n).  The products conj(H_i) H_j
-    (i <= j) and conj(H_i) Rf, antenna-major, are shared by all models; one
-    real product with the weights sums them over the antennas for all models.
-    """
-    n, M, K = H.shape
-    pairs = [(i, j) for i in range(K) for j in range(i, K)]
-    slots = pairs + [(k, K) for k in range(K)]  # Gram entries, then matched filter
-    Hc = np.empty((M, K, n), dtype=np.complex128)
-    np.conjugate(H.transpose(1, 2, 0), out=Hc)
-    P = np.empty((M, len(slots), n), dtype=np.complex128)
-    for p, (i, j) in enumerate(slots):
-        np.multiply(Hc[:, i], H[:, :, j].T if j < K else Rf, out=P[:, p])
-    S = weights @ P.reshape(M, -1).view(np.float64)  # (models, 2 * slots * n)
-    S = S.view(np.complex128).reshape(len(gains), len(slots), n)
-    S[:, : len(pairs)] *= (gains**2)[:, None, None]
-    S[:, len(pairs) :] *= gains[:, None, None]
-    entry = {ij: S[:, p] for p, ij in enumerate(slots)}
-    for k in range(K):
-        entry[k, k].real += loads[:, None]
-    A = [[entry.get((i, j)) for j in range(K)] for i in range(K)]
-    _solve_hermitian(A, [entry[k, K] for k in range(K)], [out[:, k] for k in range(K)])
-
-
-def equalize_block(R: np.ndarray, bank: np.ndarray) -> np.ndarray:
-    """Equalize one M x N_b receive block (columns newest-first) to K x N_b.
-
-    bank holds the (N_b, K, M) filters of build_filter_bank.
+    Row q*K + k holds user k's estimates under model q of the bank.
     """
     R = np.asarray(R, dtype=np.complex128)
-    N_b, _, M = bank.shape
-    if R.ndim != 2 or R.shape != (M, N_b):
+    M, _, N_b = bank.subbands.shape
+    if R.shape != (M, N_b):
         raise DimensionError(f"receive block must be {M} x {N_b}, got {R.shape}")
-    return _equalize_block(R, bank)
+    return _equalize_block(R[:, ::-1], bank, pooled=True)[:, ::-1]
 
 
-def _equalize_block(R: np.ndarray, bank: np.ndarray) -> np.ndarray:
-    # The row-wise unitary transform F into subbands, the per-subband filters,
-    # then F^H back to time.  Pool threads call this, not the public wrapper.
-    n = R.shape[-1]
-    Rf = np.fft.ifft(R, axis=-1) * np.sqrt(n)
-    Xf = np.einsum("skm,ms->ks", bank, Rf)
-    return np.fft.fft(Xf, axis=-1) / np.sqrt(n)
+def _equalize_job_block(R, bank):
+    # equalize_block's arithmetic inside a pool job, which starts no pool.
+    return _equalize_block(R[:, ::-1], bank, pooled=False)[:, ::-1]
+
+
+def _equalize_block(r, bank: FilterBank, pooled: bool) -> np.ndarray:
+    """Q*K x N_b estimates, in time order, of the time-order M x N_b block r.
+
+    Pooled, a block of _PARALLEL_MIN_BYTES or more splits its transform rows
+    and its subband chunks over the pool.
+    """
+    M, K, N_b = bank.subbands.shape
+    Rc = np.empty((M, N_b), dtype=np.complex128)
+    X = np.empty((len(bank.weights), K, N_b), dtype=np.complex128)
+    chunks = [(bank, Rc, X, lo, hi) for lo, hi in _subband_chunks(N_b, (K + 1) * M)]
+    rows = _split(M, r.nbytes) if pooled else [(0, M)]
+    if len(rows) > 1:
+        _map(_transform_rows, [(r, Rc, lo, hi) for lo, hi in rows])
+        _map(_solve_subbands, chunks)
+    else:
+        _transform_rows(r, Rc, 0, M)
+        for job in chunks:
+            _solve_subbands(*job)
+    X = X.reshape(-1, N_b)
+    np.fft.ifft(X, axis=-1, out=X)
+    return X
+
+
+def _transform_rows(r, Rc, lo, hi) -> None:
+    """Write the conjugated transform of rows lo..hi-1 of the block r into Rc."""
+    np.fft.fft(r[lo:hi], axis=-1, out=Rc[lo:hi])
+    np.conjugate(Rc[lo:hi], out=Rc[lo:hi])
+
+
+def _solve_subbands(bank: FilterBank, Rc, X, lo, hi) -> None:
+    """Write every model's estimates of subbands lo..hi-1 into X (Q, K, N_b).
+
+    The products H conj(R_f), antenna-major, are shared by all models; one
+    real product with the weights g / D sums them over the antennas for all
+    models into the conjugated matched-filter output.
+    """
+    H = bank.subbands[:, :, lo:hi]
+    M, K, n = H.shape
+    P = H * Rc[:, None, lo:hi]
+    S = bank.weights @ P.reshape(M, -1).view(np.float64)
+    b = X[:, :, lo:hi]
+    np.conjugate(S.view(np.complex128).reshape(-1, K, n), out=b)
+    _ldl_solve(bank.mult[..., lo:hi], bank.rpiv[..., lo:hi], b.transpose(1, 0, 2))
 
 
 def overlap_save_stream(
-    r: np.ndarray, bank: np.ndarray, cfg: FdeConfig
+    r: np.ndarray, bank: FilterBank, cfg: FdeConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Equalize an M x T_c stream block-wise with overlap and edge discard.
 
@@ -278,11 +279,11 @@ def overlap_save_stream(
     channel, are dropped and the rest is emitted.  The last block also keeps
     its newest samples (the end of the stream); the returned edge mask flags
     them.  A final block that would run past the stream is clamped to end with
-    it and emits only the positions not yet written.  Returns (K x T_c
-    estimates, length-T_c boolean edge mask).  bank is as for equalize_block.
+    it and emits only the positions not yet written.  Returns (Q*K x T_c
+    estimates, rows as for equalize_block, and a length-T_c boolean edge mask).
     """
     r = np.asarray(r, dtype=np.complex128)
-    _, K, M = bank.shape
+    M, K, _ = bank.subbands.shape
     if r.ndim != 2 or r.shape[0] != M:
         raise DimensionError(f"stream must be M x T with M={M}")
     N_b = cfg.block_len
@@ -290,7 +291,7 @@ def overlap_save_stream(
     if T < N_b:
         raise ConfigurationError(f"stream length {T} shorter than block length {N_b}")
     step = N_b - cfg.overlap
-    out = np.empty((K, T), dtype=np.complex128)
+    out = np.empty((len(bank.weights) * K, T), dtype=np.complex128)
     edge = np.zeros(T, dtype=bool)
     edge[T - cfg.overlap :] = True
 
@@ -307,16 +308,15 @@ def overlap_save_stream(
         _equalize_segments(equalize_block, r, bank, plan, out)
     else:
         # Contiguous block ranges write disjoint stretches of out.
-        jobs = [(_equalize_block, r, bank, plan[lo:hi], out) for lo, hi in parts]
+        jobs = [(_equalize_job_block, r, bank, plan[lo:hi], out) for lo, hi in parts]
         _map(_equalize_segments, jobs)
     return out, edge
 
 
 def _equalize_segments(equalize, r, bank, plan, out) -> None:
-    N_b = bank.shape[0]
+    N_b = bank.subbands.shape[2]
     for s, lo, hi in plan:
-        block = r[:, s : s + N_b][:, ::-1]  # newest-first column order
-        est = equalize(block, bank)[:, ::-1]  # back to time order
+        est = equalize(r[:, s : s + N_b][:, ::-1], bank)[:, ::-1]  # newest-first in
         out[:, lo : hi + 1] = est[:, lo - s : hi - s + 1]
 
 

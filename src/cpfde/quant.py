@@ -60,12 +60,13 @@ class QuantizerSpec:
 
 @dataclass(frozen=True)
 class BussgangModel:
-    """Linear model of the quantized receiver: all a filter bank is built from.
+    """Linear model of the quantized receiver: all a filter bank needs of one method.
 
     gain is the scalar Bussgang gain (1 - rho_q); eff_noise_diag holds the
     per-antenna diagonal of the effective-noise covariance, identical for
     every time slot within a block; sigma_x2 is the per-user transmit power.
     The model at rho_q = 0 (gain 1, noise sigma_eta^2 I) ignores quantization.
+    fde.build_filter_bank factors one bank for a list of models.
     """
 
     gain: float

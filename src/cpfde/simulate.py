@@ -35,9 +35,10 @@ MAX_EBN0_DB = 300.0
 
 # Largest M x T_c complex128 receive stream, in bytes.  A realization holds a
 # few such streams at once; paper scale (M=64, T_c=50000) is 51 MB.  The K x T_c
-# symbol stream, the (L+1, M, K) channel taps and the (N_b, M, K) subbands of
-# all block lengths together (113 MB at paper scale) have the same bound.  The
-# block length scan has its own, larger cap on T_c (blockopt.MAX_COHERENCE).
+# symbol stream, the (L+1, M, K) channel taps, the (M, K, N_b) subbands of all
+# block lengths together (113 MB at paper scale) and those of the bathtub's
+# profiled N_b have the same bound.  The block length scan has its own, larger
+# cap on T_c (blockopt.MAX_COHERENCE).
 MAX_STREAM_BYTES = 2**28
 
 
@@ -123,6 +124,13 @@ def demap_symbols(estimates: np.ndarray, order: int) -> tuple[np.ndarray, np.nda
 # Configuration and report
 # --------------------------------------------------------------------------
 
+def _check_bytes(name: str, dims: tuple[int, ...], what: str) -> None:
+    """Reject a complex array of shape dims above MAX_STREAM_BYTES."""
+    if math.prod(dims) * 16 > MAX_STREAM_BYTES:
+        shape = " x ".join(map(str, dims))
+        raise ConfigurationError(f"{name} = {shape} {what} exceeds {MAX_STREAM_BYTES} bytes")
+
+
 @dataclass
 class SimConfig:
     """Monte-Carlo experiment description (desk-scale defaults)."""
@@ -144,17 +152,10 @@ class SimConfig:
     def __post_init__(self):
         if self.K < 1 or self.M < 1:
             raise ConfigurationError("K and M must be >= 1")
-        for name, dims, what in (
-            ("M x T_c", (self.M, self.T_c), "stream"),
-            ("K x T_c", (self.K, self.T_c), "symbol stream"),
-            ("(L+1) x M x K", (self.L + 1, self.M, self.K), "taps array"),
-            ("sum(N_b) x M x K", (sum(self.block_lens), self.M, self.K), "subbands"),
-        ):
-            if math.prod(dims) * 16 > MAX_STREAM_BYTES:
-                shape = " x ".join(map(str, dims))
-                raise ConfigurationError(
-                    f"{name} = {shape} {what} exceeds {MAX_STREAM_BYTES} bytes"
-                )
+        _check_bytes("M x T_c", (self.M, self.T_c), "stream")
+        _check_bytes("K x T_c", (self.K, self.T_c), "symbol stream")
+        _check_bytes("(L+1) x M x K", (self.L + 1, self.M, self.K), "taps array")
+        _check_bytes("M x K x sum(N_b)", (self.M, self.K, sum(self.block_lens)), "subbands")
         if self.N_sim < 1:
             raise ConfigurationError("N_sim must be >= 1")
         if self.workers < 1:
@@ -394,6 +395,7 @@ def per_position_error_profile(cfg: SimConfig, n_b: int, ebn0_db: float) -> np.n
         raise ConfigurationError(
             f"T_c={cfg.T_c} too short for an interior block (needs 2 n_b = {2 * n_b})"
         )
+    _check_bytes("M x K x N_b", (cfg.M, cfg.K, n_b), "subbands")
     sigma_x2 = _sigma_x2(cfg, (ebn0_db,), n_b)[ebn0_db]
 
     acc = np.zeros(n_b)
@@ -403,7 +405,9 @@ def per_position_error_profile(cfg: SimConfig, n_b: int, ebn0_db: float) -> np.n
         x = np.sqrt(sigma_x2) * unit_syms
         r, rho = _receive(cfg, taps, hx, sigma_x2, rng)
         bm = bussgang_model(taps, rho, 1.0, sigma_x2)
-        bank = build_filter_bank(freq_channel(taps, n_b), bm, FdeConfig(block_len=n_b, overlap=0))
+        bank = build_filter_bank(
+            freq_channel(taps, n_b), [bm], FdeConfig(block_len=n_b, overlap=0)
+        )
         # skip the first block: its history is the zero-padded stream start
         for s in range(n_b, cfg.T_c - n_b + 1, n_b):
             block = r[:, s : s + n_b][:, ::-1]

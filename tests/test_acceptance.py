@@ -67,7 +67,7 @@ class TestAcceptance:
             lhs = np.kron(F, np.eye(M)) @ cir @ np.kron(F.conj().T, np.eye(K))
             bd = np.zeros_like(lhs)
             for i in range(N_b):
-                bd[i * M : (i + 1) * M, i * K : (i + 1) * K] = subbands[i]
+                bd[i * M : (i + 1) * M, i * K : (i + 1) * K] = subbands[:, :, i]
             worst = max(worst, np.linalg.norm(lhs - bd) / max(np.linalg.norm(bd), 1e-30))
         verdict(1, worst < 1e-10, f"max rel err {worst:.3g}")
 
@@ -85,7 +85,7 @@ class TestAcceptance:
                 cfg = FdeConfig(block_len=N_b, overlap=L)
                 # Gain-free subbands; build_filter_bank applies (1 - rho), which
                 # the dense circulant carries.
-                bank = build_filter_bank(freq_channel(taps, N_b), bm, cfg)
+                bank = build_filter_bank(freq_channel(taps, N_b), [bm], cfg)
                 x = rng.standard_normal(K * N_b) + 1j * rng.standard_normal(K * N_b)
                 r = cir @ x + 0.1 * (
                     rng.standard_normal(M * N_b) + 1j * rng.standard_normal(M * N_b)

@@ -163,11 +163,11 @@ class TestFreqChannel:
         taps = random_taps(rng, 0, 3, 2)
         subbands = freq_channel(taps, 8)
         for i in range(8):
-            np.testing.assert_allclose(subbands[i], taps.taps[0])
+            np.testing.assert_allclose(subbands[:, :, i], taps.taps[0])
 
     def test_two_point_dft(self):
         taps = ChannelTaps(np.ones((2, 1, 1), dtype=complex))
-        np.testing.assert_allclose(freq_channel(taps, 2)[:, 0, 0], [2.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(freq_channel(taps, 2)[0, 0], [2.0, 0.0], atol=1e-14)
 
     def test_diagonalizes_circulant(self):
         rng = np.random.default_rng(10)
@@ -179,7 +179,7 @@ class TestFreqChannel:
         lhs = np.kron(F, np.eye(M)) @ cir @ np.kron(F.conj().T, np.eye(K))
         bd = np.zeros_like(lhs)
         for i in range(N_b):
-            bd[i * M : (i + 1) * M, i * K : (i + 1) * K] = subbands[i]
+            bd[i * M : (i + 1) * M, i * K : (i + 1) * K] = subbands[:, :, i]
         assert np.linalg.norm(lhs - bd) / np.linalg.norm(bd) < 1e-10
 
     def test_block_len_check(self):
@@ -188,16 +188,16 @@ class TestFreqChannel:
         with pytest.raises(DimensionError):
             freq_channel(taps, 4)
 
-    def test_contiguous_subband_major_layout(self):
+    def test_contiguous_antenna_major_layout(self):
         rng = np.random.default_rng(18)
         taps = random_taps(rng, 6, 5, 3)
         for N_b in (7, 12, 50):
             expected = np.fft.fft(taps.taps, n=N_b, axis=0)
             subbands = freq_channel(taps, N_b)
-            assert subbands.shape == (N_b, 5, 3)
+            assert subbands.shape == (5, 3, N_b)
             assert subbands.flags.c_contiguous
             # Each length-N_b transform runs the same FFT whichever axis holds it.
-            np.testing.assert_array_equal(subbands, expected)
+            np.testing.assert_array_equal(subbands, expected.transpose(1, 2, 0))
         # The subbands are always gain-free; build_filter_bank applies the gain.
         with pytest.raises(ConfigurationError):
             freq_channel(taps, 12, 0.3)

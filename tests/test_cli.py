@@ -117,7 +117,7 @@ class TestOptimizeBlock:
         ]
 
     def test_subbands_above_cap_exit_2(self, capsys, tmp_path, monkeypatch):
-        # The (N_b, M, K) subbands of all block lengths are bounded like the
+        # The (M, K, N_b) subbands of all block lengths are bounded like the
         # streams: 4 GiB here, rejected before any channel is drawn.
         def fail(*_):
             raise AssertionError("realization started")
@@ -131,15 +131,15 @@ class TestOptimizeBlock:
         )
         assert code == 2
         assert err.splitlines() == [
-            f"error: sum(N_b) x M x K = 4096 x 256 x 256 subbands exceeds"
+            f"error: M x K x sum(N_b) = 256 x 256 x 4096 subbands exceeds"
             f" {simulate.MAX_STREAM_BYTES} bytes"
         ]
 
     @pytest.mark.parametrize("block_lens", ["64", "2048"])
     def test_singular_gram_exit_2(self, capsys, tmp_path, block_lens):
         # 4 users on 2 antennas at 200 dB: WF's Gram matrix is singular to
-        # working precision on the bank route (N_b = 64) and the one-block
-        # route (N_b = T_c = 2048) alike.  One error line, no report.
+        # working precision on a multi-block stream (N_b = 64) and a one-block
+        # stream (N_b = T_c = 2048) alike.  One error line, no report.
         code, _, err = run_cli(
             capsys, "sweep", "--users", "4", "--antennas", "2", "--ebn0", "200",
             "--realizations", "2", "--block-lens", block_lens, "--output-dir", str(tmp_path),
@@ -298,6 +298,26 @@ class TestBathtub:
             capsys, "bathtub", "--block-len", "0", "--output-dir", str(tmp_path)
         )
         assert code == 2 and "error:" in err
+        assert not (tmp_path / "bathtub.csv").exists()
+
+    def test_block_len_above_cap_exit_2(self, capsys, tmp_path, monkeypatch):
+        # --block-len is not one of --block-lens: its (M, K, N_b) subbands,
+        # 2 GiB here, are bounded on their own, before any realization runs.
+        def fail(*_):
+            raise AssertionError("realization started")
+
+        monkeypatch.setattr(simulate, "_transmit", fail)
+        monkeypatch.setattr(simulate, "_realization_taps", fail)
+        code, _, err = run_cli(
+            capsys, "bathtub", "--users", "16", "--antennas", "32", "--coherence", "524288",
+            "--block-lens", "64", "--block-len", "262144", "--realizations", "1",
+            "--output-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: M x K x N_b = 32 x 16 x 262144 subbands exceeds"
+            f" {simulate.MAX_STREAM_BYTES} bytes"
+        ]
         assert not (tmp_path / "bathtub.csv").exists()
 
     def test_ebn0_grid_flag_rejected(self, capsys, tmp_path):

@@ -44,7 +44,7 @@ def pool_threads(n, chunk_bytes=None):
     """Force every pooled stage onto n threads, whatever the call size.
 
     The floor is 0, so the row-split stages (freq_channel, quantize,
-    convolve_transmit, the one-block transform) and overlap-save split too.
+    convolve_transmit, a block's transform) and overlap-save split too.
     The interpreter switches threads every microsecond meanwhile, so pool
     threads interleave as often as they can.
     """
@@ -61,22 +61,53 @@ def pool_threads(n, chunk_bytes=None):
         _pool._threads, _pool._PARALLEL_MIN_BYTES, fde._CHUNK_BYTES = saved
 
 
-# A one-block stream (T = N_b) solves each subband's K x K system instead of
-# applying built filters: the same estimates up to rounding, to this relative
+# The factored bank solves each subband's K x K system instead of applying
+# explicit filters: the same estimates up to rounding, to this relative
 # tolerance (against the largest estimate).
-ONE_BLOCK_RTOL = 1e-12
+RTOL = 1e-12
 
 
-def assert_one_block_close(actual, expected):
-    np.testing.assert_allclose(
-        actual, expected, rtol=ONE_BLOCK_RTOL, atol=ONE_BLOCK_RTOL * np.abs(expected).max()
-    )
+def assert_close(actual, expected):
+    scale = np.abs(expected).max(initial=0.0)
+    np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=RTOL * scale)
+
+
+def textbook_filters(H, diag, sigma_x2):
+    """The per-subband MMSE filters solve(gram, H^H D^-1) of H (N_b, M, K), (N_b, K, M)."""
+    O = H.conj().transpose(0, 2, 1)
+    O *= (1.0 / diag)[None, None, :]
+    gram = O @ H + (1.0 / sigma_x2) * np.eye(H.shape[2])[None]
+    return np.linalg.solve(gram, O)
+
+
+def model_filters(subbands, bm):
+    """textbook_filters of a model on the gain-free (M, K, N_b) subbands."""
+    return textbook_filters(bm.gain * subbands.transpose(2, 0, 1), bm.eff_noise_diag, bm.sigma_x2)
+
+
+def oracle_block(R, filters):
+    """Explicit (N_b, K, M) filters applied to a newest-first block: F^H G_f F per subband."""
+    F = unitary_dft_matrix(R.shape[1])
+    return np.einsum("skm,ms->ks", filters, R @ F) @ F.conj()
+
+
+def effective_filters(bank):
+    """The (N_b, Q*K, M) per-subband filters equalize_block applies, read off its
+    responses to the blocks whose row m transforms to 1 in every subband."""
+    M, _, N_b = bank.subbands.shape
+    F = unitary_dft_matrix(N_b)
+    columns = []
+    for m in range(M):
+        R = np.zeros((M, N_b), dtype=complex)
+        R[m, 0] = np.sqrt(N_b)
+        columns.append(equalize_block(R, bank) @ F)
+    return np.stack(columns, axis=-1).transpose(1, 0, 2)
 
 
 def make_bank(taps, N_b, rho, sigma_eta2, sigma_x2, overlap=None):
     bm = bussgang_model(taps, rho, sigma_eta2, sigma_x2)
     cfg = FdeConfig(block_len=N_b, overlap=taps.memory if overlap is None else overlap)
-    return build_filter_bank(freq_channel(taps, N_b), bm, cfg), bm, cfg
+    return build_filter_bank(freq_channel(taps, N_b), [bm], cfg), bm, cfg
 
 
 class TestConfig:
@@ -91,21 +122,27 @@ class TestTransforms:
         np.testing.assert_allclose(F @ F.conj().T, np.eye(8), atol=1e-12)
 
     def test_round_trip(self):
-        # Identity filters: the transform into subbands and back returns the block.
+        # Identity channel, unit noise and power: the filter is I/2 in every
+        # subband, so the transform into subbands and back halves the block.
+        taps = ChannelTaps(np.eye(3, dtype=complex)[None])
+        bank, _, _ = make_bank(taps, 16, 0.0, 1.0, 1.0)
         rng = np.random.default_rng(0)
         R = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
-        bank = np.broadcast_to(np.eye(3), (16, 3, 3))
-        np.testing.assert_allclose(equalize_block(R, bank), R, atol=1e-12)
+        np.testing.assert_allclose(equalize_block(R, bank), R / 2, atol=1e-12)
 
     def test_matches_matrix_form(self):
-        # One scalar filter per subband acts as F^H diag(g) F on each row.
+        # One user on one antenna with subbands h: one scalar filter per
+        # subband, which acts as F^H diag(g) F on the row.
         rng = np.random.default_rng(1)
         R = rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8))
-        g = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        bank = g[:, None, None]
+        h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        bm = quant.BussgangModel(1.0, np.array([0.4]), 1.5)
+        bank = build_filter_bank(h.reshape(1, 1, 8), [bm], FdeConfig(block_len=8, overlap=0))
+        g = np.conj(h) * 1.5 / (np.abs(h) ** 2 * 1.5 + 0.4)
         F = unitary_dft_matrix(8)
         expected = R @ (F.conj().T @ np.diag(g) @ F).T
         np.testing.assert_allclose(equalize_block(R, bank), expected, atol=1e-12)
+        np.testing.assert_allclose(oracle_block(R, g[:, None, None]), expected, atol=1e-12)
 
 
 class TestFilterBank:
@@ -114,7 +151,7 @@ class TestFilterBank:
         taps = ChannelTaps(np.array([[[h]]]))
         bank, _, _ = make_bank(taps, 4, 0.0, s2, sx2)
         expected = np.conj(h) * sx2 / (abs(h) ** 2 * sx2 + s2)
-        np.testing.assert_allclose(bank[:, 0, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(effective_filters(bank)[:, 0, 0], expected, atol=1e-12)
 
     def test_zero_noise_limit_is_pseudo_inverse(self):
         rng = np.random.default_rng(2)
@@ -122,20 +159,20 @@ class TestFilterBank:
         bank, _, _ = make_bank(taps, 2, 0.0, 1e-12, 1e9)
         H = taps.taps[0]
         pinv = np.linalg.pinv(H)
-        for i in range(2):
-            np.testing.assert_allclose(bank[i], pinv, atol=1e-6)
-            np.testing.assert_allclose(bank[i] @ H, np.eye(2), atol=1e-6)
+        for W in effective_filters(bank):
+            np.testing.assert_allclose(W, pinv, atol=1e-6)
+            np.testing.assert_allclose(W @ H, np.eye(2), atol=1e-6)
 
     def test_normal_equation_residual(self):
         rng = np.random.default_rng(3)
         taps = random_taps(rng, 2, 4, 2)
         bank, bm, _ = make_bank(taps, 8, 0.2, 0.7, 1.3)
         subbands = freq_channel(taps, 8)
-        for i in range(8):
-            H = bm.gain * subbands[i]
+        for i, W in enumerate(effective_filters(bank)):
+            H = bm.gain * subbands[:, :, i]
             D = np.diag(bm.eff_noise_diag)
             A = H.conj().T @ np.linalg.inv(D)
-            lhs = (A @ H + np.eye(2) / bm.sigma_x2) @ bank[i]
+            lhs = (A @ H + np.eye(2) / bm.sigma_x2) @ W
             assert np.linalg.norm(lhs - A) / np.linalg.norm(A) < 1e-10
 
     @pytest.mark.parametrize("K", [1, 2, 3])
@@ -148,12 +185,10 @@ class TestFilterBank:
         bank, bm, _ = make_bank(taps, 8, rho, s2, sx2)
         H = np.fft.fft(taps.taps, n=8, axis=0) * (1.0 - rho)
         d = bm.eff_noise_diag if account else np.full(5, s2)
-        Dinv = np.diag(1.0 / d)
-        for i in range(8):
-            Hi = H[i]
-            A = Hi.conj().T @ Dinv
-            expected = np.linalg.solve(A @ Hi + np.eye(K) / sx2, A)
-            np.testing.assert_allclose(bank[i], expected, rtol=1e-12, atol=1e-14)
+        expected = textbook_filters(H, d, sx2)
+        assert_close(effective_filters(bank), expected)
+        R = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+        assert_close(equalize_block(R, bank), oracle_block(R, expected))
 
     def test_gain_applied_once_for_gain_free_subbands(self):
         # WF_Q scales the gain-free subbands by the Bussgang gain exactly once:
@@ -163,13 +198,13 @@ class TestFilterBank:
         rho, sx2 = 0.36, 1.4
         bm = bussgang_model(taps, rho, 0.8, sx2)
         subbands = freq_channel(taps, 16)
-        bank = build_filter_bank(subbands, bm, FdeConfig(block_len=16, overlap=2))
-        Dinv = np.diag(1.0 / bm.eff_noise_diag)
+        bank = build_filter_bank(subbands, [bm], FdeConfig(block_len=16, overlap=2))
+        R = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
+        est = equalize_block(R, bank)
         for power in (0, 1, 2):
-            H = (1.0 - rho) ** power * subbands
-            A = H.conj().transpose(0, 2, 1) @ Dinv
-            expected = np.linalg.solve(A @ H + np.eye(2) / sx2, A)
-            close = np.allclose(bank, expected, rtol=1e-12, atol=1e-14)
+            H = (1.0 - rho) ** power * subbands.transpose(2, 0, 1)
+            expected = oracle_block(R, textbook_filters(H, bm.eff_noise_diag, sx2))
+            close = np.allclose(est, expected, rtol=RTOL, atol=RTOL * np.abs(expected).max())
             assert close == (power == 1)
 
     def test_block_len_mismatch_rejected(self):
@@ -177,7 +212,7 @@ class TestFilterBank:
         taps = random_taps(rng, 0, 2, 1)
         bm = bussgang_model(taps, 0.0, 1.0)
         with pytest.raises(DimensionError):
-            build_filter_bank(freq_channel(taps, 8), bm, FdeConfig(block_len=4, overlap=0))
+            build_filter_bank(freq_channel(taps, 8), [bm], FdeConfig(block_len=4, overlap=0))
 
 
 class TestHermitianSolve:
@@ -191,17 +226,21 @@ class TestHermitianSolve:
     )
     @example(K=6, M=1, n=3, log_sigma_x2=2.0, seed=0)  # K > M: rank 1 plus the load
     def test_matches_linalg_solve(self, K, M, n, log_sigma_x2, seed):
-        # The batched LDL^H solve of g^2 H^H D^-1 H + I/sigma_x^2, vectorized
-        # over n subbands, against LAPACK's solve one subband at a time.
+        # The batched LDL^H factors of g^2 H^H D^-1 H + I/sigma_x^2 and the
+        # solve with them, vectorized over n subbands, against LAPACK's solve
+        # one subband at a time.
         rng = np.random.default_rng(seed)
         H = rng.standard_normal((n, M, K)) + 1j * rng.standard_normal((n, M, K))
         O = H.conj().transpose(0, 2, 1) * rng.uniform(0.2, 2.0, M)
         gram = O @ H + 10.0**-log_sigma_x2 * np.eye(K)
         b = rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n))
         expected = np.linalg.solve(gram, b.T[..., None])[..., 0].T
-        A, x = gram.transpose(1, 2, 0).copy(), np.empty((K, n), dtype=complex)
+        A = gram.transpose(1, 2, 0).copy()
         A[np.tril_indices(K, -1)] = np.nan  # only the upper triangle is read
-        fde._solve_hermitian(A, list(b.copy()), list(x))
+        mult, rpiv = np.empty((K * (K - 1) // 2, n), dtype=complex), np.empty((K, n))
+        fde._ldl_factor(A, mult, rpiv)
+        x = b.copy()
+        fde._ldl_solve(mult, rpiv, x)
         cond = np.linalg.cond(gram).max()
         np.testing.assert_allclose(x, expected, rtol=0, atol=1e-14 * cond * np.abs(expected).max())
 
@@ -209,9 +248,10 @@ class TestHermitianSolve:
     @pytest.mark.parametrize("sigma_x2", [1e20, 1e30])
     def test_singular_gram_raises_on_both_routes(self, K, M, singular, sigma_x2):
         # More users than antennas at a huge transmit power: the Gram matrix
-        # H^H H + I/sigma_x^2 has rank M < K in working precision.  Both
-        # routes raise rather than return NaN; with K < M the same powers
-        # give the zero-forcing limit, finite.
+        # H^H H + I/sigma_x^2 has rank M < K in working precision.  The bank
+        # build, and so a multi-block and a one-block stream, raise rather
+        # than return NaN; with K < M the same powers give the zero-forcing
+        # limit, finite.
         rng = np.random.default_rng(37)
         taps = random_taps(rng, 2, M, K)
         bm = bussgang_model(taps, 0.0, 1.0, sigma_x2)
@@ -219,7 +259,7 @@ class TestHermitianSolve:
         r = rng.standard_normal((M, 48)) + 1j * rng.standard_normal((M, 48))
         multi, one = FdeConfig(block_len=16, overlap=2), FdeConfig(block_len=48, overlap=2)
         calls = [
-            lambda: build_filter_bank(subbands, bm, multi),
+            lambda: build_filter_bank(subbands, [bm], multi).rpiv,
             lambda: equalize_stream(r, subbands, [bm], multi),
             lambda: equalize_stream(r, freq_channel(taps, 48), [bm], one),
         ]
@@ -379,12 +419,6 @@ class TestDiscardBenefit:
         assert better < worse
 
 
-def dense_block_operator(filters):
-    """W[k, n, m, p]: estimate k at position n of a newest-first block from R[m, p]."""
-    F = unitary_dft_matrix(filters.shape[0])
-    return np.einsum("sn,skm,sp->knmp", F.conj(), filters, F)
-
-
 def sliding_window_oracle(r, filters, cfg):
     """Each position is estimated by the first block whose kept span covers it.
 
@@ -393,13 +427,12 @@ def sliding_window_oracle(r, filters, cfg):
     last block keeps the stream end.
     """
     N_b, T = cfg.block_len, r.shape[1]
-    W = dense_block_operator(filters)
     starts = list(range(0, T - N_b + 1, N_b - cfg.overlap))
     if starts[-1] != T - N_b:
         starts.append(T - N_b)
     out = np.full((filters.shape[1], T), np.nan, dtype=complex)
     for j, s in enumerate(starts):
-        est = np.einsum("knmp,mp->kn", W, r[:, s : s + N_b][:, ::-1])[:, ::-1]
+        est = oracle_block(r[:, s : s + N_b][:, ::-1], filters)[:, ::-1]
         last = T - 1 if j == len(starts) - 1 else s + N_b - 1 - cfg.overlap
         for t in range(s, last + 1):
             if np.isnan(out[0, t]):
@@ -424,41 +457,44 @@ class TestOverlapSaveProperty:
         rng = np.random.default_rng(seed)
         overlap = round(overlap_frac * (N_b - 1))
         T = N_b + extra
-        filters = rng.standard_normal((N_b, K, M)) + 1j * rng.standard_normal((N_b, K, M))
+        # Random subbands and two random models: rows are model-major.
+        subbands = rng.standard_normal((M, K, N_b)) + 1j * rng.standard_normal((M, K, N_b))
+        models = [
+            quant.BussgangModel(
+                rng.uniform(0.4, 1.0), rng.uniform(0.2, 2.0, M), rng.uniform(0.5, 2.0)
+            )
+            for _ in range(2)
+        ]
         cfg = FdeConfig(block_len=N_b, overlap=overlap)
+        bank = build_filter_bank(subbands, models, cfg)
         r = rng.standard_normal((M, T)) + 1j * rng.standard_normal((M, T))
         if threads is None:
-            out, edge = overlap_save_stream(r, filters, cfg)
+            out, edge = overlap_save_stream(r, bank, cfg)
         else:
             with pool_threads(threads):
-                out, edge = overlap_save_stream(r, filters, cfg)
+                out, edge = overlap_save_stream(r, bank, cfg)
+        filters = np.concatenate([model_filters(subbands, bm) for bm in models], axis=1)
         expected = sliding_window_oracle(r, filters, cfg)
         assert not np.isnan(expected).any()
-        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+        np.testing.assert_allclose(out, expected, rtol=0, atol=RTOL * np.abs(expected).max())
         mask = np.zeros(T, dtype=bool)
         mask[T - overlap :] = True
         np.testing.assert_array_equal(edge, mask)
 
 
 class TestThreadInvariance:
-    @staticmethod
-    def one_shot_filters(H, diag, sigma_x2):
-        """The unchunked build: every subband in one batched call."""
-        O = H.conj().transpose(0, 2, 1)
-        O *= (1.0 / diag)[None, None, :]
-        gram = O @ H + (1.0 / sigma_x2) * np.eye(H.shape[2])[None]
-        return np.linalg.inv(gram) @ O
-
     @pytest.mark.parametrize("threads", [1, 2, 3, 5])
     @pytest.mark.parametrize("account", [False, True])
     @pytest.mark.parametrize("rho", [0.0, 0.3])
     def test_chunked_build_is_bitwise_one_shot(self, threads, account, rho):
-        # rho = 0 gives a unit Bussgang gain, which _build_filters skips;
+        # A bank built in chunks of 5 subbands (37 = 7 * 5 + 2 leaves a ragged
+        # last chunk) on any thread count is bitwise the bank of the same
+        # chunks built in one serial call, and so are the one-block stream's
+        # estimates, given both models, this one first.  Against the bank of
+        # one chunk and the textbook filters they agree to RTOL: the antenna
+        # sums are one real matrix product per chunk, and BLAS rounds a
+        # product of another width differently.  rho = 0 gives a unit gain;
         # account=False is WF's model (rho_q = 0), pinned to gain 1 and D = s2 I.
-        # A one-block stream (T = N_b) solves the same filters' systems chunk
-        # by chunk inside equalize_stream, given both models, this one first:
-        # within ONE_BLOCK_RTOL of the bank, and bitwise the same for any
-        # thread count at one chunk width.
         rng = np.random.default_rng(31)
         N_b, M, s2, sx2 = 37, 3, 0.6, 1.7
         cfg = FdeConfig(block_len=N_b, overlap=4)
@@ -468,65 +504,87 @@ class TestThreadInvariance:
             other = bussgang_model(taps, 0.0 if account else rho, s2, sx2)
             subbands = freq_channel(taps, N_b)
             if account:
-                H, diag = subbands * bm.gain, bm.eff_noise_diag
+                H, diag = subbands.transpose(2, 0, 1) * bm.gain, bm.eff_noise_diag
             else:
-                H, diag = subbands, np.full(M, s2)
-            expected = self.one_shot_filters(H, diag, sx2)
+                H, diag = subbands.transpose(2, 0, 1), np.full(M, s2)
+            expected = textbook_filters(H, diag, sx2)
             r = rng.standard_normal((M, N_b)) + 1j * rng.standard_normal((M, N_b))
-            expected_est = np.stack([
-                overlap_save_stream(r, expected, cfg)[0],
-                overlap_save_stream(r, build_filter_bank(subbands, other, cfg), cfg)[0],
-            ])
-            serial = build_filter_bank(subbands, bm, cfg)
-            serial_est = equalize_stream(r, subbands, [bm, other], cfg)
-            # 5 filters per bank chunk: 37 = 7 * 5 + 2 leaves a ragged last
-            # chunk.  The one-block route's chunks are 1 subband wide.
-            chunk_bytes = 5 * K * M * 16
+            filters = np.concatenate([expected, model_filters(subbands, other)], axis=1)
+            expected_est = oracle_block(r[:, ::-1], filters)[:, ::-1].reshape(2, K, N_b)
+            one_shot = build_filter_bank(subbands, [bm, other], cfg)
+            chunk_bytes = 5 * (K * (K + 1) // 2 + K) * M * 16
             with pool_threads(1, chunk_bytes=chunk_bytes):
-                one_thread_est = equalize_stream(r, subbands, [bm, other], cfg)
+                serial = build_filter_bank(subbands, [bm, other], cfg)
+                serial_est = equalize_stream(r, subbands, [bm, other], cfg)
             with pool_threads(threads, chunk_bytes=chunk_bytes):
-                chunked = build_filter_bank(subbands, bm, cfg)
+                chunked = build_filter_bank(subbands, [bm, other], cfg)
                 chunked_est = equalize_stream(r, subbands, [bm, other], cfg)
-            np.testing.assert_array_equal(serial, expected)
-            np.testing.assert_array_equal(chunked, expected)
-            assert_one_block_close(serial_est, expected_est)
-            assert_one_block_close(chunked_est, expected_est)
-            np.testing.assert_array_equal(chunked_est, one_thread_est)
+            for name in ("mult", "rpiv"):
+                np.testing.assert_array_equal(getattr(chunked, name), getattr(serial, name))
+                assert_close(getattr(chunked, name), getattr(one_shot, name))
+            np.testing.assert_array_equal(chunked_est, serial_est)
+            assert_close(chunked_est, expected_est)
+            assert_close(equalize_stream(r, subbands, [bm, other], cfg), expected_est)
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
     @pytest.mark.parametrize("N_b, overlap, T", [(16, 3, 300), (8, 7, 61), (64, 0, 64)])
-    def test_pooled_overlap_save_is_bitwise_serial(self, threads, N_b, overlap, T, monkeypatch):
-        # equalize_stream too, given WF's and WF_Q's models at rho 0 and 0.2:
-        # (16, 3, 300) ends in a clamped final block, and (64, 0, 64) is one
-        # block, solved in 1-subband chunks and within ONE_BLOCK_RTOL of the
-        # banks.  Other streams apply the banks side by side below a
-        # shared-bank floor, and one at a time above it, bitwise.
+    def test_pooled_overlap_save_is_bitwise_serial(self, threads, N_b, overlap, T):
+        # WF's and WF_Q's models at rho 0 and 0.2, in one bank: (16, 3, 300)
+        # ends in a clamped final block, and (64, 0, 64) is one block, split
+        # into transform rows and 1-subband chunks.  At one chunk width the
+        # pooled stream is bitwise the serial one, and within RTOL of the
+        # textbook filters block by block.
         rng = np.random.default_rng(32)
         taps = random_taps(rng, min(overlap, 3), 4, 2)
-        bank, _, cfg = make_bank(taps, N_b, 0.2, 1.0, 1.0, overlap=overlap)
+        cfg = FdeConfig(block_len=N_b, overlap=overlap)
         r = rng.standard_normal((4, T)) + 1j * rng.standard_normal((4, T))
-        serial, serial_edge = overlap_save_stream(r, bank, cfg)
         subbands = freq_channel(taps, N_b)
+        chunk_bytes = 3 * 4 * 16
         for rho in (0.0, 0.2):
             models = [bussgang_model(taps, 0.0, 1.0, 1.0), bussgang_model(taps, rho, 1.0, 1.0)]
-            banks = [build_filter_bank(subbands, m, cfg) for m in models]
-            expected = np.stack([overlap_save_stream(r, bank, cfg)[0] for bank in banks])
-            for shared_bytes in (1 << 40, 0):
-                monkeypatch.setattr(fde, "_SHARED_BANK_BYTES", shared_bytes)
-                with pool_threads(threads, chunk_bytes=5 * 2 * 4 * 16):
-                    streamed = equalize_stream(r, subbands, models, cfg)
-                if T == N_b:
-                    assert_one_block_close(streamed, expected)
-                else:
-                    np.testing.assert_array_equal(streamed, expected)
-        with pool_threads(threads, chunk_bytes=5 * 2 * 4 * 16):
-            pooled, pooled_edge = overlap_save_stream(r, bank, cfg)
+            bank = build_filter_bank(subbands, models, cfg)
+            filters = np.concatenate([model_filters(subbands, m) for m in models], axis=1)
+            with pool_threads(1, chunk_bytes=chunk_bytes):
+                serial, serial_edge = overlap_save_stream(r, bank, cfg)
+            with pool_threads(threads, chunk_bytes=chunk_bytes):
+                pooled, pooled_edge = overlap_save_stream(r, bank, cfg)
+                streamed = equalize_stream(r, subbands, models, cfg)
+            np.testing.assert_array_equal(pooled, serial)
+            np.testing.assert_array_equal(pooled_edge, serial_edge)
+            np.testing.assert_array_equal(streamed.reshape(4, T), serial)
+            assert_close(serial, sliding_window_oracle(r, filters, cfg))
+
+    def test_pooled_stream_starts_no_nested_pool(self, monkeypatch):
+        # Every block is at or above the (forced) floor, so equalize_block
+        # would pool it; inside an overlap-save job it must not.  One pool
+        # serves the whole stream, and the result is bitwise the serial one.
+        rng = np.random.default_rng(39)
+        taps = random_taps(rng, 3, 4, 2)
+        cfg = FdeConfig(block_len=16, overlap=3)
+        models = [bussgang_model(taps, 0.0, 1.0, 1.0), bussgang_model(taps, 0.3, 1.0, 1.0)]
+        r = rng.standard_normal((4, 300)) + 1j * rng.standard_normal((4, 300))
+        chunk_bytes = 3 * 4 * 16  # 5 subband chunks per block
+        with pool_threads(1, chunk_bytes=chunk_bytes):
+            bank = build_filter_bank(freq_channel(taps, 16), models, cfg)
+            serial = overlap_save_stream(r, bank, cfg)[0]
+        pools = []
+
+        class CountingExecutor(_pool.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(threading.current_thread())
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(_pool, "ThreadPoolExecutor", CountingExecutor)
+        with pool_threads(2, chunk_bytes=chunk_bytes):
+            assert len(_pool._split(len(r), r[:, :16].nbytes)) > 1  # a block would split
+            pooled = overlap_save_stream(r, bank, cfg)[0]
         np.testing.assert_array_equal(pooled, serial)
-        np.testing.assert_array_equal(pooled_edge, serial_edge)
-        np.testing.assert_array_equal(expected[1], serial)
+        assert pools == [threading.current_thread()]
 
     def test_worker_exception_propagates(self):
-        bank = np.ones((8, 1, 2), dtype=complex)
+        rng = np.random.default_rng(40)
+        taps = random_taps(rng, 0, 2, 1)
+        bank, _, _ = make_bank(taps, 8, 0.0, 1.0, 1.0)
         r = np.ones((2, 64), dtype=complex)
 
         def fail(R, bank):
@@ -576,10 +634,8 @@ class TestRowSplit:
     # not a multiple of either.
     @pytest.mark.parametrize("threads", [1, 2, 5])
     @pytest.mark.parametrize("M", [3, 7])
-    def test_row_split_stages_are_bitwise_serial(self, threads, M, monkeypatch):
-        # freq_channel transforms 2 rows at a time, leaving a ragged last
-        # group, and equals the one-shot transform of all rows.
-        monkeypatch.setattr(channel, "_GROUP_BYTES", 2 * 2 * 40 * 16)
+    def test_row_split_stages_are_bitwise_serial(self, threads, M):
+        # freq_channel equals the one-shot transform of all rows.
         rng = np.random.default_rng(35)
         taps = random_taps(rng, 5, M, 2)
         x = rng.standard_normal((2, 300)) + 1j * rng.standard_normal((2, 300))
@@ -602,44 +658,50 @@ class TestRowSplit:
             np.testing.assert_array_equal(b, a)
         np.testing.assert_array_equal(serial[3], serial[2])
         one_shot = np.fft.fft(np.ascontiguousarray(taps.taps.transpose(1, 2, 0)), n=40, axis=-1)
-        np.testing.assert_array_equal(serial[0], one_shot.transpose(2, 0, 1))
+        np.testing.assert_array_equal(serial[0], one_shot)
 
     @pytest.mark.parametrize(
         "module, job", [(channel, "_transform_taps"), (channel, "_inverse_rows"),
-                        (quant, "_quantize_rows"), (fde, "_transform_block")],
+                        (quant, "_quantize_rows"), (fde, "_transform_rows"),
+                        (fde, "_solve_subbands"), (fde, "_factor_subbands")],
     )
     def test_row_job_exception_propagates(self, monkeypatch, module, job):
+        # The job that ends at the last row (M = 4) or subband (N_b = 16) fails.
         rng = np.random.default_rng(36)
         taps = random_taps(rng, 2, 4, 2)
         x = np.ones((2, 64), dtype=complex)
         original = getattr(module, job)
+        last = 16 if job in ("_solve_subbands", "_factor_subbands") else 4
 
-        def fail_last_rows(*args):
-            if args[-1] == 4:  # the job that ends at the last row
+        def fail_last(*args):
+            if args[-1] == last:
                 raise RuntimeError("row job failed")
             original(*args)
 
-        monkeypatch.setattr(module, job, fail_last_rows)
+        monkeypatch.setattr(module, job, fail_last)
         bm = bussgang_model(taps, 0.2, 1.0, 1.0)
+
+        def stream():
+            r, cfg = np.ones((4, 16), dtype=complex), FdeConfig(block_len=16, overlap=2)
+            return equalize_stream(r, freq_channel(taps, 16), [bm], cfg)
+
         calls = {
             "_transform_taps": lambda: freq_channel(taps, 16),
             "_inverse_rows": lambda: convolve_transmit(taps, x),
             "_quantize_rows": lambda: quantize(x.repeat(2, axis=0), design_quantizer(1, 1.0)),
-            "_transform_block": lambda: equalize_stream(
-                np.ones((4, 16), dtype=complex), freq_channel(taps, 16), [bm],
-                FdeConfig(block_len=16, overlap=2),
-            ),
         }
-        with pool_threads(2), pytest.raises(RuntimeError, match="row job failed"):
-            calls[job]()
+        with pool_threads(2, chunk_bytes=3 * 4 * 16):
+            with pytest.raises(RuntimeError, match="row job failed"):
+                calls.get(job, stream)()
 
 
 class TestOneBlockStream:
     def test_peak_memory_below_the_bank(self, monkeypatch):
-        # tracemalloc counts numpy's buffers.  The (N_b, K, M) bank of this
-        # stream is 32 MiB; the one-block route holds the forward transform
-        # (16 MiB), both models' estimates (2 MiB) and one chunk's products
-        # and temporaries (about 2 MiB) per thread.
+        # tracemalloc counts numpy's buffers.  Explicit (N_b, K, M) filters
+        # of this stream would be 32 MiB; the factored bank is 2 MiB, and the
+        # block holds its forward transform (16 MiB), both models' estimates
+        # (2 MiB, and 2 MiB more in the stream's output) and one chunk's
+        # products and temporaries (about 2 MiB).
         rng = np.random.default_rng(33)
         M, K, L, N_b = 32, 2, 15, 32768
         taps = random_taps(rng, L, M, K)
@@ -662,7 +724,7 @@ class TestOneBlockStream:
     @pytest.mark.parametrize("rho", [0.0, 0.3])
     def test_matches_bank_and_dense_oracle(self, K, rho):
         # On circulant data the one-block stream is the dense Wiener filter;
-        # on any stream it is the bank's overlap-save pass, up to rounding.
+        # on any stream it is the textbook filters', up to rounding.
         rng = np.random.default_rng(38 + K)
         M, L, N_b = 5, 3, 24
         taps = random_taps(rng, L, M, K)
@@ -677,10 +739,9 @@ class TestOneBlockStream:
         est = equalize_stream(block[:, ::-1], subbands, [bm, wf], cfg)
         dense = time_domain_wf(r, cir, bm)
         solved = est[0][:, ::-1].reshape(-1, order="F")
-        assert np.linalg.norm(solved - dense) <= ONE_BLOCK_RTOL * np.linalg.norm(dense)
-        banks = [build_filter_bank(subbands, m, cfg) for m in (bm, wf)]
-        expected = np.stack([overlap_save_stream(block[:, ::-1], b, cfg)[0] for b in banks])
-        assert_one_block_close(est, expected)
+        assert np.linalg.norm(solved - dense) <= RTOL * np.linalg.norm(dense)
+        expected = np.stack([oracle_block(block, model_filters(subbands, m)) for m in (bm, wf)])
+        assert_close(est, expected[..., ::-1])
 
     def test_rejects_mismatched_inputs(self):
         rng = np.random.default_rng(34)

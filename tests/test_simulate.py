@@ -217,13 +217,13 @@ class TestConfigValidation:
             SimConfig(K=256, M=256, L=256, T_c=1024, block_lens=(257,))
 
     def test_subband_cap(self):
-        # A realization holds the (N_b, M, K) subbands of every block length at
+        # A realization holds the (M, K, N_b) subbands of every block length at
         # once: 113 MB at paper scale, inside the cap; 4 GiB here is not.
         SimConfig(K=2, M=64, L=127, T_c=50000, block_lens=(256, 1024, 4096, 50000))
         SimConfig(K=256, M=256, L=3, T_c=4096, block_lens=(100, 156))  # 2**28 bytes
-        with pytest.raises(ConfigurationError, match="sum\\(N_b\\) x M x K = 257 x 256 x 256"):
+        with pytest.raises(ConfigurationError, match="M x K x sum\\(N_b\\) = 256 x 256 x 257"):
             SimConfig(K=256, M=256, L=3, T_c=4096, block_lens=(100, 157))
-        with pytest.raises(ConfigurationError, match="4096 x 256 x 256 subbands exceeds"):
+        with pytest.raises(ConfigurationError, match="256 x 256 x 4096 subbands exceeds"):
             SimConfig(K=256, M=256, L=3, T_c=4096, N_sim=1, block_lens=(4096,))
 
     def test_overlap_defaults_to_memory(self, monkeypatch):
@@ -293,6 +293,18 @@ class TestEngine:
             assert started == expected
             assert rep.rows == serial.rows
 
+    def test_every_block_length_crosses_equalize_block(self, monkeypatch):
+        # Scaling equalize_block's result moves every row: the multi-block
+        # N_b = 16 and the one-block N_b = T_c = 128 alike.
+        cfg = self.small_cfg(N_sim=1)
+        base = run_experiment(cfg)
+        original = fde.equalize_block
+        monkeypatch.setattr(fde, "equalize_block", lambda R, bank: original(R, bank) * 1.01)
+        scaled = run_experiment(cfg)
+        assert {r.n_b for r in scaled.rows} == {16, 128}
+        for a, b in zip(base.rows, scaled.rows):
+            assert b.mse != a.mse
+
     def test_report_shape_and_counting(self):
         cfg = self.small_cfg()
         rep = run_experiment(cfg)
@@ -324,7 +336,7 @@ class TestEngine:
         assert any(ra.mse != rb.mse for ra, rb in zip(a.rows, b.rows))
 
     def test_worker_count_invariant(self):
-        # small_cfg's grid holds N_b = T_c = 128, the one-block route.
+        # small_cfg's grid holds a one-block stream, N_b = T_c = 128.
         a = run_experiment(self.small_cfg(workers=1))
         b = run_experiment(self.small_cfg(workers=2))
         assert_same_results(a, b)
@@ -333,11 +345,11 @@ class TestEngine:
         cfg = self.small_cfg()
         default_chunks = run_experiment(cfg)
         # Every call pooled: freq_channel, convolve_transmit and quantize split
-        # their M = 8 rows, overlap-save its blocks, the filters come in chunks
-        # of 5 subbands (K * M * 16 bytes each), and at N_b = T_c = 128 the
-        # subband systems are solved in chunks of 1 (7 * M * 16 bytes each).
-        # The chunks do not depend on the thread count, so neither do the
-        # results, bitwise.
+        # their M = 8 rows, overlap-save its blocks, the bank is factored in
+        # chunks of 2 subbands (5 * M * 16 bytes each), and at N_b = T_c = 128
+        # the block's transform splits its rows and its subband systems are
+        # solved in chunks of 3 (3 * M * 16 bytes each).  The chunks do not
+        # depend on the thread count, so neither do the results, bitwise.
         monkeypatch.setattr(_pool, "_PARALLEL_MIN_BYTES", 0)
         monkeypatch.setattr(fde, "_CHUNK_BYTES", 5 * cfg.K * cfg.M * 16)
         monkeypatch.setattr(_pool, "_threads", 1)
@@ -345,8 +357,8 @@ class TestEngine:
         for threads in (2, 5):
             monkeypatch.setattr(_pool, "_threads", threads)
             assert_same_results(run_experiment(cfg), serial)
-        # Another chunk width sums the one-block solves in another order, so it
-        # agrees to rounding.  The bank route's chunks build bitwise one-shot.
+        # Another chunk width sums over the antennas in another order, so it
+        # agrees to rounding; the multi-block rows happen to agree bitwise.
         for a, b in zip(serial.rows, default_chunks.rows):
             assert dataclasses.replace(a, mse=b.mse, mse_stderr=b.mse_stderr) == b
             assert a.mse == pytest.approx(b.mse, rel=1e-12)
@@ -356,8 +368,9 @@ class TestEngine:
     @pytest.mark.parametrize("block_len", [16, 128])
     def test_singular_gram_rejected(self, block_len):
         # More users than antennas: at 200 dB the identity load 1/sigma_x^2 is
-        # lost in rounding, and WF's Gram matrix H^H H has rank M < K.  Both
-        # routes, N_b < T_c and N_b = T_c = 128, refuse it instead of writing NaN.
+        # lost in rounding, and WF's Gram matrix H^H H has rank M < K.  A
+        # multi-block and a one-block stream, N_b < T_c and N_b = T_c = 128,
+        # refuse it instead of writing NaN.
         cfg = self.small_cfg(K=4, M=2, N_sim=1, ebn0_grid=(200.0,), block_lens=(block_len,))
         with pytest.raises(ConfigurationError, match="singular"):
             run_experiment(cfg)
