@@ -11,8 +11,10 @@ provided as an oracle for small instances.
 
 Every stream goes this one way: build_filter_bank, then overlap_save_stream,
 which calls equalize_block per block (a stream of one block, the paper's
-N_b = T_c, included).  equalize_stream chains the two for the sweep; the
-bathtub profile calls build_filter_bank and equalize_block itself.  The
+N_b = T_c, included).  equalize_stream chains the two; the sweep builds one
+bank for the models of all its Eb/N0 points and streams each point through
+FilterBank.subset, and the bathtub profile calls build_filter_bank and
+equalize_block itself.  The
 estimates agree with explicit per-subband filters F^H G_f F to a relative
 1e-12 (rounding: the arithmetic is ordered differently).
 
@@ -88,6 +90,12 @@ class FilterBank:
     weights: np.ndarray
     mult: np.ndarray
     rpiv: np.ndarray
+
+    def subset(self, lo: int, hi: int) -> FilterBank:
+        """The bank of models lo..hi-1 alone, on views of this bank's arrays."""
+        return FilterBank(
+            self.subbands, self.weights[lo:hi], self.mult[:, lo:hi], self.rpiv[:, lo:hi]
+        )
 
 
 def unitary_dft_matrix(n: int) -> np.ndarray:
@@ -290,11 +298,13 @@ def overlap_save_stream(
     T = r.shape[1]
     if T < N_b:
         raise ConfigurationError(f"stream length {T} shorter than block length {N_b}")
-    step = N_b - cfg.overlap
-    out = np.empty((len(bank.weights) * K, T), dtype=np.complex128)
     edge = np.zeros(T, dtype=bool)
     edge[T - cfg.overlap :] = True
+    if T == N_b:  # one block: its estimates are the stream's
+        return equalize_block(r[:, ::-1], bank)[:, ::-1], edge
 
+    step = N_b - cfg.overlap
+    out = np.empty((len(bank.weights) * K, T), dtype=np.complex128)
     starts = list(range(0, T - N_b + 1, step))
     if starts[-1] != T - N_b:
         starts.append(T - N_b)  # clamped final block

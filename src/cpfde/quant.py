@@ -8,7 +8,8 @@ MSE-optimal quantizer.  The unit-std designs for b = 1..MAX_BITS are tabulated
 scipy, is their derivation and the oracle the table is tested against.
 
 quantize splits a large stream's antenna rows over the thread pool of _pool
-(searchsorted releases the GIL), bitwise as one serial call.
+(searchsorted and elementwise arithmetic release the GIL), bitwise as one
+serial call.
 """
 
 from __future__ import annotations
@@ -165,6 +166,12 @@ def quantize(
     times scale[m], which for a unit-std spec is design_quantizer(b, scale[m]).
     out, if given, is a complex array of y's shape that receives the result;
     it may be y itself (each part of a row is read before it is written).
+
+    A multi-bit design is applied row by row with searchsorted.  A 1-bit
+    design (levels -l, l, threshold 0; finite positive scales) writes l times
+    the row's scale with the sign of each part, a range of rows at a time,
+    bitwise as searchsorted would: zeros go to the lower level and NaN to the
+    upper one, whatever their sign bit.
     """
     y = np.asarray(y, dtype=np.complex128)
     if out is None:
@@ -183,12 +190,43 @@ def quantize(
 
 
 def _quantize_rows(y, spec, scale, out, lo, hi) -> None:
+    if _by_sign(spec, scale[lo:hi]) and y.flags.c_contiguous and out.flags.c_contiguous:
+        # Both parts of every row at once, through the float views.
+        _quantize_sign(y[lo:hi].view(np.float64), spec, scale[lo:hi], out[lo:hi].view(np.float64))
+        return
     # Row by row: one normalized whole-stream searchsorted measured slower.
     for m in range(lo, hi):
         thresholds = spec.thresholds[1:-1] * scale[m]
         levels = spec.levels * scale[m]
         out[m].real = levels[np.searchsorted(thresholds, y[m].real, side="left")]
         out[m].imag = levels[np.searchsorted(thresholds, y[m].imag, side="left")]
+
+
+def _by_sign(spec: QuantizerSpec, scale: np.ndarray) -> bool:
+    """Whether rows at these scales quantize by sign: levels -l, l around 0."""
+    levels, thresholds = spec.levels, spec.thresholds
+    return (
+        len(levels) == 2
+        and thresholds[1] == 0
+        and levels[1] > 0
+        and levels[0] == -levels[1]
+        and bool(np.all((scale > 0) & (scale < np.inf)))
+    )
+
+
+def _quantize_sign(v, spec, scale, w) -> None:
+    """The row loop's result for a 1-bit design, bitwise, from the sign of each part.
+
+    v and w are float views of rows of y and out.  searchsorted puts a part on
+    the upper level unless it is <= 0, so +0.0 goes down and NaN of either
+    sign goes up, whatever the sign bit says.  Such parts are looked for
+    before anything is written, since w may be v.
+    """
+    upper = spec.levels[1] * scale[:, None]
+    if v.size and np.all(v != 0) and not np.isnan(v.max()):
+        np.copysign(upper, v, out=w)
+    else:
+        w[...] = np.where(v <= 0, spec.levels[0] * scale[:, None], upper)
 
 
 def bussgang_model(

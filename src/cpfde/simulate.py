@@ -24,7 +24,7 @@ from .channel import (
 )
 from ._pool import _set_threads, _thread_count
 from .errors import ConfigurationError
-from .fde import FdeConfig, build_filter_bank, equalize_block, equalize_stream
+from .fde import FdeConfig, build_filter_bank, equalize_block, overlap_save_stream
 from .quant import MAX_BITS, bussgang_model, design_quantizer, per_antenna_agc, quantize
 
 METHODS = ("WF", "WF_Q")
@@ -96,28 +96,31 @@ def map_symbols(bits: np.ndarray, order: int) -> np.ndarray:
 
 
 def demap_symbols(estimates: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-distance detection: hard symbols plus recovered Gray bits.
+    """Minimum-distance detection: the detected Gray indices per axis.
 
-    Midpoint ties break toward the lexicographically smaller (real, imag) point.
+    Returns the in-phase and quadrature Gray indices of the nearest
+    constellation point, each shaped as estimates, in the smallest unsigned
+    dtype that holds them; map_symbols sends the most significant bit of each
+    index first.  Points outside the constellation clip to its edge, and
+    midpoint ties break toward the smaller level.  The bit errors of a
+    detection are popcount(detected ^ sent), added over both axes.
     """
-    side, bpa, scale = _qam_params(order)
-    est = np.asarray(estimates, dtype=np.complex128).ravel()
+    side, _, scale = _qam_params(order)
+    est = np.ascontiguousarray(estimates, dtype=np.complex128)
+    u = est.view(np.float64) / scale  # real and imaginary parts interleaved
+    u += side
+    u /= 2.0
+    np.ceil(u, out=u)
+    u -= 1
+    np.clip(u, 0, side - 1, out=u)
+    gray = _binary_to_gray(u.astype(np.min_scalar_type(side - 1)))
+    gray = gray.reshape(*np.shape(estimates), 2)
+    return gray[..., 0], gray[..., 1]
 
-    def axis_index(v):
-        u = v / scale
-        idx = np.ceil((u + side) / 2.0) - 1
-        return np.clip(idx, 0, side - 1).astype(np.int64)
 
-    li = axis_index(est.real)
-    lq = axis_index(est.imag)
-    symbols = ((2 * li - (side - 1)) + 1j * (2 * lq - (side - 1))) * scale
-    gi = _binary_to_gray(li)
-    gq = _binary_to_gray(lq)
-    shifts = np.arange(bpa - 1, -1, -1)
-    bits = np.empty((est.size, 2 * bpa), dtype=np.int64)
-    bits[:, :bpa] = (gi[:, None] >> shifts) & 1
-    bits[:, bpa:] = (gq[:, None] >> shifts) & 1
-    return symbols.reshape(np.shape(estimates)), bits.ravel()
+def _bit_errors(sent, detected) -> int:
+    """Bits in which per-axis Gray indices differ, over both axes."""
+    return sum(int(np.bitwise_count(a ^ b).sum()) for a, b in zip(sent, detected))
 
 
 # --------------------------------------------------------------------------
@@ -268,25 +271,29 @@ def _sigma_x2(cfg: SimConfig, ebn0s, ref: int) -> dict:
 
 
 def _transmit(cfg: SimConfig, index: int):
-    """Taps, data/noise generator, bits, unit-power symbols and their noiseless H*x."""
+    """Taps, data/noise generator, unit-power symbols and their noiseless H*x."""
     taps = _realization_taps(cfg, index)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, index)))
     bits = rng.integers(0, 2, size=cfg.K * cfg.T_c * cfg.bits_per_symbol)
     unit_syms = map_symbols(bits, cfg.modulation).reshape(cfg.K, cfg.T_c)
-    return taps, rng, bits, unit_syms, convolve_transmit(taps, unit_syms)
+    return taps, rng, unit_syms, convolve_transmit(taps, unit_syms)
+
+
+def _rho_q(cfg: SimConfig) -> float:
+    """The distortion factor of the receiver's quantizer design (0 without one)."""
+    return 0.0 if cfg.quant_bits is None else design_quantizer(cfg.quant_bits, 1.0).rho_q
 
 
 def _receive(cfg: SimConfig, taps: ChannelTaps, hx, sigma_x2: float, rng):
-    """Stream at power sigma_x2 plus unit-power noise, quantized in place, and its rho_q.
+    """Stream at power sigma_x2 plus unit-power noise, quantized in place.
 
     One unit-std quantizer design is scaled by each antenna's AGC std.
     """
     r = add_noise(np.sqrt(sigma_x2) * hx, 1.0, rng)
-    if cfg.quant_bits is None:
-        return r, 0.0
-    spec = design_quantizer(cfg.quant_bits, 1.0)
-    quantize(r, spec, per_antenna_agc(taps, sigma_x2, 1.0), out=r)
-    return r, spec.rho_q
+    if cfg.quant_bits is not None:
+        spec = design_quantizer(cfg.quant_bits, 1.0)
+        quantize(r, spec, per_antenna_agc(taps, sigma_x2, 1.0), out=r)
+    return r
 
 
 def _run_one_realization(args):
@@ -296,37 +303,47 @@ def _run_one_realization(args):
     (int64) the bit errors, both shaped (Eb/N0 points, block lengths,
     methods).  Only the first T_c - L positions of each user are scored:
     overlap_save_stream flags the last L as edge for every N_b.
+
+    The models need the taps, the design's rho_q and each point's transmit
+    power, not the received stream, so each N_b gets one filter bank for
+    every point's models, built at the first point and dropped after the
+    last; each point streams through its own subset of the bank.
     """
     cfg, index, sigma_x2_by_ebn0 = args
-    taps, rng, bits, unit_syms, hx = _transmit(cfg, index)
+    taps, rng, unit_syms, hx = _transmit(cfg, index)
     n = cfg.T_c - cfg.L  # scored positions per user
-    tx_bits = bits.reshape(cfg.K, -1)[:, : n * cfg.bits_per_symbol].ravel()
+    sent = demap_symbols(unit_syms[:, :n], cfg.modulation)
+    rho, Q = _rho_q(cfg), len(cfg.methods)
+    # Q models per point; WF's ignores quantization (rho_q = 0).
+    models = [
+        bussgang_model(taps, rho if method == "WF_Q" else 0.0, 1.0, sigma_x2_by_ebn0[ebn0])
+        for ebn0 in cfg.ebn0_grid
+        for method in cfg.methods
+    ]
 
-    # Once per realization: the subband channels per N_b.  Both methods share
-    # the gain-free subbands; the equalizer applies each model's gain.
-    subbands = {n_b: freq_channel(taps, n_b) for n_b in cfg.block_lens}
-
-    shape = (len(cfg.ebn0_grid), len(cfg.block_lens), len(cfg.methods))
+    shape = (len(cfg.ebn0_grid), len(cfg.block_lens), Q)
     sq = np.empty(shape)
     bit_err = np.empty(shape, dtype=np.int64)
+    banks = {}
+    last = len(cfg.ebn0_grid) - 1
     for i, ebn0 in enumerate(cfg.ebn0_grid):
         sigma_x2 = sigma_x2_by_ebn0[ebn0]
         x = np.sqrt(sigma_x2) * unit_syms[:, :n]
-        r, rho = _receive(cfg, taps, hx, sigma_x2, rng)
-        # WF is the filter of the model that ignores quantization (rho_q = 0).
-        models = [
-            bussgang_model(taps, rho if method == "WF_Q" else 0.0, 1.0, sigma_x2)
-            for method in cfg.methods
-        ]
+        r = _receive(cfg, taps, hx, sigma_x2, rng)
         for j, n_b in enumerate(cfg.block_lens):
             fde_cfg = FdeConfig(block_len=n_b, overlap=cfg.L)
-            estimates = equalize_stream(r, subbands[n_b], models, fde_cfg)
+            if i == 0:
+                banks[n_b] = build_filter_bank(freq_channel(taps, n_b), models, fde_cfg)
+            bank = banks[n_b] if i < last else banks.pop(n_b)
+            out = overlap_save_stream(r, bank.subset(i * Q, (i + 1) * Q), fde_cfg)[0]
+            del bank  # after the last point, before the next N_b's bank is built
+            estimates = out.reshape(Q, cfg.K, -1)
             for k, xhat in enumerate(estimates[..., :n]):
                 # MSE per unit symbol energy: fixed unit change, not blind scaling
                 sq[i, j, k] = np.sum(np.abs((xhat - x) / np.sqrt(sigma_x2)) ** 2)
                 # BER on the same positions, against the scaled constellation
-                _, rx_bits = demap_symbols(xhat / np.sqrt(sigma_x2), cfg.modulation)
-                bit_err[i, j, k] = np.count_nonzero(rx_bits != tx_bits)
+                detected = demap_symbols(xhat / np.sqrt(sigma_x2), cfg.modulation)
+                bit_err[i, j, k] = _bit_errors(sent, detected)
     return index, sq, bit_err
 
 
@@ -401,10 +418,10 @@ def per_position_error_profile(cfg: SimConfig, n_b: int, ebn0_db: float) -> np.n
     acc = np.zeros(n_b)
     count = 0
     for i in range(cfg.N_sim):
-        taps, rng, _, unit_syms, hx = _transmit(cfg, i)
+        taps, rng, unit_syms, hx = _transmit(cfg, i)
         x = np.sqrt(sigma_x2) * unit_syms
-        r, rho = _receive(cfg, taps, hx, sigma_x2, rng)
-        bm = bussgang_model(taps, rho, 1.0, sigma_x2)
+        r = _receive(cfg, taps, hx, sigma_x2, rng)
+        bm = bussgang_model(taps, _rho_q(cfg), 1.0, sigma_x2)
         bank = build_filter_bank(
             freq_channel(taps, n_b), [bm], FdeConfig(block_len=n_b, overlap=0)
         )

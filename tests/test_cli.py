@@ -149,6 +149,17 @@ class TestOptimizeBlock:
         assert err.startswith("error: the 4 x 4 Gram matrix is singular")
         assert not list(tmp_path.iterdir())
 
+    def test_singular_gram_at_last_point_exit_2(self, capsys, tmp_path):
+        # The same channels equalize at 0 dB: only the last point is singular.
+        code, _, err = run_cli(
+            capsys, "sweep", "--users", "4", "--antennas", "2", "--ebn0", "0,200",
+            "--realizations", "2", "--block-lens", "64,2048", "--output-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: the 4 x 4 Gram matrix is singular")
+        assert not list(tmp_path.iterdir())
+
     def test_config_file_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "opt.ini"
         cfg.write_text("[complexity]\nantennas = 64\noverlap = 15\ncoherence = 2048\nusers = 2\n")

@@ -207,6 +207,23 @@ class TestFilterBank:
             close = np.allclose(est, expected, rtol=RTOL, atol=RTOL * np.abs(expected).max())
             assert close == (power == 1)
 
+    @pytest.mark.parametrize("N_b", [16, 40])
+    def test_subset_is_the_bank_of_its_models(self, N_b):
+        # Two Eb/N0 points of two models each, as the sweep builds them; a
+        # multi-block (N_b = 16) and a one-block (N_b = T = 40) stream.
+        rng = np.random.default_rng(6)
+        taps = random_taps(rng, 3, 5, 2)
+        models = [bussgang_model(taps, rho, 0.7, sx2) for sx2 in (0.5, 2.0) for rho in (0.0, 0.3)]
+        subbands, cfg = freq_channel(taps, N_b), FdeConfig(block_len=N_b, overlap=3)
+        bank = build_filter_bank(subbands, models, cfg)
+        r = rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))
+        for lo, hi in ((0, 2), (2, 4), (3, 4)):
+            subset = bank.subset(lo, hi)
+            assert np.shares_memory(subset.mult, bank.mult)
+            alone = build_filter_bank(subbands, models[lo:hi], cfg)
+            expected = overlap_save_stream(r, alone, cfg)[0]
+            assert_close(overlap_save_stream(r, subset, cfg)[0], expected)
+
     def test_block_len_mismatch_rejected(self):
         rng = np.random.default_rng(4)
         taps = random_taps(rng, 0, 2, 1)
@@ -700,8 +717,8 @@ class TestOneBlockStream:
         # tracemalloc counts numpy's buffers.  Explicit (N_b, K, M) filters
         # of this stream would be 32 MiB; the factored bank is 2 MiB, and the
         # block holds its forward transform (16 MiB), both models' estimates
-        # (2 MiB, and 2 MiB more in the stream's output) and one chunk's
-        # products and temporaries (about 2 MiB).
+        # (2 MiB, which the stream returns as they are) and one chunk's
+        # products and temporaries (under 2 MiB).
         rng = np.random.default_rng(33)
         M, K, L, N_b = 32, 2, 15, 32768
         taps = random_taps(rng, L, M, K)
@@ -719,6 +736,8 @@ class TestOneBlockStream:
             tracemalloc.stop()
         assert est.shape == (2, K, N_b)
         assert peak < N_b * K * M * 16
+        transform, estimates, bank = M * N_b * 16, 2 * K * N_b * 16, 2 << 20
+        assert peak < transform + estimates + bank + fde._CHUNK_BYTES
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     @pytest.mark.parametrize("rho", [0.0, 0.3])

@@ -8,6 +8,7 @@ from scipy.stats import norm
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cpfde import _pool, quant
 from cpfde.channel import ChannelTaps
 from cpfde.errors import ConfigurationError, DimensionError
 from cpfde.quant import (
@@ -23,6 +24,22 @@ from cpfde.quant import (
 )
 
 ONE_BIT_LEVEL = np.sqrt(2.0 / np.pi)  # Gaussian conditional mean E[y | y > 0]
+
+# Signed zeros, subnormals, infinities and NaN of either sign bit.
+SPECIAL_PARTS = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, np.inf, -np.inf, np.nan, -np.nan]
+)
+
+
+def searchsorted_rows(y, spec, scale):
+    """Oracle: a row loop of searchsorted over spec's thresholds and levels times scale[m]."""
+    rows = y[:, None] if y.ndim == 1 else y
+    out = np.empty_like(rows)
+    for m, row in enumerate(rows):
+        t, q = spec.thresholds[1:-1] * scale[m], spec.levels * scale[m]
+        out[m].real = q[np.searchsorted(t, row.real)]
+        out[m].imag = q[np.searchsorted(t, row.imag)]
+    return out.reshape(y.shape)
 
 
 class TestDesign:
@@ -156,6 +173,43 @@ class TestQuantize:
         got = quantize(y, design_quantizer(b, 1.0), scale, out=y if in_place else None)
         assert np.shares_memory(got, y) == in_place
         assert got.shape == shape and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    @pytest.mark.parametrize("in_place", [False, True], ids=["new", "out=y"])
+    @pytest.mark.parametrize("shape", [(7,), (7, 40)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_special_parts_bitwise_as_searchsorted(self, monkeypatch, b, shape, in_place, threads):
+        # 1 bit goes by sign, 2 and 3 bits by searchsorted.  The first parts of
+        # rows 0 and 4 (of rows 0..4 in 1-D) are the special values; with the
+        # floor at 0 the rows split over the threads, so ranges with and
+        # without them meet.
+        monkeypatch.setattr(_pool, "_PARALLEL_MIN_BYTES", 0)
+        monkeypatch.setattr(_pool, "_threads", threads)
+        rng = np.random.default_rng(40 + b)
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        parts = y.reshape(-1).view(np.float64)
+        width = parts.size // shape[0]
+        for start in (0, 4 * width) if y.ndim == 2 else (0,):
+            parts[start : start + SPECIAL_PARTS.size] = SPECIAL_PARTS
+        spec, scale = design_quantizer(b, 1.0), rng.uniform(0.3, 3.0, shape[0])
+        assert quant._by_sign(spec, scale) == (b == 1)
+        expected = searchsorted_rows(y, spec, scale)
+        got = quantize(y, spec, scale, out=y if in_place else None)
+        assert np.shares_memory(got, y) == in_place
+        assert got.shape == shape and got.tobytes() == expected.tobytes()
+
+    def test_one_bit_degenerate_scales_as_searchsorted(self):
+        # Zero, infinite and NaN scales leave the sign path; tiny and huge do not.
+        rng = np.random.default_rng(47)
+        spec = design_quantizer(1, 1.0)
+        y = rng.standard_normal((7, 30)) + 1j * rng.standard_normal((7, 30))
+        y[:, 0].real, y[:, 0].imag = SPECIAL_PARTS[:7], SPECIAL_PARTS[3:]
+        scale = np.array([1e-300, 1e300, 0.0, np.inf, np.nan, 1.0, 2.0])
+        assert quant._by_sign(spec, scale[[0, 1, 5, 6]])
+        assert not any(quant._by_sign(spec, scale[[m]]) for m in (2, 3, 4))
+        with np.errstate(invalid="ignore"):  # 0 * inf: the threshold of row 3
+            expected = searchsorted_rows(y, spec, scale)
+            assert quantize(y, spec, scale).tobytes() == expected.tobytes()
 
     def test_scale_length_enforced(self):
         spec = design_quantizer(1, 1.0)

@@ -10,12 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 import cpfde
 from cpfde import _pool, fde, simulate
-from cpfde.channel import ChannelTaps, PowerDelayProfile
+from cpfde.channel import ChannelTaps, PowerDelayProfile, freq_channel
 from cpfde.errors import ConfigurationError
+from cpfde.quant import bussgang_model, design_quantizer
 from cpfde.simulate import (
     SimConfig,
     demap_symbols,
@@ -25,6 +28,72 @@ from cpfde.simulate import (
     run_experiment,
     _realization_taps,
 )
+
+
+def gray_bits(gray, order):
+    """The bit stream of per-axis Gray indices, in map_symbols' order."""
+    bpa = (order.bit_length() - 1) // 2
+    shifts = np.arange(bpa - 1, -1, -1)
+    gi, gq = (np.asarray(g, dtype=np.int64).ravel()[:, None] for g in gray)
+    return np.concatenate([(gi >> shifts) & 1, (gq >> shifts) & 1], axis=1).ravel()
+
+
+def gray_points(gray, order):
+    """The constellation points that per-axis Gray indices name."""
+    side, bpa, scale = simulate._qam_params(order)
+    gi, gq = (2 * simulate._gray_to_binary(g.astype(np.int64), bpa) - (side - 1) for g in gray)
+    return (gi + 1j * gq) * scale
+
+
+def bit_array_demap(estimates, order):
+    """Minimum-distance detection as flat int64 Gray bits: the sweep's former scoring."""
+    side, bpa, scale = simulate._qam_params(order)
+    est = np.asarray(estimates, dtype=np.complex128).ravel()
+
+    def axis_index(v):
+        u = v / scale
+        idx = np.ceil((u + side) / 2.0) - 1
+        return np.clip(idx, 0, side - 1).astype(np.int64)
+
+    gi, gq = (simulate._binary_to_gray(axis_index(v)) for v in (est.real, est.imag))
+    shifts = np.arange(bpa - 1, -1, -1)
+    bits = np.empty((est.size, 2 * bpa), dtype=np.int64)
+    bits[:, :bpa] = (gi[:, None] >> shifts) & 1
+    bits[:, bpa:] = (gq[:, None] >> shifts) & 1
+    return bits.ravel()
+
+
+def per_point_reference(cfg, index, sigma_x2_by_ebn0):
+    """(sq, bit_err) of one realization, equalized point by point.
+
+    One equalize_stream call per Eb/N0 point and N_b, on a bank of that
+    point's models alone, and bit errors counted on flat bit arrays against
+    the transmitted bits.
+    """
+    taps, rng, unit_syms, hx = simulate._transmit(cfg, index)
+    ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, index))
+    bits = np.random.default_rng(ss).integers(0, 2, size=cfg.K * cfg.T_c * cfg.bits_per_symbol)
+    n = cfg.T_c - cfg.L
+    tx_bits = bits.reshape(cfg.K, -1)[:, : n * cfg.bits_per_symbol].ravel()
+    rho = 0.0 if cfg.quant_bits is None else design_quantizer(cfg.quant_bits, 1.0).rho_q
+    shape = (len(cfg.ebn0_grid), len(cfg.block_lens), len(cfg.methods))
+    sq, bit_err = np.empty(shape), np.empty(shape, dtype=np.int64)
+    for i, ebn0 in enumerate(cfg.ebn0_grid):
+        sigma_x2 = sigma_x2_by_ebn0[ebn0]
+        x = np.sqrt(sigma_x2) * unit_syms[:, :n]
+        r = simulate._receive(cfg, taps, hx, sigma_x2, rng)
+        models = [
+            bussgang_model(taps, rho if method == "WF_Q" else 0.0, 1.0, sigma_x2)
+            for method in cfg.methods
+        ]
+        for j, n_b in enumerate(cfg.block_lens):
+            fde_cfg = fde.FdeConfig(block_len=n_b, overlap=cfg.L)
+            estimates = fde.equalize_stream(r, freq_channel(taps, n_b), models, fde_cfg)
+            for k, xhat in enumerate(estimates[..., :n]):
+                sq[i, j, k] = np.sum(np.abs((xhat - x) / np.sqrt(sigma_x2)) ** 2)
+                rx_bits = bit_array_demap(xhat / np.sqrt(sigma_x2), cfg.modulation)
+                bit_err[i, j, k] = np.count_nonzero(rx_bits != tx_bits)
+    return sq, bit_err
 
 
 def assert_same_results(a, b):
@@ -42,9 +111,13 @@ class TestQamMapping:
         B = order.bit_length() - 1
         bits = rng.integers(0, 2, size=500 * B)
         syms = map_symbols(bits, order)
-        hard, back = demap_symbols(syms, order)
-        np.testing.assert_array_equal(back, bits)
-        np.testing.assert_allclose(hard, syms, atol=1e-12)
+        gray = demap_symbols(syms, order)
+        assert all(g.dtype == np.uint8 and g.shape == syms.shape for g in gray)
+        np.testing.assert_array_equal(gray_bits(gray, order), bits)
+        np.testing.assert_allclose(gray_points(gray, order), syms, atol=1e-12)
+        square = demap_symbols(syms.reshape(20, -1), order)
+        assert all(g.shape == (20, syms.size // 20) for g in square)
+        np.testing.assert_array_equal(gray_bits(square, order), bits)
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_unit_average_energy(self, order):
@@ -77,13 +150,34 @@ class TestQamMapping:
         # midpoint between two levels resolves to the smaller point
         scale = np.sqrt(3.0 / 30.0)
         mid = 2.0 * scale  # between levels 1 and 3
-        hard, _ = demap_symbols(np.array([mid + 1j * mid]), 16)
+        hard = gray_points(demap_symbols(np.array([mid + 1j * mid]), 16), 16)
         np.testing.assert_allclose(hard, [(1 + 1j) * scale], atol=1e-12)
 
     def test_demap_saturates_outside_constellation(self):
-        hard, _ = demap_symbols(np.array([100.0 + 100.0j]), 16)
+        hard = gray_points(demap_symbols(np.array([100.0 + 100.0j, -1e300 - 1e300j]), 16), 16)
         scale = np.sqrt(3.0 / 30.0)
-        np.testing.assert_allclose(hard, [(3 + 3j) * scale], atol=1e-12)
+        np.testing.assert_allclose(hard, [(3 + 3j) * scale, (-3 - 3j) * scale], atol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), bits_per_axis=st.integers(1, 4))
+    def test_gray_index_count_is_the_bit_array_count(self, data, bits_per_axis):
+        # 4- to 256-QAM; estimates near the constellation, on the midpoints
+        # between levels (the ties) and far outside it.
+        order = 4**bits_per_axis
+        side, _, scale = simulate._qam_params(order)
+        n = data.draw(st.integers(1, 30))
+        bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=2 * bits_per_axis * n,
+                                           max_size=2 * bits_per_axis * n)))
+        coord = st.one_of(
+            st.floats(-side - 1.0, side + 1.0),
+            st.integers(1 - side // 2, side // 2 - 1).map(lambda k: 2.0 * k),
+            st.sampled_from([-1e300, -1e6, 1e6, 1e300]),
+        )
+        re, im = (np.array(data.draw(st.lists(coord, min_size=n, max_size=n))) for _ in range(2))
+        estimates = (re + 1j * im) * scale
+        sent = demap_symbols(map_symbols(bits, order), order)
+        expected = np.count_nonzero(bit_array_demap(estimates, order) != bits)
+        assert simulate._bit_errors(sent, demap_symbols(estimates, order)) == expected
 
     def test_non_square_order_rejected(self):
         for order in (8, -4, 0, 1, 2, 10**21, 4**9, 4**64):
@@ -106,7 +200,7 @@ class TestQamMapping:
         noisy = syms + np.sqrt(n0 / 2) * (
             rng.standard_normal(n) + 1j * rng.standard_normal(n)
         )
-        _, back = demap_symbols(noisy, 4)
+        back = gray_bits(demap_symbols(noisy, 4), 4)
         ber = np.mean(back != bits)
         expected = norm.sf(np.sqrt(2 * ebn0))
         assert ber == pytest.approx(expected, rel=0.08)
@@ -377,6 +471,35 @@ class TestEngine:
         # At 20 dB the same channels equalize.
         report = run_experiment(dataclasses.replace(cfg, ebn0_grid=(20.0,)))
         assert all(np.isfinite(r.mse) for r in report.rows)
+
+    def test_singular_gram_only_at_last_point_rejected(self):
+        # The banks hold every point's models, so the 200 dB point refuses
+        # the realization before any point is scored.
+        cfg = self.small_cfg(K=4, M=2, N_sim=1, ebn0_grid=(0.0, 20.0, 200.0))
+        with pytest.raises(ConfigurationError, match="singular"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"quant_bits": 3, "methods": ("WF_Q",)}, {"quant_bits": None, "methods": ("WF",)}],
+        ids=["1bit", "3bit-WF_Q", "unquantized-WF"],
+    )
+    def test_realization_equals_per_point_equalization(self, kw):
+        # N_b = 16 and 20 (clamped final block) stream several blocks, 128 is
+        # one; every point streams through its subset of one bank per N_b.
+        # The bank sums each Gram matrix over the antennas with one weight
+        # product for all points' models.  With two models per point that
+        # rounds as the per-point product does; with one, BLAS rounds the
+        # per-point one-row product differently, so sq agrees to 1e-12.
+        cfg = self.small_cfg(M=6, ebn0_grid=(0.0, 10.0, 20.0), block_lens=(16, 20, 128), **kw)
+        sigma_x2 = simulate._sigma_x2(cfg, cfg.ebn0_grid, min(cfg.block_lens))
+        for index in range(cfg.N_sim):
+            _, sq, bit_err = simulate._run_one_realization((cfg, index, sigma_x2))
+            ref_sq, ref_bit_err = per_point_reference(cfg, index, sigma_x2)
+            if len(cfg.methods) == 2:
+                np.testing.assert_array_equal(sq, ref_sq)
+            np.testing.assert_allclose(sq, ref_sq, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(bit_err, ref_bit_err)
 
     def test_forked_workers_after_parent_pool(self):
         # The parent runs its stages on thread pools before run_experiment forks;
