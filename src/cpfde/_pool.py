@@ -1,10 +1,12 @@
 """The thread pool that the large M-row stages of a realization share.
 
-numpy's FFT, matmul, searchsorted and elementwise arithmetic release the GIL,
-so a large call splits its antenna rows (or its subbands, or its blocks) over
-threads.  Every pool lives for one call: no thread outlives it, so a process
-forked later inherits none.  Each job runs the serial arithmetic on its own
-rows, so results are bitwise the same for any thread count.
+numpy's FFT, matmul, searchsorted, random draws and elementwise arithmetic
+release the GIL, so a large call splits its antenna rows (or its subbands, or
+its blocks) over threads, and a sequence of small calls can run one ahead of
+the caller on a helper thread (_ahead).  Every pool lives for one call or one
+with block: no thread outlives it, so a process forked later inherits none.
+Each job runs the serial arithmetic on its own rows, so results are bitwise
+the same for any thread count.
 
 Work on the pool calls only private helpers: a tracer may wrap the public
 functions of the calling modules, and a wrapper keeps a single span stack.
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 # A call on fewer bytes than this runs serially in the calling thread;
 # desk-scale streams (1-2 MB) stay below it.
@@ -72,6 +76,29 @@ def _map(fn, jobs: list[tuple], nbytes: int | None = None) -> None:
         drain()
     for helper in helpers:
         helper.result()
+
+
+@contextmanager
+def _ahead(fn, jobs: list[tuple]) -> Iterator:
+    """Yield an iterator over fn(*job) for the jobs in order, each computed on
+    one helper thread while the caller works on the result before it.
+
+    Job 0 starts when the with block opens, and job i + 1 when the caller
+    asks for result i, so it may write into the buffer of result i - 1.  The
+    helper thread lives for the with block: it has stopped when the block
+    exits, also when the block raises.  An exception in a job is raised
+    where its result is taken.
+    """
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cpfde-pool-ahead") as helper:
+
+        def results(future):
+            for job in jobs[1:]:
+                done = future.result()
+                future = helper.submit(fn, *job)
+                yield done
+            yield future.result()
+
+        yield results(helper.submit(fn, *jobs[0]))
 
 
 def _split(rows: int, nbytes: int) -> list[tuple[int, int]]:

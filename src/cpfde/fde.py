@@ -10,13 +10,17 @@ and the estimates are transformed back.  A dense time-domain Wiener filter is
 provided as an oracle for small instances.
 
 Every stream goes this one way: build_filter_bank, then overlap_save_stream,
-which calls equalize_block per block (a stream of one block, the paper's
-N_b = T_c, included).  equalize_stream chains the two; the sweep builds one
-bank for the models of all its Eb/N0 points and streams each point through
+which calls equalize_block per stack of consecutive blocks (a stream of one
+block, the paper's N_b = T_c, included).  A stack holds as many blocks as one
+subband chunk (_CHUNK_BYTES) holds: 21 at the desk N_b = 64, one from paper
+N_b = 1024 up.  Each block of a stack is computed as in a call of its own,
+so its estimates are bitwise the same; a stack only saves numpy's per-call
+overhead.  equalize_stream chains the two; the sweep builds one bank for the
+models of all its Eb/N0 points and streams each point through
 FilterBank.subset, and the bathtub profile calls build_filter_bank and
-equalize_block itself.  The
-estimates agree with explicit per-subband filters F^H G_f F to a relative
-1e-12 (rounding: the arithmetic is ordered differently).
+equalize_block, in the same stacks, itself.  The estimates agree with
+explicit per-subband filters F^H G_f F to a relative 1e-12 (rounding: the
+arithmetic is ordered differently).
 
 Convention: blocks are newest-sample-first (column 0 holds time n).  With that
 ordering a delay by l taps is a cyclic shift by +l columns, so the unitary
@@ -26,7 +30,7 @@ time order the same filter is ifft(G_f fft(r)), which is how blocks are
 computed.
 
 Large bank builds, blocks and overlap-save streams are cut into subband
-chunks that fit in cache, antenna rows or block ranges, and mapped over the
+chunks that fit in cache, antenna rows or ranges of stacks, and mapped over the
 thread pool of _pool (numpy's FFT, matmul and elementwise arithmetic release
 the GIL).  The chunks do not depend on the thread count, so results are
 bit-identical for any thread count.  A pool job never starts a pool of its own.
@@ -51,7 +55,8 @@ from .quant import BussgangModel
 DENSE_SIZE_CAP = 4096
 
 # Subbands are built and equalized in chunks of about this many bytes of
-# temporaries; a call of one chunk runs in the calling thread.
+# temporaries, and a stack of blocks fills at most one chunk; a call of one
+# chunk runs in the calling thread.
 _CHUNK_BYTES = 2 << 20
 # A Gram matrix is singular to working precision when an LDL^H pivot falls to
 # this fraction of its diagonal entry: its solve would keep fewer than about
@@ -218,29 +223,40 @@ def equalize_stream(
 def equalize_block(R: np.ndarray, bank: FilterBank) -> np.ndarray:
     """Equalize one M x N_b receive block (columns newest-first) to Q*K x N_b.
 
-    Row q*K + k holds user k's estimates under model q of the bank.
+    Row q*K + k holds user k's estimates under model q of the bank.  A
+    (B, M, N_b) stack of blocks gives (B, Q*K, N_b), each block's estimates
+    bitwise those of its own call.
     """
     R = np.asarray(R, dtype=np.complex128)
     M, _, N_b = bank.subbands.shape
-    if R.shape != (M, N_b):
-        raise DimensionError(f"receive block must be {M} x {N_b}, got {R.shape}")
-    return _equalize_block(R[:, ::-1], bank, pooled=True)[:, ::-1]
+    if R.ndim not in (2, 3) or R.shape[-2:] != (M, N_b):
+        raise DimensionError(
+            f"receive block must be {M} x {N_b} or a stack of them, got {R.shape}"
+        )
+    X = _equalize_block(R.reshape(-1, M, N_b)[..., ::-1], bank, pooled=True)[..., ::-1]
+    return X if R.ndim == 3 else X[0]
 
 
 def _equalize_job_block(R, bank):
     # equalize_block's arithmetic inside a pool job, which starts no pool.
-    return _equalize_block(R[:, ::-1], bank, pooled=False)[:, ::-1]
+    return _equalize_block(R[..., ::-1], bank, pooled=False)[..., ::-1]
+
+
+def _stack_len(M: int, K: int, N_b: int) -> int:
+    """Blocks per equalize_block stack: as many as fit in one subband chunk."""
+    return max(1, _CHUNK_BYTES // ((K + 1) * M * N_b * 16))
 
 
 def _equalize_block(r, bank: FilterBank, pooled: bool) -> np.ndarray:
-    """Q*K x N_b estimates, in time order, of the time-order M x N_b block r.
+    """(B, Q*K, N_b) estimates, in time order, of the time-order (B, M, N_b) blocks r.
 
-    Pooled, a block of _PARALLEL_MIN_BYTES or more splits its transform rows
+    Pooled, a stack of _PARALLEL_MIN_BYTES or more splits its transform rows
     and its subband chunks over the pool.
     """
     M, K, N_b = bank.subbands.shape
-    Rc = np.empty((M, N_b), dtype=np.complex128)
-    X = np.empty((len(bank.weights), K, N_b), dtype=np.complex128)
+    B = len(r)
+    Rc = np.empty((B, M, N_b), dtype=np.complex128)
+    X = np.empty((B, len(bank.weights), K, N_b), dtype=np.complex128)
     chunks = [(bank, Rc, X, lo, hi) for lo, hi in _subband_chunks(N_b, (K + 1) * M)]
     rows = _split(M, r.nbytes) if pooled else [(0, M)]
     if len(rows) > 1:
@@ -250,31 +266,32 @@ def _equalize_block(r, bank: FilterBank, pooled: bool) -> np.ndarray:
         _transform_rows(r, Rc, 0, M)
         for job in chunks:
             _solve_subbands(*job)
-    X = X.reshape(-1, N_b)
+    X = X.reshape(B, -1, N_b)
     np.fft.ifft(X, axis=-1, out=X)
     return X
 
 
 def _transform_rows(r, Rc, lo, hi) -> None:
-    """Write the conjugated transform of rows lo..hi-1 of the block r into Rc."""
-    np.fft.fft(r[lo:hi], axis=-1, out=Rc[lo:hi])
-    np.conjugate(Rc[lo:hi], out=Rc[lo:hi])
+    """Write the conjugated transform of rows lo..hi-1 of every block of r into Rc."""
+    np.fft.fft(r[:, lo:hi], axis=-1, out=Rc[:, lo:hi])
+    np.conjugate(Rc[:, lo:hi], out=Rc[:, lo:hi])
 
 
 def _solve_subbands(bank: FilterBank, Rc, X, lo, hi) -> None:
-    """Write every model's estimates of subbands lo..hi-1 into X (Q, K, N_b).
+    """Write every model's estimates of subbands lo..hi-1 into X (B, Q, K, N_b).
 
-    The products H conj(R_f), antenna-major, are shared by all models; one
-    real product with the weights g / D sums them over the antennas for all
-    models into the conjugated matched-filter output.
+    The products H conj(R_f), block-major and then antenna-major, are shared
+    by all models; per block, one real product with the weights g / D sums
+    them over the antennas for all models into the conjugated matched-filter
+    output.
     """
     H = bank.subbands[:, :, lo:hi]
     M, K, n = H.shape
-    P = H * Rc[:, None, lo:hi]
-    S = bank.weights @ P.reshape(M, -1).view(np.float64)
-    b = X[:, :, lo:hi]
-    np.conjugate(S.view(np.complex128).reshape(-1, K, n), out=b)
-    _ldl_solve(bank.mult[..., lo:hi], bank.rpiv[..., lo:hi], b.transpose(1, 0, 2))
+    P = H * Rc[:, :, None, lo:hi]
+    S = bank.weights @ P.reshape(len(P), M, -1).view(np.float64)
+    b = X[..., lo:hi]
+    np.conjugate(S.view(np.complex128).reshape(b.shape), out=b)
+    _ldl_solve(bank.mult[..., lo:hi], bank.rpiv[:, None, :, lo:hi], b.transpose(2, 0, 1, 3))
 
 
 def overlap_save_stream(
@@ -289,6 +306,9 @@ def overlap_save_stream(
     them.  A final block that would run past the stream is clamped to end with
     it and emits only the positions not yet written.  Returns (Q*K x T_c
     estimates, rows as for equalize_block, and a length-T_c boolean edge mask).
+
+    The blocks go to equalize_block in stacks of consecutive blocks, views of
+    the stream; the clamped final block is a stack of its own.
     """
     r = np.asarray(r, dtype=np.complex128)
     M, K, _ = bank.subbands.shape
@@ -305,29 +325,41 @@ def overlap_save_stream(
 
     step = N_b - cfg.overlap
     out = np.empty((len(bank.weights) * K, T), dtype=np.complex128)
-    starts = list(range(0, T - N_b + 1, step))
-    if starts[-1] != T - N_b:
-        starts.append(T - N_b)  # clamped final block
-    plan = []  # (block start, first and last stream position it writes)
-    for j, s in enumerate(starts):
-        lo = plan[-1][2] + 1 if plan else 0
-        hi = T - 1 if j == len(starts) - 1 else s + step - 1
-        plan.append((s, lo, hi))
-    parts = _split(len(plan), r.nbytes)
+    n = (T - N_b) // step + 1  # regular blocks, starting at multiples of step
+    size = _stack_len(M, K, N_b)
+    stacks = [(j * step, min(size, n - j)) for j in range(0, n, size)]  # (start, blocks)
+    if (T - N_b) % step:
+        stacks.append((T - N_b, 1))  # clamped final block
+    windows = np.lib.stride_tricks.sliding_window_view(r, N_b, axis=1)
+    parts = _split(len(stacks), r.nbytes)
     if len(parts) == 1:
-        _equalize_segments(equalize_block, r, bank, plan, out)
+        _equalize_stacks(equalize_block, windows, bank, step, stacks, out)
     else:
-        # Contiguous block ranges write disjoint stretches of out.
-        jobs = [(_equalize_job_block, r, bank, plan[lo:hi], out) for lo, hi in parts]
-        _map(_equalize_segments, jobs)
+        # Contiguous stack ranges write disjoint stretches of out.
+        jobs = [(_equalize_job_block, windows, bank, step, stacks[lo:hi], out)
+                for lo, hi in parts]
+        _map(_equalize_stacks, jobs)
     return out, edge
 
 
-def _equalize_segments(equalize, r, bank, plan, out) -> None:
-    N_b = bank.subbands.shape[2]
-    for s, lo, hi in plan:
-        est = equalize(r[:, s : s + N_b][:, ::-1], bank)[:, ::-1]  # newest-first in
-        out[:, lo : hi + 1] = est[:, lo - s : hi - s + 1]
+def _equalize_stacks(equalize, windows, bank, step, stacks, out) -> None:
+    """Equalize stacks of blocks and write the stream positions they emit to out.
+
+    windows (M, T - N_b + 1, N_b) are the stream's blocks in time order;
+    stacks are (s, B) for B blocks starting at s, s + step, ...  Block j of
+    the regular blocks emits positions j*step .. j*step + step - 1, and the
+    final block, regular or clamped, every position after the regular ones.
+    """
+    last = windows.shape[1] - 1
+    n = last // step + 1  # regular blocks
+    kept = out[:, : n * step].reshape(len(out), n, step)
+    for s, B in stacks:
+        blocks = windows[:, s : s + (B - 1) * step + 1 : step].transpose(1, 0, 2)
+        est = equalize(blocks[..., ::-1], bank)[..., ::-1]  # newest-first in
+        if s % step == 0:
+            kept[:, s // step : s // step + B] = est[..., :step].transpose(1, 0, 2)
+        if s + (B - 1) * step == last:
+            out[:, n * step :] = est[-1, :, n * step - last :]
 
 
 def time_domain_wf(r_stacked: np.ndarray, H_cir: np.ndarray, bm: BussgangModel) -> np.ndarray:

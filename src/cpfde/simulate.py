@@ -3,13 +3,17 @@ multiantenna receiver with frequency-domain equalization.
 
 Each channel realization is an independent work unit with its own RNG stream
 split from the master seed; accumulation runs in realization order so results
-are identical for any worker count.
+are identical for any worker count.  Within a small realization a helper
+thread may draw the next Eb/N0 point's noise ahead, the same draws in the
+same order, so results do not depend on the thread count either.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,9 +26,10 @@ from .channel import (
     freq_channel,
     generate_channel,
 )
+from . import _pool
 from ._pool import _set_threads, _thread_count
 from .errors import ConfigurationError
-from .fde import FdeConfig, build_filter_bank, equalize_block, overlap_save_stream
+from .fde import FdeConfig, _stack_len, build_filter_bank, equalize_block, overlap_save_stream
 from .quant import MAX_BITS, bussgang_model, design_quantizer, per_antenna_agc, quantize
 
 METHODS = ("WF", "WF_Q")
@@ -270,12 +275,17 @@ def _sigma_x2(cfg: SimConfig, ebn0s, ref: int) -> dict:
     return {e: ebn0_to_sigma_x2(e, trace_avg, cfg, ref) for e in ebn0s}
 
 
-def _transmit(cfg: SimConfig, index: int):
-    """Taps, data/noise generator, unit-power symbols and their noiseless H*x."""
+def _symbols(cfg: SimConfig, index: int):
+    """Taps, data/noise generator and unit-power symbols of one realization."""
     taps = _realization_taps(cfg, index)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, index)))
     bits = rng.integers(0, 2, size=cfg.K * cfg.T_c * cfg.bits_per_symbol)
-    unit_syms = map_symbols(bits, cfg.modulation).reshape(cfg.K, cfg.T_c)
+    return taps, rng, map_symbols(bits, cfg.modulation).reshape(cfg.K, cfg.T_c)
+
+
+def _transmit(cfg: SimConfig, index: int):
+    """Taps, data/noise generator, unit-power symbols and their noiseless H*x."""
+    taps, rng, unit_syms = _symbols(cfg, index)
     return taps, rng, unit_syms, convolve_transmit(taps, unit_syms)
 
 
@@ -284,12 +294,46 @@ def _rho_q(cfg: SimConfig) -> float:
     return 0.0 if cfg.quant_bits is None else design_quantizer(cfg.quant_bits, 1.0).rho_q
 
 
-def _receive(cfg: SimConfig, taps: ChannelTaps, hx, sigma_x2: float, rng):
+def _draw_noise(rng, out):
+    """add_noise's unit-power draws for one stream, made ahead: the real parts
+    into out[0], then the imaginary parts into out[1], scaled as add_noise
+    scales them."""
+    for part in out:
+        rng.standard_normal(out=part)
+        part *= 1.0 / np.sqrt(2.0)
+    return out
+
+
+def _noise_ahead(cfg: SimConfig, rng):
+    """A context manager that gives every Eb/N0 point's noise in turn: a
+    (2, M, T_c) array of _draw_noise, or None where add_noise draws inline.
+
+    Below the pool floor every stage of a point runs serially, so with more
+    than one thread and point a helper thread draws the next point's noise
+    from rng (the first point's while the stream is transmitted) into one of
+    two buffers in turn.  Above it the pool already uses every CPU, and a
+    buffer ahead would add a stream to the peak memory.
+    """
+    points = len(cfg.ebn0_grid)
+    if points > 1 and _thread_count() > 1 and cfg.M * cfg.T_c * 16 < _pool._PARALLEL_MIN_BYTES:
+        buffers = np.empty((2, 2, cfg.M, cfg.T_c))
+        return _pool._ahead(_draw_noise, [(rng, buffers[i % 2]) for i in range(points)])
+    return nullcontext(itertools.repeat(None))
+
+
+def _receive(cfg: SimConfig, taps: ChannelTaps, hx, sigma_x2: float, rng, noise=None):
     """Stream at power sigma_x2 plus unit-power noise, quantized in place.
 
-    One unit-std quantizer design is scaled by each antenna's AGC std.
+    The noise is add_noise's draws from rng or, if given, noise: the same
+    draws made ahead by _draw_noise.  One unit-std quantizer design is scaled
+    by each antenna's AGC std.
     """
-    r = add_noise(np.sqrt(sigma_x2) * hx, 1.0, rng)
+    r = np.sqrt(sigma_x2) * hx
+    if noise is None:
+        add_noise(r, 1.0, rng)
+    else:
+        r.real += noise[0]
+        r.imag += noise[1]
     if cfg.quant_bits is not None:
         spec = design_quantizer(cfg.quant_bits, 1.0)
         quantize(r, spec, per_antenna_agc(taps, sigma_x2, 1.0), out=r)
@@ -308,42 +352,48 @@ def _run_one_realization(args):
     power, not the received stream, so each N_b gets one filter bank for
     every point's models, built at the first point and dropped after the
     last; each point streams through its own subset of the bank.
+
+    Each point's noise comes from _noise_ahead: where a CPU would idle, a
+    helper thread draws the next point's noise while this point is
+    quantized, equalized and scored, the same draws as add_noise's.
     """
     cfg, index, sigma_x2_by_ebn0 = args
-    taps, rng, unit_syms, hx = _transmit(cfg, index)
-    n = cfg.T_c - cfg.L  # scored positions per user
-    sent = demap_symbols(unit_syms[:, :n], cfg.modulation)
-    rho, Q = _rho_q(cfg), len(cfg.methods)
-    # Q models per point; WF's ignores quantization (rho_q = 0).
-    models = [
-        bussgang_model(taps, rho if method == "WF_Q" else 0.0, 1.0, sigma_x2_by_ebn0[ebn0])
-        for ebn0 in cfg.ebn0_grid
-        for method in cfg.methods
-    ]
+    taps, rng, unit_syms = _symbols(cfg, index)
+    with _noise_ahead(cfg, rng) as drawn:
+        hx = convolve_transmit(taps, unit_syms)
+        n = cfg.T_c - cfg.L  # scored positions per user
+        sent = demap_symbols(unit_syms[:, :n], cfg.modulation)
+        rho, Q = _rho_q(cfg), len(cfg.methods)
+        # Q models per point; WF's ignores quantization (rho_q = 0).
+        models = [
+            bussgang_model(taps, rho if method == "WF_Q" else 0.0, 1.0, sigma_x2_by_ebn0[ebn0])
+            for ebn0 in cfg.ebn0_grid
+            for method in cfg.methods
+        ]
 
-    shape = (len(cfg.ebn0_grid), len(cfg.block_lens), Q)
-    sq = np.empty(shape)
-    bit_err = np.empty(shape, dtype=np.int64)
-    banks = {}
-    last = len(cfg.ebn0_grid) - 1
-    for i, ebn0 in enumerate(cfg.ebn0_grid):
-        sigma_x2 = sigma_x2_by_ebn0[ebn0]
-        x = np.sqrt(sigma_x2) * unit_syms[:, :n]
-        r = _receive(cfg, taps, hx, sigma_x2, rng)
-        for j, n_b in enumerate(cfg.block_lens):
-            fde_cfg = FdeConfig(block_len=n_b, overlap=cfg.L)
-            if i == 0:
-                banks[n_b] = build_filter_bank(freq_channel(taps, n_b), models, fde_cfg)
-            bank = banks[n_b] if i < last else banks.pop(n_b)
-            out = overlap_save_stream(r, bank.subset(i * Q, (i + 1) * Q), fde_cfg)[0]
-            del bank  # after the last point, before the next N_b's bank is built
-            estimates = out.reshape(Q, cfg.K, -1)
-            for k, xhat in enumerate(estimates[..., :n]):
-                # MSE per unit symbol energy: fixed unit change, not blind scaling
-                sq[i, j, k] = np.sum(np.abs((xhat - x) / np.sqrt(sigma_x2)) ** 2)
-                # BER on the same positions, against the scaled constellation
-                detected = demap_symbols(xhat / np.sqrt(sigma_x2), cfg.modulation)
-                bit_err[i, j, k] = _bit_errors(sent, detected)
+        shape = (len(cfg.ebn0_grid), len(cfg.block_lens), Q)
+        sq = np.empty(shape)
+        bit_err = np.empty(shape, dtype=np.int64)
+        banks = {}
+        last = len(cfg.ebn0_grid) - 1
+        for i, (ebn0, noise_i) in enumerate(zip(cfg.ebn0_grid, drawn)):
+            sigma_x2 = sigma_x2_by_ebn0[ebn0]
+            x = np.sqrt(sigma_x2) * unit_syms[:, :n]
+            r = _receive(cfg, taps, hx, sigma_x2, rng, noise_i)
+            for j, n_b in enumerate(cfg.block_lens):
+                fde_cfg = FdeConfig(block_len=n_b, overlap=cfg.L)
+                if i == 0:
+                    banks[n_b] = build_filter_bank(freq_channel(taps, n_b), models, fde_cfg)
+                bank = banks[n_b] if i < last else banks.pop(n_b)
+                out = overlap_save_stream(r, bank.subset(i * Q, (i + 1) * Q), fde_cfg)[0]
+                del bank  # after the last point, before the next N_b's bank is built
+                estimates = out.reshape(Q, cfg.K, -1)
+                for k, xhat in enumerate(estimates[..., :n]):
+                    # MSE per unit symbol energy: fixed unit change, not blind scaling
+                    sq[i, j, k] = np.sum(np.abs((xhat - x) / np.sqrt(sigma_x2)) ** 2)
+                    # BER on the same positions, against the scaled constellation
+                    detected = demap_symbols(xhat / np.sqrt(sigma_x2), cfg.modulation)
+                    bit_err[i, j, k] = _bit_errors(sent, detected)
     return index, sq, bit_err
 
 
@@ -404,7 +454,8 @@ def per_position_error_profile(cfg: SimConfig, n_b: int, ebn0_db: float) -> np.n
     """Ensemble-averaged squared error per within-block position, discard off.
 
     Blocks are taken from the stream interior (full interference history) and
-    equalized independently; position 0 is the newest sample of a block.
+    equalized independently, in stacks; position 0 is the newest sample of a
+    block.
     """
     if n_b < cfg.L + 1:
         raise ConfigurationError(f"n_b={n_b} infeasible for L={cfg.L}")
@@ -417,6 +468,8 @@ def per_position_error_profile(cfg: SimConfig, n_b: int, ebn0_db: float) -> np.n
 
     acc = np.zeros(n_b)
     count = 0
+    interior = cfg.T_c // n_b - 1  # blocks at n_b, 2 n_b, ...
+    stack = _stack_len(cfg.M, cfg.K, n_b)  # blocks per equalize_block call
     for i in range(cfg.N_sim):
         taps, rng, unit_syms, hx = _transmit(cfg, i)
         x = np.sqrt(sigma_x2) * unit_syms
@@ -426,10 +479,13 @@ def per_position_error_profile(cfg: SimConfig, n_b: int, ebn0_db: float) -> np.n
             freq_channel(taps, n_b), [bm], FdeConfig(block_len=n_b, overlap=0)
         )
         # skip the first block: its history is the zero-padded stream start
-        for s in range(n_b, cfg.T_c - n_b + 1, n_b):
-            block = r[:, s : s + n_b][:, ::-1]
-            est = equalize_block(block, bank)
-            ref = x[:, s : s + n_b][:, ::-1]
-            acc += np.sum(np.abs(est - ref) ** 2, axis=0) / sigma_x2
-            count += cfg.K
+        blocks, refs = (
+            a[:, n_b : (interior + 1) * n_b].reshape(len(a), interior, n_b).transpose(1, 0, 2)
+            for a in (r, x)
+        )
+        for lo in range(0, interior, stack):
+            est = equalize_block(blocks[lo : lo + stack, :, ::-1], bank)
+            for e, ref in zip(est, refs[lo : lo + stack, :, ::-1]):  # in block order
+                acc += np.sum(np.abs(e - ref) ** 2, axis=0) / sigma_x2
+        count += cfg.K * interior
     return acc / count

@@ -304,11 +304,35 @@ class TestEqualizeBlock:
         np.testing.assert_allclose(equalize_block(R, bank), R, atol=1e-4)
 
     def test_shape_mismatch(self):
+        # A block is M x N_b = 2 x 8 and a stack (B, 2, 8).
         rng = np.random.default_rng(7)
         taps = random_taps(rng, 0, 2, 1)
         bank, _, _ = make_bank(taps, 8, 0.0, 1.0, 1.0)
-        with pytest.raises(DimensionError):
-            equalize_block(np.zeros((2, 4), dtype=complex), bank)
+        for shape in [(2, 4), (3, 8), (16,), (1, 1, 2, 8), (3, 3, 8), (3, 2, 4)]:
+            with pytest.raises(DimensionError):
+                equalize_block(np.zeros(shape, dtype=complex), bank)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("Q", [1, 2])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_stack_is_bitwise_per_block(self, threads, Q, K):
+        # Each block of a stack is transformed, summed over the antennas and
+        # solved as in a call of its own, so its estimates are bitwise those
+        # of that call: in one subband chunk, and in chunks of 5 subbands
+        # (12 = 2 * 5 + 2) with the rows and chunks split over the pool.
+        rng = np.random.default_rng(8 + K)
+        M, N_b = 5, 12
+        taps = random_taps(rng, 3, M, K)
+        models = [bussgang_model(taps, rho, 0.7, 1.3) for rho in (0.3, 0.0)[:Q]]
+        bank = build_filter_bank(freq_channel(taps, N_b), models, FdeConfig(N_b, 3))
+        for chunk_bytes in (fde._CHUNK_BYTES, 5 * (K + 1) * M * 16):
+            with pool_threads(threads, chunk_bytes=chunk_bytes):
+                for B in range(1, 6):
+                    R = rng.standard_normal((B, M, N_b)) + 1j * rng.standard_normal((B, M, N_b))
+                    stacked = equalize_block(R, bank)
+                    assert stacked.shape == (B, Q * K, N_b)
+                    for block, est in zip(R, stacked):
+                        np.testing.assert_array_equal(est, equalize_block(block, bank))
 
 
 class TestTimeDomainEquivalence:
@@ -354,7 +378,50 @@ class TestTimeDomainEquivalence:
             time_domain_wf(np.zeros(n, dtype=complex), np.zeros((n, 1)), bm)
 
 
+def per_block_reference(r, bank, cfg):
+    """overlap_save_stream's estimates from one equalize_block call per block."""
+    N_b, T = cfg.block_len, r.shape[1]
+    step = N_b - cfg.overlap
+    starts = list(range(0, T - N_b + 1, step))
+    if starts[-1] != T - N_b:
+        starts.append(T - N_b)  # clamped final block
+    out = np.empty((len(bank.weights) * bank.subbands.shape[1], T), dtype=complex)
+    lo = 0
+    for j, s in enumerate(starts):
+        hi = T if j == len(starts) - 1 else s + step
+        est = equalize_block(r[:, s : s + N_b][:, ::-1], bank)[:, ::-1]
+        out[:, lo:hi] = est[:, lo - s : hi - s]
+        lo = hi
+    return out
+
+
 class TestOverlapSave:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "overlap, T", [(3, 61), (3, 58), (0, 60), (0, 64)],
+        ids=["clamped", "unclamped", "clamped-overlap0", "unclamped-overlap0"],
+    )
+    def test_stacks_are_bitwise_per_block(self, threads, overlap, T):
+        # N_b = 8 advances by 5 (11 regular blocks) or by 8 (7 or 8).  The
+        # chunk width sets the stack: one block cut into 3-subband chunks,
+        # stacks of 1, 2 and 3 blocks (the last one shorter), and one stack
+        # of every regular block.  Against the per-block stream at the same
+        # width, every case is bitwise.
+        rng = np.random.default_rng(16)
+        M, K, N_b = 4, 2, 8
+        taps = random_taps(rng, 3, M, K)
+        cfg = FdeConfig(block_len=N_b, overlap=overlap)
+        models = [bussgang_model(taps, 0.0, 1.0, 1.0), bussgang_model(taps, 0.3, 1.0, 1.0)]
+        bank = build_filter_bank(freq_channel(taps, N_b), models, cfg)
+        r = rng.standard_normal((M, T)) + 1j * rng.standard_normal((M, T))
+        block_bytes = (K + 1) * M * N_b * 16
+        for chunk_bytes in (3 * (K + 1) * M * 16, block_bytes, 2 * block_bytes,
+                            3 * block_bytes, 1 << 30):
+            with pool_threads(threads, chunk_bytes=chunk_bytes):
+                out, _ = overlap_save_stream(r, bank, cfg)
+                expected = per_block_reference(r, bank, cfg)
+            np.testing.assert_array_equal(out, expected)
+
     def test_flat_channel_concatenates_blocks(self):
         rng = np.random.default_rng(11)
         taps = random_taps(rng, 0, 2, 1)
@@ -602,14 +669,54 @@ class TestThreadInvariance:
         rng = np.random.default_rng(40)
         taps = random_taps(rng, 0, 2, 1)
         bank, _, _ = make_bank(taps, 8, 0.0, 1.0, 1.0)
-        r = np.ones((2, 64), dtype=complex)
+        windows = np.lib.stride_tricks.sliding_window_view(np.ones((2, 64), complex), 8, axis=1)
+        out = np.empty((1, 64), dtype=complex)
 
         def fail(R, bank):
             raise RuntimeError("kernel failed")
 
-        jobs = [(fail, r, bank, [(s, s, s + 7)], r) for s in (0, 8)]
+        jobs = [(fail, windows, bank, 8, [(s, 4)], out) for s in (0, 32)]
         with pool_threads(2), pytest.raises(RuntimeError, match="kernel failed"):
-            _pool._map(fde._equalize_segments, jobs)
+            _pool._map(fde._equalize_stacks, jobs)
+
+    def test_ahead_never_writes_the_buffer_in_use(self):
+        # Job i fills buffer i % 2 with i on the helper thread, piece by
+        # piece, as often interrupted as the interpreter allows.  Were job
+        # i + 2 started before the caller asked for result i + 1, the caller
+        # would read result i half overwritten.
+        buffers = np.empty((2, 4096))
+        ran = set()
+
+        def fill(i, out):
+            ran.add(threading.current_thread())
+            for part in np.array_split(out, 16):
+                part[...] = i
+            return out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _pool._ahead(fill, [(i, buffers[i % 2]) for i in range(300)]) as results:
+                for i, out in enumerate(results):
+                    for part in np.array_split(out, 16):
+                        assert (part == i).all()
+        finally:
+            sys.setswitchinterval(interval)
+        assert i == 299 and threading.current_thread() not in ran
+        assert not any(t.name.startswith("cpfde-pool") for t in threading.enumerate())
+
+    def test_ahead_job_exception_propagates(self):
+        def job(i):
+            if i == 2:
+                raise RuntimeError("draw failed")
+            return i
+
+        taken = []
+        with pytest.raises(RuntimeError, match="draw failed"):
+            with _pool._ahead(job, [(i,) for i in range(4)]) as results:
+                taken.extend(results)
+        assert taken == [0, 1]
+        assert not any(t.name.startswith("cpfde-pool") for t in threading.enumerate())
 
     @pytest.mark.parametrize("threads", [2, 5])
     def test_calling_thread_takes_jobs_beside_its_helpers(self, threads):

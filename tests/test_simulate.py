@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,18 @@ def per_point_reference(cfg, index, sigma_x2_by_ebn0):
                 rx_bits = bit_array_demap(xhat / np.sqrt(sigma_x2), cfg.modulation)
                 bit_err[i, j, k] = np.count_nonzero(rx_bits != tx_bits)
     return sq, bit_err
+
+
+def record_ahead(monkeypatch):
+    """The job count of every _pool._ahead call from now on."""
+    calls, original = [], _pool._ahead
+
+    def recording(fn, jobs):
+        calls.append(len(jobs))
+        return original(fn, jobs)
+
+    monkeypatch.setattr(_pool, "_ahead", recording)
+    return calls
 
 
 def assert_same_results(a, b):
@@ -479,6 +492,40 @@ class TestEngine:
         with pytest.raises(ConfigurationError, match="singular"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("floor, threads", [(0, 1), (0, 2), (1 << 40, 1), (1 << 40, 2)])
+    def test_noise_ahead_is_bitwise_inline(self, monkeypatch, floor, threads):
+        # A helper thread draws the next point's noise only below the pool
+        # floor and with more than one thread (floor 2**40, 2 threads).  It
+        # makes add_noise's draws in add_noise's order, so every case scores
+        # bitwise as one thread, which draws inline.
+        cfg = self.small_cfg(ebn0_grid=(0.0, 10.0, 20.0), block_lens=(16, 20, 128))
+        sigma_x2 = simulate._sigma_x2(cfg, cfg.ebn0_grid, min(cfg.block_lens))
+        monkeypatch.setattr(_pool, "_threads", 1)
+        inline = [simulate._run_one_realization((cfg, i, sigma_x2)) for i in range(cfg.N_sim)]
+        ahead = record_ahead(monkeypatch)
+        monkeypatch.setattr(_pool, "_PARALLEL_MIN_BYTES", floor)
+        monkeypatch.setattr(_pool, "_threads", threads)
+        for i, (_, sq, bit_err) in enumerate(inline):
+            _, got_sq, got_bit_err = simulate._run_one_realization((cfg, i, sigma_x2))
+            np.testing.assert_array_equal(got_sq, sq)
+            np.testing.assert_array_equal(got_bit_err, bit_err)
+            assert not [t for t in threading.enumerate() if t.name.startswith("cpfde-pool")]
+        assert ahead == ([3] * cfg.N_sim if floor and threads == 2 else [])
+
+    def test_noise_ahead_stops_when_the_realization_raises(self, monkeypatch):
+        # The first point's bank refuses the 200 dB model while the helper
+        # draws the second point's noise; the helper has stopped by the time
+        # the error reaches the caller.
+        monkeypatch.setattr(_pool, "_PARALLEL_MIN_BYTES", 1 << 40)
+        monkeypatch.setattr(_pool, "_threads", 2)
+        entered = record_ahead(monkeypatch)
+        cfg = self.small_cfg(K=4, M=2, N_sim=1, ebn0_grid=(200.0, 0.0))
+        sigma_x2 = simulate._sigma_x2(cfg, cfg.ebn0_grid, min(cfg.block_lens))
+        with pytest.raises(ConfigurationError, match="singular"):
+            simulate._run_one_realization((cfg, 0, sigma_x2))
+        assert entered == [2]
+        assert not [t for t in threading.enumerate() if t.name.startswith("cpfde-pool")]
+
     @pytest.mark.parametrize(
         "kw",
         [{}, {"quant_bits": 3, "methods": ("WF_Q",)}, {"quant_bits": None, "methods": ("WF",)}],
@@ -623,6 +670,38 @@ class TestErrorProfile:
         center = np.mean(prof[16:48])
         newest = np.mean(prof[:4])
         assert newest > 1.2 * center
+
+    @pytest.mark.parametrize("stack", [1, 2, 3, None])
+    def test_stacked_profile_is_the_per_block_profile(self, monkeypatch, stack):
+        # T_c = 256, n_b = 16: 15 interior blocks, in stacks of 1, 2 and 3
+        # blocks and in one stack.  Each block's error is added in block
+        # order, so the profile is bitwise that of one call per block.
+        cfg = SimConfig(K=2, M=8, L=3, T_c=256, N_sim=2, block_lens=(16,), seed=3)
+        if stack is not None:
+            monkeypatch.setattr(fde, "_CHUNK_BYTES", stack * (cfg.K + 1) * cfg.M * 16 * 16)
+        calls, original = [], fde.equalize_block
+
+        def counting(R, bank):
+            calls.append(len(R))
+            return original(R, bank)
+
+        monkeypatch.setattr(simulate, "equalize_block", counting)
+        prof = per_position_error_profile(cfg, 16, 10.0)
+        size = stack or 15
+        assert calls == [min(size, 15 - lo) for lo in range(0, 15, size)] * cfg.N_sim
+        sigma_x2 = simulate._sigma_x2(cfg, (10.0,), 16)[10.0]
+        acc, count = np.zeros(16), 0
+        for i in range(cfg.N_sim):
+            taps, rng, unit_syms, hx = simulate._transmit(cfg, i)
+            x = np.sqrt(sigma_x2) * unit_syms
+            r = simulate._receive(cfg, taps, hx, sigma_x2, rng)
+            bm = bussgang_model(taps, simulate._rho_q(cfg), 1.0, sigma_x2)
+            bank = fde.build_filter_bank(freq_channel(taps, 16), [bm], fde.FdeConfig(16, 0))
+            for s in range(16, cfg.T_c - 16 + 1, 16):
+                est = original(r[:, s : s + 16][:, ::-1], bank)
+                acc += np.sum(np.abs(est - x[:, s : s + 16][:, ::-1]) ** 2, axis=0) / sigma_x2
+                count += cfg.K
+        np.testing.assert_array_equal(prof, acc / count)
 
     def test_infeasible_block(self):
         cfg = SimConfig(K=1, M=2, L=3, T_c=64, N_sim=1, block_lens=(8,))
