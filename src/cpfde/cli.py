@@ -114,10 +114,11 @@ def _methods(text: str) -> tuple[str, ...]:
     return tuple(names.get(t, t) for t in tokens)
 
 
-def _sim_config(args, **extra) -> simulate.SimConfig:
+def _sim_config(args, block_lens, count=None, **extra) -> simulate.SimConfig:
+    """The run's SimConfig on the first `count` (all by default) of block_lens;
+    None stands for n_opt_pow2 and T_c, and only then runs the block length scan."""
     K, M, T_c = args.users, _scaled(args, "antennas"), _scaled(args, "coherence")
     L = _scaled(args, "taps") - 1
-    block_lens = args.block_lens
     if block_lens is None:
         opt = blockopt.optimal_block_length(
             blockopt.ComplexityParams(K=K, M=M, L_prime=L, T_c=T_c)
@@ -126,13 +127,13 @@ def _sim_config(args, **extra) -> simulate.SimConfig:
     return simulate.SimConfig(
         K=K, M=M, L=L, T_c=T_c, N_sim=_scaled(args, "realizations"),
         pdp=channel.PowerDelayProfile.eva(L + 1) if args.channel == "eva" else None,
-        modulation=args.modulation, quant_bits=args.bits, block_lens=block_lens,
+        modulation=args.modulation, quant_bits=args.bits, block_lens=block_lens[:count],
         methods=args.methods, seed=args.seed, workers=args.workers, **extra,
     )
 
 
 def cmd_sweep(args) -> int:
-    cfg = _sim_config(args, ebn0_grid=args.ebn0)
+    cfg = _sim_config(args, args.block_lens, ebn0_grid=args.ebn0)
     out = _output_path(args, args.output)
     report = simulate.run_experiment(cfg)
     _write_report(
@@ -163,10 +164,11 @@ def cmd_sweep(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_bathtub(args) -> int:
-    cfg = _sim_config(args, ebn0_grid=(args.ebn0_point,))
-    n_b = cfg.block_lens[0] if args.block_len is None else args.block_len
+    given = args.block_lens if args.block_len is None else (args.block_len,)
+    cfg = _sim_config(args, given, count=1, ebn0_grid=(args.ebn0_point,))
+    n_b = cfg.block_lens[0]
     out = _output_path(args, args.output)
-    profile = simulate.per_position_error_profile(cfg, n_b, args.ebn0_point)
+    profile = simulate.per_position_error_profile(cfg)
     # Edge: the n_b//8 newest and n_b//8 oldest positions (at least one each);
     # center: the middle half.
     k = max(n_b // 8, 1)
@@ -331,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-curve", metavar="FILE.csv")
     p.set_defaults(func=cmd_optimize_block, paper_scale=True)
 
-    def simulation(p):
+    def simulation(p, methods):
         common(p)
         p.add_argument("--taps", type=int, help="channel impulse response length L+1")
         p.add_argument("--channel", choices=["uniform", "eva"], default="uniform")
@@ -345,11 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="comma-separated block lengths (default: n_opt_pow2 and T_c)",
         )
         p.add_argument(
-            "--methods", type=_methods, default="wf,wfq", help="comma-separated subset of wf,wfq"
+            "--methods", type=_methods, default=methods, help="comma-separated subset of wf,wfq"
         )
 
     p = sub.add_parser("sweep", help="Monte-Carlo MSE/BER sweep")
-    simulation(p)
+    simulation(p, "wf,wfq")
     p.add_argument(
         "--ebn0", type=_list_of(float, "numbers"), default="0,5,10,15",
         help="comma-separated Eb/N0 grid in dB",
@@ -362,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bathtub", help="per-position error profile (discard disabled)", allow_abbrev=False
     )
-    simulation(p)
+    simulation(p, "wfq")
     p.add_argument("--block-len", type=int)
     p.add_argument("--ebn0-point", type=float, default=10.0, help="profiled Eb/N0 in dB")
     p.add_argument("--output", default="bathtub.csv")

@@ -40,10 +40,9 @@ MAX_EBN0_DB = 300.0
 
 # Largest M x T_c complex128 receive stream, in bytes.  A realization holds a
 # few such streams at once; paper scale (M=64, T_c=50000) is 51 MB.  The K x T_c
-# symbol stream, the (L+1, M, K) channel taps, the (M, K, N_b) subbands of all
-# block lengths together (113 MB at paper scale) and those of the bathtub's
-# profiled N_b have the same bound.  The block length scan has its own, larger
-# cap on T_c (blockopt.MAX_COHERENCE).
+# symbol stream, the (L+1, M, K) channel taps and the (M, K, N_b) subbands of
+# all block lengths together (113 MB at paper scale) have the same bound.  The
+# block length scan has its own, larger cap on T_c (blockopt.MAX_COHERENCE).
 MAX_STREAM_BYTES = 2**28
 
 
@@ -245,10 +244,11 @@ def ebn0_to_sigma_x2(
     length is N_b_ref times that.  Total power P_t = K sigma_x^2 against unit
     noise power per antenna sample.
 
-    sigma_x^2 scales as 1/N_b_ref.  run_experiment takes min(block_lens) as the
-    reference and per_position_error_profile the profiled N_b, so the same
-    nominal Eb/N0 gives transmit powers 10 log10(ratio) dB apart between them
-    (15 dB at the desk defaults, 2048 against 64).
+    sigma_x^2 scales as 1/N_b_ref.  Both commands take the smallest block
+    length of their configuration as the reference: min(block_lens) for a
+    sweep, the profiled N_b for the bathtub.  The same nominal Eb/N0 can give
+    transmit powers 10 log10(ratio) dB apart between them (15 dB for a bathtub
+    at N_b = 2048 against the desk sweep's 64).
     """
     if not (taps_ensemble_trace > 0):
         raise ConfigurationError("trace estimate must be positive")
@@ -267,12 +267,12 @@ def _realization_taps(cfg: SimConfig, index: int) -> ChannelTaps:
     return generate_channel(cfg.pdp, cfg.M, cfg.K, np.random.default_rng(ss))
 
 
-def _sigma_x2(cfg: SimConfig, ebn0s, ref: int) -> dict:
-    """Transmit power per Eb/N0 point at reference block length ref."""
+def _sigma_x2(cfg: SimConfig) -> dict:
+    """Transmit power per Eb/N0 point, at reference block length min(block_lens)."""
     trace_avg = float(
         np.mean([_realization_taps(cfg, i).energy() for i in range(cfg.N_sim)])
     )
-    return {e: ebn0_to_sigma_x2(e, trace_avg, cfg, ref) for e in ebn0s}
+    return {e: ebn0_to_sigma_x2(e, trace_avg, cfg, min(cfg.block_lens)) for e in cfg.ebn0_grid}
 
 
 def _symbols(cfg: SimConfig, index: int):
@@ -283,15 +283,14 @@ def _symbols(cfg: SimConfig, index: int):
     return taps, rng, map_symbols(bits, cfg.modulation).reshape(cfg.K, cfg.T_c)
 
 
-def _transmit(cfg: SimConfig, index: int):
-    """Taps, data/noise generator, unit-power symbols and their noiseless H*x."""
-    taps, rng, unit_syms = _symbols(cfg, index)
-    return taps, rng, unit_syms, convolve_transmit(taps, unit_syms)
-
-
-def _rho_q(cfg: SimConfig) -> float:
-    """The distortion factor of the receiver's quantizer design (0 without one)."""
-    return 0.0 if cfg.quant_bits is None else design_quantizer(cfg.quant_bits, 1.0).rho_q
+def _models(cfg: SimConfig, taps: ChannelTaps, sigma_x2_by_ebn0: dict) -> list:
+    """Every (Eb/N0 point, method)'s Bussgang model, point-major; WF's has rho_q = 0."""
+    rho = 0.0 if cfg.quant_bits is None else design_quantizer(cfg.quant_bits, 1.0).rho_q
+    return [
+        bussgang_model(taps, rho if method == "WF_Q" else 0.0, 1.0, sigma_x2_by_ebn0[ebn0])
+        for ebn0 in cfg.ebn0_grid
+        for method in cfg.methods
+    ]
 
 
 def _draw_noise(rng, out):
@@ -341,7 +340,7 @@ def _receive(cfg: SimConfig, taps: ChannelTaps, hx, sigma_x2: float, rng, noise=
 
 
 def _run_one_realization(args):
-    """Score one realization at every grid point: (index, sq, bit_err).
+    """Score one realization at every grid point: (sq, bit_err).
 
     sq (float64) is the squared error per unit symbol energy and bit_err
     (int64) the bit errors, both shaped (Eb/N0 points, block lengths,
@@ -363,13 +362,8 @@ def _run_one_realization(args):
         hx = convolve_transmit(taps, unit_syms)
         n = cfg.T_c - cfg.L  # scored positions per user
         sent = demap_symbols(unit_syms[:, :n], cfg.modulation)
-        rho, Q = _rho_q(cfg), len(cfg.methods)
-        # Q models per point; WF's ignores quantization (rho_q = 0).
-        models = [
-            bussgang_model(taps, rho if method == "WF_Q" else 0.0, 1.0, sigma_x2_by_ebn0[ebn0])
-            for ebn0 in cfg.ebn0_grid
-            for method in cfg.methods
-        ]
+        Q = len(cfg.methods)
+        models = _models(cfg, taps, sigma_x2_by_ebn0)  # Q per point
 
         shape = (len(cfg.ebn0_grid), len(cfg.block_lens), Q)
         sq = np.empty(shape)
@@ -394,17 +388,17 @@ def _run_one_realization(args):
                     # BER on the same positions, against the scaled constellation
                     detected = demap_symbols(xhat / np.sqrt(sigma_x2), cfg.modulation)
                     bit_err[i, j, k] = _bit_errors(sent, detected)
-    return index, sq, bit_err
+    return sq, bit_err
 
 
 def run_experiment(cfg: SimConfig) -> SimReport:
     """Run the full Monte-Carlo sweep over (Eb/N0 x N_b x method).
 
     Deterministic for a fixed seed; channel and data/noise streams are split
-    per realization index, and reduction runs in index order regardless of the
-    worker count.
+    per realization index, and reduction runs in index order (the order of
+    the pool's map, like the serial list's) regardless of the worker count.
     """
-    sigma_x2_by_ebn0 = _sigma_x2(cfg, cfg.ebn0_grid, min(cfg.block_lens))
+    sigma_x2_by_ebn0 = _sigma_x2(cfg)
     tasks = [(cfg, i, sigma_x2_by_ebn0) for i in range(cfg.N_sim)]
     # Never more processes than realizations or CPUs: a process pool forks
     # all of its workers up front.
@@ -419,9 +413,8 @@ def run_experiment(cfg: SimConfig) -> SimReport:
             results = list(pool.map(_run_one_realization, tasks))
     else:
         results = [_run_one_realization(t) for t in tasks]
-    results.sort(key=lambda r: r[0])  # fixed-order reduction
-    # (N_sim, Eb/N0 points, block lengths, methods)
-    sq, bit_err = (np.stack([r[n] for r in results]) for n in (1, 2))
+    # (N_sim, Eb/N0 points, block lengths, methods), in realization order
+    sq, bit_err = (np.stack(a) for a in zip(*results))
 
     n_sym = cfg.K * (cfg.T_c - cfg.L)  # scored symbols per realization
     counted = cfg.N_sim * n_sym
@@ -450,34 +443,34 @@ def run_experiment(cfg: SimConfig) -> SimReport:
     return SimReport(rows, realization_mse)
 
 
-def per_position_error_profile(cfg: SimConfig, n_b: int, ebn0_db: float) -> np.ndarray:
+def per_position_error_profile(cfg: SimConfig) -> np.ndarray:
     """Ensemble-averaged squared error per within-block position, discard off.
 
-    Blocks are taken from the stream interior (full interference history) and
-    equalized independently, in stacks; position 0 is the newest sample of a
-    block.
+    cfg holds exactly one block length, Eb/N0 point and method: the profiled
+    N_b, point and filter.  Blocks are taken from the stream interior (full
+    interference history) and equalized independently, in stacks; position 0
+    is the newest sample of a block.
     """
-    if n_b < cfg.L + 1:
-        raise ConfigurationError(f"n_b={n_b} infeasible for L={cfg.L}")
+    if any(len(getattr(cfg, f)) != 1 for f in ("block_lens", "ebn0_grid", "methods")):
+        raise ConfigurationError("the profile takes one block length, Eb/N0 point and method")
+    n_b = cfg.block_lens[0]
     if cfg.T_c < 2 * n_b:
         raise ConfigurationError(
             f"T_c={cfg.T_c} too short for an interior block (needs 2 n_b = {2 * n_b})"
         )
-    _check_bytes("M x K x N_b", (cfg.M, cfg.K, n_b), "subbands")
-    sigma_x2 = _sigma_x2(cfg, (ebn0_db,), n_b)[ebn0_db]
+    sigma_x2_by_ebn0 = _sigma_x2(cfg)
+    sigma_x2 = sigma_x2_by_ebn0[cfg.ebn0_grid[0]]
 
     acc = np.zeros(n_b)
     count = 0
     interior = cfg.T_c // n_b - 1  # blocks at n_b, 2 n_b, ...
     stack = _stack_len(cfg.M, cfg.K, n_b)  # blocks per equalize_block call
     for i in range(cfg.N_sim):
-        taps, rng, unit_syms, hx = _transmit(cfg, i)
+        taps, rng, unit_syms = _symbols(cfg, i)
         x = np.sqrt(sigma_x2) * unit_syms
-        r = _receive(cfg, taps, hx, sigma_x2, rng)
-        bm = bussgang_model(taps, _rho_q(cfg), 1.0, sigma_x2)
-        bank = build_filter_bank(
-            freq_channel(taps, n_b), [bm], FdeConfig(block_len=n_b, overlap=0)
-        )
+        r = _receive(cfg, taps, convolve_transmit(taps, unit_syms), sigma_x2, rng)
+        models = _models(cfg, taps, sigma_x2_by_ebn0)
+        bank = build_filter_bank(freq_channel(taps, n_b), models, FdeConfig(n_b, overlap=0))
         # skip the first block: its history is the zero-padded stream start
         blocks, refs = (
             a[:, n_b : (interior + 1) * n_b].reshape(len(a), interior, n_b).transpose(1, 0, 2)

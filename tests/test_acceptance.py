@@ -167,10 +167,12 @@ class TestAcceptance:
             T_c=512,
             N_sim=25,  # 25 realizations x 2 users x ~6 interior blocks > 200 trials
             block_lens=(64,),
+            ebn0_grid=(10.0,),
+            methods=("WF_Q",),
             quant_bits=1,
             seed=606,
         )
-        prof = per_position_error_profile(cfg, 64, 10.0)
+        prof = per_position_error_profile(cfg)
         edge = np.concatenate([prof[:8], prof[-8:]]).mean()
         center = prof[16:48].mean()
         verdict(6, edge > 1.2 * center, f"edge {edge:.4f} vs center {center:.4f}")

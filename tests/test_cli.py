@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from cpfde import blockopt, simulate
+from cpfde.channel import PowerDelayProfile
 from cpfde.cli import build_parser, main, parse_args
 
 
@@ -87,7 +88,6 @@ class TestOptimizeBlock:
         def fail(*_):
             raise AssertionError("realization started")
 
-        monkeypatch.setattr(simulate, "_transmit", fail)
         monkeypatch.setattr(simulate, "_realization_taps", fail)
         code, _, err = run_cli(
             capsys, subcommand, "--coherence", str(10**12), "--block-lens", "64",
@@ -105,7 +105,6 @@ class TestOptimizeBlock:
         def fail(*_):
             raise AssertionError("realization started")
 
-        monkeypatch.setattr(simulate, "_transmit", fail)
         monkeypatch.setattr(simulate, "_realization_taps", fail)
         code, _, err = run_cli(
             capsys, subcommand, "--users", str(10**8), "--block-lens", "64",
@@ -122,7 +121,6 @@ class TestOptimizeBlock:
         def fail(*_):
             raise AssertionError("realization started")
 
-        monkeypatch.setattr(simulate, "_transmit", fail)
         monkeypatch.setattr(simulate, "_realization_taps", fail)
         code, _, err = run_cli(
             capsys, "sweep", "--users", "256", "--antennas", "256", "--taps", "4",
@@ -269,7 +267,6 @@ class TestSweep:
         def fail(*_):
             raise AssertionError("realization started")
 
-        monkeypatch.setattr(simulate, "_transmit", fail)
         monkeypatch.setattr(simulate, "_realization_taps", fail)
         code, _, err = run_cli(capsys, *argv, "--output-dir", str(tmp_path))
         assert code == 2
@@ -302,6 +299,8 @@ class TestBathtub:
         assert sidecar["edge_center_ratio"] > 0
         # The recorded grid is the one point profiled, not the sweep's default grid.
         assert sidecar["config"]["ebn0_grid"] == [10.0]
+        assert sidecar["config"]["block_lens"] == [16]
+        assert sidecar["config"]["methods"] == ["WF_Q"]
 
     def test_zero_block_len_exit_2(self, capsys, tmp_path):
         # 0 is a block length, not "unset": it is rejected, not replaced by N_b.
@@ -312,12 +311,12 @@ class TestBathtub:
         assert not (tmp_path / "bathtub.csv").exists()
 
     def test_block_len_above_cap_exit_2(self, capsys, tmp_path, monkeypatch):
-        # --block-len is not one of --block-lens: its (M, K, N_b) subbands,
-        # 2 GiB here, are bounded on their own, before any realization runs.
+        # --block-len replaces --block-lens in the configuration, so its
+        # (M, K, N_b) subbands, 2 GiB here, are bounded as a sweep's are,
+        # before any realization runs.
         def fail(*_):
             raise AssertionError("realization started")
 
-        monkeypatch.setattr(simulate, "_transmit", fail)
         monkeypatch.setattr(simulate, "_realization_taps", fail)
         code, _, err = run_cli(
             capsys, "bathtub", "--users", "16", "--antennas", "32", "--coherence", "524288",
@@ -326,8 +325,47 @@ class TestBathtub:
         )
         assert code == 2
         assert err.splitlines() == [
-            f"error: M x K x N_b = 32 x 16 x 262144 subbands exceeds"
+            f"error: M x K x sum(N_b) = 32 x 16 x 262144 subbands exceeds"
             f" {simulate.MAX_STREAM_BYTES} bytes"
+        ]
+        assert not (tmp_path / "bathtub.csv").exists()
+
+    def test_config_holds_only_the_profiled_block_length(self, capsys, tmp_path, monkeypatch):
+        # A 4 x 256 stream at the bound: the default block lengths (n_opt_pow2
+        # and T_c) would hold 4 x 2 x 264 subbands, over it, but the run's
+        # configuration holds only the profiled N_b = 16, and so does its sidecar.
+        monkeypatch.setattr(simulate, "MAX_STREAM_BYTES", 4 * 256 * 16)
+        code, _, err = run_cli(
+            capsys, "bathtub", "--antennas", "4", "--taps", "4", "--coherence", "256",
+            "--block-len", "16", "--realizations", "1", "--output-dir", str(tmp_path),
+        )
+        assert code == 0, err
+        sidecar = json.loads((tmp_path / "bathtub.csv.json").read_text())
+        assert sidecar["config"]["block_lens"] == [16]
+
+    def test_given_block_len_skips_the_scan(self, capsys, tmp_path, monkeypatch):
+        def fail(*_):
+            raise AssertionError("block length scan run")
+
+        monkeypatch.setattr(blockopt, "optimal_block_length", fail)
+        code, _, err = run_cli(
+            capsys, "bathtub", "--antennas", "4", "--taps", "4", "--coherence", "128",
+            "--block-len", "16", "--realizations", "1", "--output-dir", str(tmp_path),
+        )
+        assert code == 0, err
+
+    def test_two_methods_exit_2(self, capsys, tmp_path, monkeypatch):
+        # The bathtub profiles one filter; two are refused before any channel is drawn.
+        def fail(*_):
+            raise AssertionError("realization started")
+
+        monkeypatch.setattr(simulate, "_realization_taps", fail)
+        code, _, err = run_cli(
+            capsys, "bathtub", "--methods", "wf,wfq", "--output-dir", str(tmp_path)
+        )
+        assert code == 2
+        assert err.splitlines() == [
+            "error: the profile takes one block length, Eb/N0 point and method"
         ]
         assert not (tmp_path / "bathtub.csv").exists()
 
@@ -338,6 +376,48 @@ class TestBathtub:
             main(["bathtub", "--ebn0", "0", "--output-dir", str(tmp_path)])
         assert exc.value.code == 2
         assert "--ebn0" in capsys.readouterr().err
+
+
+def config_from_sidecar(config: dict) -> simulate.SimConfig:
+    """The SimConfig that a sidecar's `config` object records."""
+    pdp = config["pdp"]
+    entries = tuple((int(i), float(p)) for i, p in pdp["entries"])
+    fields = {k: tuple(v) if isinstance(v, list) else v for k, v in config.items()}
+    fields["pdp"] = PowerDelayProfile(entries, pdp["total_taps"])
+    return simulate.SimConfig(**fields)
+
+
+class TestSidecarRecordsTheRun:
+    # Rerunning the configuration a sidecar records writes its CSV again.
+    def test_sweep(self, capsys, tmp_path):
+        code, _, _ = run_cli(
+            capsys, *TestSweep.ARGS, "--channel", "eva", "--bits", "3",
+            "--output-dir", str(tmp_path),
+        )
+        assert code == 0
+        sidecar = json.loads((tmp_path / "report.csv.json").read_text())
+        cfg = config_from_sidecar(sidecar["config"])
+        rows = [
+            f"{r.ebn0_db:.12g},{r.n_b},{r.method},{r.mse:.12g},{r.ber:.12g},"
+            f"{r.symbols_counted},{r.edge_symbols_excluded},{cfg.seed}"
+            for r in simulate.run_experiment(cfg).rows
+        ]
+        assert (tmp_path / "report.csv").read_text().splitlines()[1:] == rows
+
+    def test_bathtub(self, capsys, tmp_path):
+        code, _, _ = run_cli(
+            capsys, "bathtub", "--antennas", "8", "--taps", "4", "--coherence", "128",
+            "--realizations", "2", "--block-lens", "32,16", "--methods", "wf",
+            "--channel", "eva", "--ebn0-point", "5", "--seed", "4",
+            "--output-dir", str(tmp_path),
+        )
+        assert code == 0
+        sidecar = json.loads((tmp_path / "bathtub.csv.json").read_text())
+        cfg = config_from_sidecar(sidecar["config"])
+        assert (cfg.block_lens, cfg.ebn0_grid, cfg.methods) == ((32,), (5.0,), ("WF",))
+        profile = simulate.per_position_error_profile(cfg)
+        rows = [f"{i},{p:.12g}" for i, p in enumerate(profile)]
+        assert (tmp_path / "bathtub.csv").read_text().splitlines()[1:] == rows
 
 
 def write_ini(path, **keys):

@@ -17,7 +17,7 @@ from scipy.stats import norm
 
 import cpfde
 from cpfde import _pool, fde, simulate
-from cpfde.channel import ChannelTaps, PowerDelayProfile, freq_channel
+from cpfde.channel import ChannelTaps, PowerDelayProfile, convolve_transmit, freq_channel
 from cpfde.errors import ConfigurationError
 from cpfde.quant import bussgang_model, design_quantizer
 from cpfde.simulate import (
@@ -71,7 +71,8 @@ def per_point_reference(cfg, index, sigma_x2_by_ebn0):
     point's models alone, and bit errors counted on flat bit arrays against
     the transmitted bits.
     """
-    taps, rng, unit_syms, hx = simulate._transmit(cfg, index)
+    taps, rng, unit_syms = simulate._symbols(cfg, index)
+    hx = convolve_transmit(taps, unit_syms)
     ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, index))
     bits = np.random.default_rng(ss).integers(0, 2, size=cfg.K * cfg.T_c * cfg.bits_per_symbol)
     n = cfg.T_c - cfg.L
@@ -499,14 +500,14 @@ class TestEngine:
         # makes add_noise's draws in add_noise's order, so every case scores
         # bitwise as one thread, which draws inline.
         cfg = self.small_cfg(ebn0_grid=(0.0, 10.0, 20.0), block_lens=(16, 20, 128))
-        sigma_x2 = simulate._sigma_x2(cfg, cfg.ebn0_grid, min(cfg.block_lens))
+        sigma_x2 = simulate._sigma_x2(cfg)
         monkeypatch.setattr(_pool, "_threads", 1)
         inline = [simulate._run_one_realization((cfg, i, sigma_x2)) for i in range(cfg.N_sim)]
         ahead = record_ahead(monkeypatch)
         monkeypatch.setattr(_pool, "_PARALLEL_MIN_BYTES", floor)
         monkeypatch.setattr(_pool, "_threads", threads)
-        for i, (_, sq, bit_err) in enumerate(inline):
-            _, got_sq, got_bit_err = simulate._run_one_realization((cfg, i, sigma_x2))
+        for i, (sq, bit_err) in enumerate(inline):
+            got_sq, got_bit_err = simulate._run_one_realization((cfg, i, sigma_x2))
             np.testing.assert_array_equal(got_sq, sq)
             np.testing.assert_array_equal(got_bit_err, bit_err)
             assert not [t for t in threading.enumerate() if t.name.startswith("cpfde-pool")]
@@ -520,7 +521,7 @@ class TestEngine:
         monkeypatch.setattr(_pool, "_threads", 2)
         entered = record_ahead(monkeypatch)
         cfg = self.small_cfg(K=4, M=2, N_sim=1, ebn0_grid=(200.0, 0.0))
-        sigma_x2 = simulate._sigma_x2(cfg, cfg.ebn0_grid, min(cfg.block_lens))
+        sigma_x2 = simulate._sigma_x2(cfg)
         with pytest.raises(ConfigurationError, match="singular"):
             simulate._run_one_realization((cfg, 0, sigma_x2))
         assert entered == [2]
@@ -539,9 +540,9 @@ class TestEngine:
         # rounds as the per-point product does; with one, BLAS rounds the
         # per-point one-row product differently, so sq agrees to 1e-12.
         cfg = self.small_cfg(M=6, ebn0_grid=(0.0, 10.0, 20.0), block_lens=(16, 20, 128), **kw)
-        sigma_x2 = simulate._sigma_x2(cfg, cfg.ebn0_grid, min(cfg.block_lens))
+        sigma_x2 = simulate._sigma_x2(cfg)
         for index in range(cfg.N_sim):
-            _, sq, bit_err = simulate._run_one_realization((cfg, index, sigma_x2))
+            sq, bit_err = simulate._run_one_realization((cfg, index, sigma_x2))
             ref_sq, ref_bit_err = per_point_reference(cfg, index, sigma_x2)
             if len(cfg.methods) == 2:
                 np.testing.assert_array_equal(sq, ref_sq)
@@ -639,15 +640,20 @@ class TestEngine:
         assert all(r.mse_stderr > 0 for r in rep.rows)
 
 
+def profile_cfg(**kw):
+    """A bathtub configuration: one Eb/N0 point (10 dB) and one method (WF_Q)."""
+    return SimConfig(**{"ebn0_grid": (10.0,), "methods": ("WF_Q",), **kw})
+
+
 class TestErrorProfile:
     def test_profile_length_and_positivity(self):
-        cfg = SimConfig(K=2, M=8, L=3, T_c=128, N_sim=2, block_lens=(16, 128), seed=3)
-        prof = per_position_error_profile(cfg, 16, 10.0)
+        cfg = profile_cfg(K=2, M=8, L=3, T_c=128, N_sim=2, block_lens=(16,), seed=3)
+        prof = per_position_error_profile(cfg)
         assert prof.shape == (16,)
         assert np.all(prof > 0)
 
     def test_flat_channel_profile_is_flat(self):
-        cfg = SimConfig(
+        cfg = profile_cfg(
             K=1,
             M=4,
             L=0,
@@ -657,26 +663,30 @@ class TestErrorProfile:
             quant_bits=None,
             seed=5,
         )
-        prof = per_position_error_profile(cfg, 16, 10.0)
+        prof = per_position_error_profile(cfg)
         assert np.max(prof) / np.min(prof) < 2.0
 
     def test_bathtub_newest_edge_dominates(self):
         # without discard the newest positions of a block carry the
         # inter-block interference and sit well above the flat center
-        cfg = SimConfig(
+        cfg = profile_cfg(
             K=2, M=16, L=8, T_c=512, N_sim=30, block_lens=(64,), seed=11
         )
-        prof = per_position_error_profile(cfg, 64, 10.0)
+        prof = per_position_error_profile(cfg)
         center = np.mean(prof[16:48])
         newest = np.mean(prof[:4])
         assert newest > 1.2 * center
 
-    @pytest.mark.parametrize("stack", [1, 2, 3, None])
-    def test_stacked_profile_is_the_per_block_profile(self, monkeypatch, stack):
+    @pytest.mark.parametrize(
+        "methods, stack",
+        [(m, s) for m in (("WF_Q",), ("WF",)) for s in (1, 2, 3, None)],
+        ids=[f"{m}{s}" for m in ("", "WF-") for s in (1, 2, 3, None)],  # WF_Q: 1 .. None
+    )
+    def test_stacked_profile_is_the_per_block_profile(self, monkeypatch, stack, methods):
         # T_c = 256, n_b = 16: 15 interior blocks, in stacks of 1, 2 and 3
         # blocks and in one stack.  Each block's error is added in block
         # order, so the profile is bitwise that of one call per block.
-        cfg = SimConfig(K=2, M=8, L=3, T_c=256, N_sim=2, block_lens=(16,), seed=3)
+        cfg = profile_cfg(K=2, M=8, L=3, T_c=256, N_sim=2, block_lens=(16,), seed=3, methods=methods)
         if stack is not None:
             monkeypatch.setattr(fde, "_CHUNK_BYTES", stack * (cfg.K + 1) * cfg.M * 16 * 16)
         calls, original = [], fde.equalize_block
@@ -686,16 +696,18 @@ class TestErrorProfile:
             return original(R, bank)
 
         monkeypatch.setattr(simulate, "equalize_block", counting)
-        prof = per_position_error_profile(cfg, 16, 10.0)
+        prof = per_position_error_profile(cfg)
         size = stack or 15
         assert calls == [min(size, 15 - lo) for lo in range(0, 15, size)] * cfg.N_sim
-        sigma_x2 = simulate._sigma_x2(cfg, (10.0,), 16)[10.0]
+        sigma_x2 = simulate._sigma_x2(cfg)[10.0]
+        # WF's model ignores the 1-bit quantizer: rho_q = 0.
+        rho = design_quantizer(1, 1.0).rho_q if methods == ("WF_Q",) else 0.0
         acc, count = np.zeros(16), 0
         for i in range(cfg.N_sim):
-            taps, rng, unit_syms, hx = simulate._transmit(cfg, i)
+            taps, rng, unit_syms = simulate._symbols(cfg, i)
             x = np.sqrt(sigma_x2) * unit_syms
-            r = simulate._receive(cfg, taps, hx, sigma_x2, rng)
-            bm = bussgang_model(taps, simulate._rho_q(cfg), 1.0, sigma_x2)
+            r = simulate._receive(cfg, taps, convolve_transmit(taps, unit_syms), sigma_x2, rng)
+            bm = bussgang_model(taps, rho, 1.0, sigma_x2)
             bank = fde.build_filter_bank(freq_channel(taps, 16), [bm], fde.FdeConfig(16, 0))
             for s in range(16, cfg.T_c - 16 + 1, 16):
                 est = original(r[:, s : s + 16][:, ::-1], bank)
@@ -704,9 +716,26 @@ class TestErrorProfile:
         np.testing.assert_array_equal(prof, acc / count)
 
     def test_infeasible_block(self):
-        cfg = SimConfig(K=1, M=2, L=3, T_c=64, N_sim=1, block_lens=(8,))
-        with pytest.raises(ConfigurationError):
-            per_position_error_profile(cfg, 2, 10.0)
+        # N_b < L+1 is SimConfig's own check, for the bathtub as for a sweep.
+        with pytest.raises(ConfigurationError, match="L\\+1"):
+            profile_cfg(K=1, M=2, L=3, T_c=64, N_sim=1, block_lens=(2,))
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{"block_lens": (16, 32)}, {"ebn0_grid": (0.0, 10.0)}, {"methods": ("WF", "WF_Q")}],
+        ids=["block_lens", "ebn0_grid", "methods"],
+    )
+    def test_one_entry_per_grid(self, monkeypatch, kw):
+        # The profile is of one N_b, Eb/N0 point and method: the configuration
+        # records exactly what ran.  A longer grid is refused before any channel
+        # is drawn.
+        def fail(*_):
+            raise AssertionError("realization started")
+
+        monkeypatch.setattr(simulate, "_realization_taps", fail)
+        cfg = profile_cfg(**{"K": 1, "M": 2, "L": 3, "T_c": 64, "block_lens": (16,), **kw})
+        with pytest.raises(ConfigurationError, match="one block length, Eb/N0 point and method"):
+            per_position_error_profile(cfg)
 
     def test_short_coherence_rejected_before_any_realization(self, monkeypatch):
         # T_c < 2 n_b leaves no interior block; the check runs before the
@@ -714,10 +743,8 @@ class TestErrorProfile:
         def fail(*_):
             raise AssertionError("realization started")
 
-        monkeypatch.setattr(simulate, "_transmit", fail)
         monkeypatch.setattr(simulate, "_realization_taps", fail)
-        cfg = SimConfig(K=1, M=2, L=3, T_c=64, N_sim=200, block_lens=(64,))
-        with pytest.raises(ConfigurationError, match="interior block"):
-            per_position_error_profile(cfg, 64, 10.0)
-        with pytest.raises(ConfigurationError, match="interior block"):
-            per_position_error_profile(cfg, 33, 10.0)
+        for n_b in (64, 33):
+            cfg = profile_cfg(K=1, M=2, L=3, T_c=64, N_sim=200, block_lens=(n_b,))
+            with pytest.raises(ConfigurationError, match="interior block"):
+                per_position_error_profile(cfg)
