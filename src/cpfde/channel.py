@@ -257,10 +257,20 @@ def convolve_transmit(taps: ChannelTaps, x: np.ndarray) -> np.ndarray:
     yf = Hf @ Xf.transpose(2, 0, 1)  # (nfft, M, n_blk)
     _map(_inverse_rows, [(yf, lo, hi) for lo, hi in _split(M, yf.nbytes)])
     yb = yf.transpose(1, 2, 0)
-    y = np.ascontiguousarray(yb[:, :, :step])
-    if n_blk > 1:
-        y[:, 1:, :L] += yb[:, :-1, step:]
-    return y.reshape(M, n_blk * step)[:, :T]
+    # Written into a contiguous M x T array, which callers scale, add noise to
+    # and quantize in place: the whole blocks, then a last partial one.
+    y = np.empty((M, T), dtype=np.complex128)
+    full, rest = divmod(T, step)
+    blocks = y[:, : full * step].reshape(M, full, step, copy=False)
+    blocks[...] = yb[:, :full, :step]
+    if full > 1:
+        blocks[:, 1:, :L] += yb[:, : full - 1, step:]
+    if rest:
+        part = y[:, full * step :]
+        part[...] = yb[:, full, :rest]
+        if full:
+            part[:, :L] += yb[:, full - 1, step : step + rest]
+    return y
 
 
 def _inverse_rows(yf, lo, hi) -> None:

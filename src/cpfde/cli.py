@@ -181,8 +181,6 @@ def cmd_bathtub(args) -> int:
         (f"{i},{p:.12g}" for i, p in enumerate(profile)),
         {
             "subcommand": "bathtub",
-            "n_b": n_b,
-            "ebn0_db": args.ebn0_point,
             "edge_center_ratio": ratio,
             "config": cfg.snapshot(),
         },

@@ -220,12 +220,14 @@ def equalize_stream(
     return overlap_save_stream(r, bank, cfg)[0].reshape(len(models), subbands.shape[1], -1)
 
 
-def equalize_block(R: np.ndarray, bank: FilterBank) -> np.ndarray:
+def equalize_block(R: np.ndarray, bank: FilterBank, overwrite_r: bool = False) -> np.ndarray:
     """Equalize one M x N_b receive block (columns newest-first) to Q*K x N_b.
 
     Row q*K + k holds user k's estimates under model q of the bank.  A
     (B, M, N_b) stack of blocks gives (B, Q*K, N_b), each block's estimates
-    bitwise those of its own call.
+    bitwise those of its own call.  With overwrite_r, a complex128 R is
+    overwritten with its transform instead of a new array (as scipy.fft's
+    overwrite_x); the estimates are bitwise the same.
     """
     R = np.asarray(R, dtype=np.complex128)
     M, _, N_b = bank.subbands.shape
@@ -233,7 +235,8 @@ def equalize_block(R: np.ndarray, bank: FilterBank) -> np.ndarray:
         raise DimensionError(
             f"receive block must be {M} x {N_b} or a stack of them, got {R.shape}"
         )
-    X = _equalize_block(R.reshape(-1, M, N_b)[..., ::-1], bank, pooled=True)[..., ::-1]
+    r = R.reshape(-1, M, N_b)[..., ::-1]
+    X = _equalize_block(r, bank, pooled=True, overwrite_r=overwrite_r)[..., ::-1]
     return X if R.ndim == 3 else X[0]
 
 
@@ -247,15 +250,16 @@ def _stack_len(M: int, K: int, N_b: int) -> int:
     return max(1, _CHUNK_BYTES // ((K + 1) * M * N_b * 16))
 
 
-def _equalize_block(r, bank: FilterBank, pooled: bool) -> np.ndarray:
+def _equalize_block(r, bank: FilterBank, pooled: bool, overwrite_r: bool = False) -> np.ndarray:
     """(B, Q*K, N_b) estimates, in time order, of the time-order (B, M, N_b) blocks r.
 
     Pooled, a stack of _PARALLEL_MIN_BYTES or more splits its transform rows
-    and its subband chunks over the pool.
+    and its subband chunks over the pool.  With overwrite_r the transform is
+    written over r.
     """
     M, K, N_b = bank.subbands.shape
     B = len(r)
-    Rc = np.empty((B, M, N_b), dtype=np.complex128)
+    Rc = r if overwrite_r else np.empty((B, M, N_b), dtype=np.complex128)
     X = np.empty((B, len(bank.weights), K, N_b), dtype=np.complex128)
     chunks = [(bank, Rc, X, lo, hi) for lo, hi in _subband_chunks(N_b, (K + 1) * M)]
     rows = _split(M, r.nbytes) if pooled else [(0, M)]
@@ -295,7 +299,7 @@ def _solve_subbands(bank: FilterBank, Rc, X, lo, hi) -> None:
 
 
 def overlap_save_stream(
-    r: np.ndarray, bank: FilterBank, cfg: FdeConfig
+    r: np.ndarray, bank: FilterBank, cfg: FdeConfig, overwrite_r: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Equalize an M x T_c stream block-wise with overlap and edge discard.
 
@@ -308,7 +312,10 @@ def overlap_save_stream(
     estimates, rows as for equalize_block, and a length-T_c boolean edge mask).
 
     The blocks go to equalize_block in stacks of consecutive blocks, views of
-    the stream; the clamped final block is a stack of its own.
+    the stream; the clamped final block is a stack of its own.  With
+    overwrite_r, a stream of one block (T = N_b) is overwritten with its
+    transform (see equalize_block); a stream of more blocks, which overlap,
+    is never overwritten.
     """
     r = np.asarray(r, dtype=np.complex128)
     M, K, _ = bank.subbands.shape
@@ -321,7 +328,7 @@ def overlap_save_stream(
     edge = np.zeros(T, dtype=bool)
     edge[T - cfg.overlap :] = True
     if T == N_b:  # one block: its estimates are the stream's
-        return equalize_block(r[:, ::-1], bank)[:, ::-1], edge
+        return equalize_block(r[:, ::-1], bank, overwrite_r=overwrite_r)[:, ::-1], edge
 
     step = N_b - cfg.overlap
     out = np.empty((len(bank.weights) * K, T), dtype=np.complex128)

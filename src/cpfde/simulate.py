@@ -10,9 +10,9 @@ same order, so results do not depend on the thread count either.
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
@@ -38,8 +38,9 @@ METHODS = ("WF", "WF_Q")
 # power hundreds of decades inside the finite positive float range.
 MAX_EBN0_DB = 300.0
 
-# Largest M x T_c complex128 receive stream, in bytes.  A realization holds a
-# few such streams at once; paper scale (M=64, T_c=50000) is 51 MB.  The K x T_c
+# Largest M x T_c complex128 receive stream, in bytes.  A realization holds at
+# most two such streams at once, the noiseless and the received one (one array
+# at the last Eb/N0 point); paper scale (M=64, T_c=50000) is 51 MB.  The K x T_c
 # symbol stream, the (L+1, M, K) channel taps and the (M, K, N_b) subbands of
 # all block lengths together (113 MB at paper scale) have the same bound.  The
 # block length scan has its own, larger cap on T_c (blockopt.MAX_COHERENCE).
@@ -320,14 +321,14 @@ def _noise_ahead(cfg: SimConfig, rng):
     return nullcontext(itertools.repeat(None))
 
 
-def _receive(cfg: SimConfig, taps: ChannelTaps, hx, sigma_x2: float, rng, noise=None):
-    """Stream at power sigma_x2 plus unit-power noise, quantized in place.
+def _receive(cfg: SimConfig, taps: ChannelTaps, r, sigma_x2: float, rng, noise=None):
+    """Add unit-power noise to r, the stream already at power sigma_x2, and
+    quantize it, both in place; returns r.
 
     The noise is add_noise's draws from rng or, if given, noise: the same
     draws made ahead by _draw_noise.  One unit-std quantizer design is scaled
     by each antenna's AGC std.
     """
-    r = np.sqrt(sigma_x2) * hx
     if noise is None:
         add_noise(r, 1.0, rng)
     else:
@@ -355,6 +356,10 @@ def _run_one_realization(args):
     Each point's noise comes from _noise_ahead: where a CPU would idle, a
     helper thread draws the next point's noise while this point is
     quantized, equalized and scored, the same draws as add_noise's.
+
+    No stream outlives its last reader: the last point scales the noiseless
+    stream in place into its received one, and at every point the one-block
+    N_b = T_c, equalized last, transforms the received stream in place.
     """
     cfg, index, sigma_x2_by_ebn0 = args
     taps, rng, unit_syms = _symbols(cfg, index)
@@ -370,16 +375,22 @@ def _run_one_realization(args):
         bit_err = np.empty(shape, dtype=np.int64)
         banks = {}
         last = len(cfg.ebn0_grid) - 1
+        # The one-block N_b = T_c goes last: it overwrites r with its transform.
+        order = sorted(range(len(cfg.block_lens)), key=lambda j: cfg.block_lens[j] == cfg.T_c)
         for i, (ebn0, noise_i) in enumerate(zip(cfg.ebn0_grid, drawn)):
             sigma_x2 = sigma_x2_by_ebn0[ebn0]
             x = np.sqrt(sigma_x2) * unit_syms[:, :n]
-            r = _receive(cfg, taps, hx, sigma_x2, rng, noise_i)
-            for j, n_b in enumerate(cfg.block_lens):
+            r = np.multiply(np.sqrt(sigma_x2), hx, out=hx if i == last else None)
+            _receive(cfg, taps, r, sigma_x2, rng, noise_i)
+            for j in order:
+                n_b = cfg.block_lens[j]
                 fde_cfg = FdeConfig(block_len=n_b, overlap=cfg.L)
                 if i == 0:
                     banks[n_b] = build_filter_bank(freq_channel(taps, n_b), models, fde_cfg)
                 bank = banks[n_b] if i < last else banks.pop(n_b)
-                out = overlap_save_stream(r, bank.subset(i * Q, (i + 1) * Q), fde_cfg)[0]
+                out = overlap_save_stream(
+                    r, bank.subset(i * Q, (i + 1) * Q), fde_cfg, overwrite_r=True
+                )[0]
                 del bank  # after the last point, before the next N_b's bank is built
                 estimates = out.reshape(Q, cfg.K, -1)
                 for k, xhat in enumerate(estimates[..., :n]):
@@ -407,7 +418,7 @@ def run_experiment(cfg: SimConfig) -> SimReport:
         # Each worker process gets an equal share of the equalizer threads, so
         # workers x threads stays within the CPUs.
         share = max(1, _thread_count() // workers)
-        with ProcessPoolExecutor(
+        with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_set_threads, initargs=(share,)
         ) as pool:
             results = list(pool.map(_run_one_realization, tasks))
@@ -468,7 +479,8 @@ def per_position_error_profile(cfg: SimConfig) -> np.ndarray:
     for i in range(cfg.N_sim):
         taps, rng, unit_syms = _symbols(cfg, i)
         x = np.sqrt(sigma_x2) * unit_syms
-        r = _receive(cfg, taps, convolve_transmit(taps, unit_syms), sigma_x2, rng)
+        hx = convolve_transmit(taps, unit_syms)
+        r = _receive(cfg, taps, np.multiply(np.sqrt(sigma_x2), hx, out=hx), sigma_x2, rng)
         models = _models(cfg, taps, sigma_x2_by_ebn0)
         bank = build_filter_bank(freq_channel(taps, n_b), models, FdeConfig(n_b, overlap=0))
         # skip the first block: its history is the zero-padded stream start

@@ -250,7 +250,7 @@ class TestConvolveTransmit:
         x = rng.standard_normal((K, T)) + 1j * rng.standard_normal((K, T))
         y = convolve_transmit(taps, x)
         expected = self.direct_convolution(taps, x)
-        assert y.shape == (M, T)
+        assert y.shape == (M, T) and y.flags.c_contiguous  # scaled in place by its callers
         assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_multi_block_stream_matches_direct_sum(self):

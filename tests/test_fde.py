@@ -478,6 +478,45 @@ class TestOverlapSave:
         np.testing.assert_allclose(out[:, 6:12], blk[:, :6], atol=1e-10)
 
 
+class TestOverwrite:
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    def test_one_block_is_bitwise_the_copying_call(self, threads):
+        # One block (T = N_b = 64): overwrite_r writes the transform over r,
+        # split into row ranges on 2 and 5 threads (the pool floor is 0); the
+        # estimates are bitwise those of the call that allocates it.
+        rng = np.random.default_rng(21)
+        M, K, N_b = 8, 2, 64
+        taps = random_taps(rng, 3, M, K)
+        cfg = FdeConfig(block_len=N_b, overlap=3)
+        models = [bussgang_model(taps, 0.0, 1.0, 1.0), bussgang_model(taps, 0.3, 1.0, 1.0)]
+        bank = build_filter_bank(freq_channel(taps, N_b), models, cfg)
+        r = rng.standard_normal((M, N_b)) + 1j * rng.standard_normal((M, N_b))
+        overwritten = r.copy()
+        with pool_threads(threads):
+            expected, expected_edge = overlap_save_stream(r, bank, cfg)
+            out, edge = overlap_save_stream(overwritten, bank, cfg, overwrite_r=True)
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(edge, expected_edge)
+        assert not np.array_equal(overwritten, r)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("T", [61, 64], ids=["clamped", "unclamped"])
+    def test_multi_block_stream_is_left_unchanged(self, threads, T):
+        # Overlapping blocks share stream samples: no block is transformed in place.
+        rng = np.random.default_rng(22)
+        M, K, N_b = 4, 2, 8
+        taps = random_taps(rng, 3, M, K)
+        cfg = FdeConfig(block_len=N_b, overlap=3)
+        bank = build_filter_bank(freq_channel(taps, N_b), [bussgang_model(taps, 0.3, 1.0, 1.0)], cfg)
+        r = rng.standard_normal((M, T)) + 1j * rng.standard_normal((M, T))
+        kept = r.copy()
+        with pool_threads(threads):
+            out, _ = overlap_save_stream(r, bank, cfg, overwrite_r=True)
+            expected = per_block_reference(kept, bank, cfg)
+        np.testing.assert_array_equal(r, kept)
+        np.testing.assert_array_equal(out, expected)
+
+
 class TestDiscardBenefit:
     def test_discard_lowers_interior_mse(self):
         # statistical: discarding the corrupted overlap beats no discard

@@ -33,6 +33,30 @@ def test_cli_runs_without_scipy(tmp_path):
         assert not loaded, f"scipy modules loaded: {{loaded}}"
         """
     )
+    run_fresh(script)
+
+
+def test_import_loads_no_process_pool():
+    # Only a sweep with more than one worker starts a process pool; importing
+    # the package, as every CLI command does, loads none of its modules.
+    run_fresh(
+        textwrap.dedent(
+            """
+            import sys
+            import cpfde, cpfde.cli
+
+            loaded = sorted(
+                m for m in sys.modules
+                if m.partition(".")[0] == "multiprocessing" or m == "concurrent.futures.process"
+            )
+            assert not loaded, f"process pool modules loaded: {loaded}"
+            """
+        )
+    )
+
+
+def run_fresh(script):
+    """Run script in a fresh interpreter that imports this package's sources."""
     src = str(Path(cpfde.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(

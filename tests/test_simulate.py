@@ -1,5 +1,6 @@
 """QAM mapping, power calibration, and the Monte-Carlo engine."""
 
+import concurrent.futures
 import dataclasses
 import os
 import signal
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +85,7 @@ def per_point_reference(cfg, index, sigma_x2_by_ebn0):
     for i, ebn0 in enumerate(cfg.ebn0_grid):
         sigma_x2 = sigma_x2_by_ebn0[ebn0]
         x = np.sqrt(sigma_x2) * unit_syms[:, :n]
-        r = simulate._receive(cfg, taps, hx, sigma_x2, rng)
+        r = simulate._receive(cfg, taps, np.sqrt(sigma_x2) * hx, sigma_x2, rng)
         models = [
             bussgang_model(taps, rho if method == "WF_Q" else 0.0, 1.0, sigma_x2)
             for method in cfg.methods
@@ -96,6 +98,10 @@ def per_point_reference(cfg, index, sigma_x2_by_ebn0):
                 rx_bits = bit_array_demap(xhat / np.sqrt(sigma_x2), cfg.modulation)
                 bit_err[i, j, k] = np.count_nonzero(rx_bits != tx_bits)
     return sq, bit_err
+
+
+def row_key(row):
+    return row.ebn0_db, row.n_b, row.method
 
 
 def record_ahead(monkeypatch):
@@ -392,7 +398,7 @@ class TestEngine:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         serial = run_experiment(self.small_cfg())
         for cpus, expected in ((4, [(3, (1,))]), (2, [(2, (1,))]), (1, [])):
             started.clear()
@@ -407,11 +413,44 @@ class TestEngine:
         cfg = self.small_cfg(N_sim=1)
         base = run_experiment(cfg)
         original = fde.equalize_block
-        monkeypatch.setattr(fde, "equalize_block", lambda R, bank: original(R, bank) * 1.01)
+        monkeypatch.setattr(
+            fde, "equalize_block", lambda R, bank, **kw: original(R, bank, **kw) * 1.01
+        )
         scaled = run_experiment(cfg)
         assert {r.n_b for r in scaled.rows} == {16, 128}
         for a, b in zip(base.rows, scaled.rows):
             assert b.mse != a.mse
+
+    def test_one_block_length_listed_first_gives_the_same_rows(self):
+        # The one-block N_b = T_c = 128 overwrites the received stream, so each
+        # point equalizes it last, wherever the grid lists it.
+        grid = dict(ebn0_grid=(0.0, 10.0, 20.0))
+        last = run_experiment(self.small_cfg(block_lens=(16, 20, 128), **grid))
+        first = run_experiment(self.small_cfg(block_lens=(128, 16, 20), **grid))
+        assert [r.n_b for r in first.rows[:2]] == [128, 128]
+        assert sorted(first.rows, key=row_key) == sorted(last.rows, key=row_key)
+        for key, mse in last.realization_mse.items():
+            np.testing.assert_array_equal(first.realization_mse[key], mse)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_memory_below_four_streams(self, monkeypatch, threads):
+        # An M x T_c = 32 x 32768 stream is 16 MiB, and the one-block
+        # N_b = T_c subbands are two streams.  At the last (here the only)
+        # point the noiseless stream is scaled in place into the received
+        # one, which N_b = T_c overwrites with its transform, so the
+        # realization peaks below four streams.
+        cfg = SimConfig(M=32, T_c=32768, N_sim=1, ebn0_grid=(10.0,), block_lens=(256, 32768))
+        sigma_x2 = simulate._sigma_x2(cfg)
+        monkeypatch.setattr(_pool, "_threads", threads)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            simulate._run_one_realization((cfg, 0, sigma_x2))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * cfg.M * cfg.T_c * 16
 
     def test_report_shape_and_counting(self):
         cfg = self.small_cfg()
@@ -706,7 +745,8 @@ class TestErrorProfile:
         for i in range(cfg.N_sim):
             taps, rng, unit_syms = simulate._symbols(cfg, i)
             x = np.sqrt(sigma_x2) * unit_syms
-            r = simulate._receive(cfg, taps, convolve_transmit(taps, unit_syms), sigma_x2, rng)
+            hx = np.sqrt(sigma_x2) * convolve_transmit(taps, unit_syms)
+            r = simulate._receive(cfg, taps, hx, sigma_x2, rng)
             bm = bussgang_model(taps, rho, 1.0, sigma_x2)
             bank = fde.build_filter_bank(freq_channel(taps, 16), [bm], fde.FdeConfig(16, 0))
             for s in range(16, cfg.T_c - 16 + 1, 16):
