@@ -9,16 +9,23 @@ Dense matrices (block-Toeplitz / block-circulant) are validation aids for small
 instances only; the streaming path never forms them.  freq_channel and the
 inverse transform of convolve_transmit split their antenna rows over the
 thread pool of _pool when the call is large, bitwise as one serial call.
+convolve_transmit and add_noise hold no intermediate of a stream's size: they
+work a range of blocks or rows (_RANGE_BYTES) at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._pool import _map, _split
 from .errors import ConfigurationError, DimensionError
+
+# Stream-sized work (the transmit convolution's spectra, the noise draws) is
+# done in pieces of about this many bytes, so none reaches a stream's size.
+_RANGE_BYTES = 8 << 20
 
 # 3GPP Extended Vehicular A tapped-delay-line definition.
 EVA_DELAYS_NS = (0.0, 30.0, 150.0, 310.0, 370.0, 710.0, 1090.0, 1730.0, 2510.0)
@@ -214,18 +221,23 @@ def add_noise(
 
     Noise is i.i.d. circularly symmetric complex Gaussian with total variance
     noise_std^2 per sample: (noise_std/sqrt(2)) * (N_1 + j N_2), where the real
-    draws N_1 (shape of y) come from rng before the imaginary draws N_2.  Both
-    are drawn into one reused buffer.
+    draws N_1 (shape of y) come from rng before the imaginary draws N_2.  Each
+    is drawn a range of rows at a time, into one reused buffer of about
+    _RANGE_BYTES: the same draws as one of the whole shape.
     """
     if noise_std > 0:
         if rng is None:
             raise ConfigurationError("rng required when noise_std > 0")
         scale = noise_std / np.sqrt(2.0)
-        draws = np.empty(y.shape)
-        for part in (y.real, y.imag):
-            rng.standard_normal(out=draws)
-            draws *= scale
-            part += draws
+        rows = np.atleast_1d(y)  # a view: drawn and added a range of rows at a time
+        step = max(1, _RANGE_BYTES // (8 * math.prod(rows.shape[1:]) or 1))
+        draws = np.empty((min(step, len(rows)), *rows.shape[1:]))
+        for part in (rows.real, rows.imag):
+            for lo in range(0, len(rows), step):
+                buf = draws[: min(step, len(rows) - lo)]
+                rng.standard_normal(out=buf)
+                buf *= scale
+                part[lo : lo + step] += buf
     return y
 
 
@@ -237,6 +249,13 @@ def convolve_transmit(taps: ChannelTaps, x: np.ndarray) -> np.ndarray:
     multiplied by the tap spectra per frequency bin and transformed back, and
     each block's L-sample tail is added to the head of the next.  The result
     is noiseless; add_noise adds receiver noise.
+
+    The blocks go through the product and the inverse transform a range at a
+    time, a multiple of 8 blocks of at most about _RANGE_BYTES of spectra,
+    and each range's last tail is carried into the next.  The result is
+    bitwise that of one range of all blocks: OpenBLAS rounds a batched
+    product of a multiple of 8 columns as the leading columns of a wider
+    one, and a last range of one block joins the one before it.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 2 or x.shape[0] != taps.n_users:
@@ -254,25 +273,55 @@ def convolve_transmit(taps: ChannelTaps, x: np.ndarray) -> np.ndarray:
     xb[:, :T] = x
     Xf = np.fft.fft(xb.reshape(K, n_blk, step), n=nfft, axis=-1)
     Hf = np.fft.fft(taps.taps, n=nfft, axis=0)
-    yf = Hf @ Xf.transpose(2, 0, 1)  # (nfft, M, n_blk)
-    _map(_inverse_rows, [(yf, lo, hi) for lo, hi in _split(M, yf.nbytes)])
-    yb = yf.transpose(1, 2, 0)
+    # The largest odd multiple of 8 blocks within _RANGE_BYTES (at least 8): a
+    # power of 2 would put the transposing copy of _inverse_rows on a stride
+    # that caches serve badly.
+    blocks = max(0, _RANGE_BYTES // (nfft * M * 16) - 8) // 16 * 16 + 8
     # Written into a contiguous M x T array, which callers scale, add noise to
-    # and quantize in place: the whole blocks, then a last partial one.
+    # and quantize in place.
     y = np.empty((M, T), dtype=np.complex128)
-    full, rest = divmod(T, step)
-    blocks = y[:, : full * step].reshape(M, full, step, copy=False)
-    blocks[...] = yb[:, :full, :step]
-    if full > 1:
-        blocks[:, 1:, :L] += yb[:, : full - 1, step:]
-    if rest:
-        part = y[:, full * step :]
-        part[...] = yb[:, full, :rest]
-        if full:
-            part[:, :L] += yb[:, full - 1, step : step + rest]
+    starts = list(range(0, n_blk, blocks))
+    if len(starts) > 1 and starts[-1] == n_blk - 1:
+        starts.pop()  # numpy multiplies a lone block by another BLAS kernel
+    ends = starts[1:] + [n_blk]
+    # Every range's spectra and blocks go to the front of the same two buffers.
+    size = nfft * M * max(b - a for a, b in zip(starts, ends))
+    spectra, times = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
+    tail = None
+    for b0, b1 in zip(starts, ends):
+        n = nfft * M * (b1 - b0)
+        yf = spectra[:n].reshape(nfft, M, b1 - b0)
+        np.matmul(Hf, Xf[:, b0:b1].transpose(2, 0, 1), out=yf)
+        yb = times[:n].reshape(M, b1 - b0, nfft)
+        _map(_inverse_rows, [(yf, yb, lo, hi) for lo, hi in _split(M, yf.nbytes)])
+        tail = _overlap_add(y, yb, b0 * step, step, tail)
     return y
 
 
-def _inverse_rows(yf, lo, hi) -> None:
-    """Inverse-transform antenna rows lo..hi-1 of yf (nfft, M, n_blk) in place."""
-    np.fft.ifft(yf[:, lo:hi], axis=0, out=yf[:, lo:hi])
+def _overlap_add(y, yb, start, step, tail):
+    """Write the blocks yb (M, n, nfft), which start at sample start of y and
+    advance by step, into y with their tails added to the next heads; tail is
+    the block before's, added to the first head.  Returns the last tail."""
+    M, n, nfft = yb.shape
+    L = nfft - step
+    full = min(n, (y.shape[1] - start) // step)  # blocks inside y
+    blocks = y[:, start : start + full * step].reshape(M, full, step, copy=False)
+    blocks[...] = yb[:, :full, :step]
+    if full > 1:
+        blocks[:, 1:, :L] += yb[:, : full - 1, step:]
+    if full < n:  # the stream's last block, cut at its end
+        part = y[:, start + full * step :]
+        rest = part.shape[1]
+        part[...] = yb[:, full, :rest]
+        if full:
+            part[:, :L] += yb[:, full - 1, step : step + rest]
+    if tail is not None:
+        head = y[:, start : start + L]
+        head += tail[:, : head.shape[1]]
+    return yb[:, -1, step:].copy()
+
+
+def _inverse_rows(yf, yb, lo, hi) -> None:
+    """Inverse-transform antenna rows lo..hi-1 of yf (nfft, M, n) into yb (M, n, nfft)."""
+    yb[lo:hi] = yf[:, lo:hi].transpose(1, 2, 0)
+    np.fft.ifft(yb[lo:hi], axis=-1, out=yb[lo:hi])

@@ -9,18 +9,25 @@ all models at once, each subband's system is solved with the stored factors,
 and the estimates are transformed back.  A dense time-domain Wiener filter is
 provided as an oracle for small instances.
 
-Every stream goes this one way: build_filter_bank, then overlap_save_stream,
-which calls equalize_block per stack of consecutive blocks (a stream of one
-block, the paper's N_b = T_c, included).  A stack holds as many blocks as one
-subband chunk (_CHUNK_BYTES) holds: 21 at the desk N_b = 64, one from paper
-N_b = 1024 up.  Each block of a stack is computed as in a call of its own,
-so its estimates are bitwise the same; a stack only saves numpy's per-call
-overhead.  equalize_stream chains the two; the sweep builds one bank for the
-models of all its Eb/N0 points and streams each point through
+A stream goes build_filter_bank, then overlap_save_stream, which calls
+equalize_block per stack of consecutive blocks.  A stack holds as many blocks
+as one subband chunk (_CHUNK_BYTES) holds: 21 at the desk N_b = 64, one from
+paper N_b = 1024 up.  Each block of a stack is computed as in a call of its
+own, so its estimates are bitwise the same; a stack only saves numpy's
+per-call overhead.  equalize_stream chains the two; the sweep builds one bank
+for the models of all its Eb/N0 points and streams each point through
 FilterBank.subset, and the bathtub profile calls build_filter_bank and
-equalize_block, in the same stacks, itself.  The estimates agree with
-explicit per-subband filters F^H G_f F to a relative 1e-12 (rounding: the
-arithmetic is ordered differently).
+equalize_block, in the same stacks, itself.
+
+The sweep's stream of one block, the paper's N_b = T_c, goes through
+equalize_one_block instead, whose subbands would be twice the stream: it
+transforms the stream in place and builds the subbands, sums the Gram and
+matched-filter products and solves a group of antenna rows at a time
+(_GROUP_BYTES).  Both routes run the same kernels, _factor_subbands and
+_solve_subbands; a bank is their case of one group, so with one group the
+two routes are bitwise the same, and with more they agree to rounding.  The
+estimates agree with explicit per-subband filters F^H G_f F to a relative
+1e-12 (rounding: the arithmetic is ordered differently).
 
 Convention: blocks are newest-sample-first (column 0 holds time n).  With that
 ordering a delay by l taps is a cyclic shift by +l columns, so the unitary
@@ -29,11 +36,12 @@ F[a, b] = exp(+2j pi a b / N) / sqrt(N); its conjugate maps back to time.  In
 time order the same filter is ifft(G_f fft(r)), which is how blocks are
 computed.
 
-Large bank builds, blocks and overlap-save streams are cut into subband
-chunks that fit in cache, antenna rows or ranges of stacks, and mapped over the
-thread pool of _pool (numpy's FFT, matmul and elementwise arithmetic release
-the GIL).  The chunks do not depend on the thread count, so results are
-bit-identical for any thread count.  A pool job never starts a pool of its own.
+Large bank builds, blocks, antenna groups and overlap-save streams are cut
+into subband chunks that fit in cache, antenna rows or ranges of stacks, and
+mapped over the thread pool of _pool (numpy's FFT, matmul and elementwise
+arithmetic release the GIL).  The chunks and groups do not depend on the
+thread count, so results are bit-identical for any thread count.  A pool job
+never starts a pool of its own.
 
 A Gram matrix that is singular to working precision (a pivot of its LDL^H
 factorization at most _PIVOT_RTOL times its diagonal entry, as with more users
@@ -49,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pool import _map, _split
+from .channel import ChannelTaps, _transform_taps
 from .errors import ConfigurationError, DimensionError
 from .quant import BussgangModel
 
@@ -58,6 +67,9 @@ DENSE_SIZE_CAP = 4096
 # temporaries, and a stack of blocks fills at most one chunk; a call of one
 # chunk runs in the calling thread.
 _CHUNK_BYTES = 2 << 20
+# A stream of one block is equalized in groups of antenna rows whose subbands
+# take about this many bytes, so that no intermediate reaches the stream's size.
+_GROUP_BYTES = 8 << 20
 # A Gram matrix is singular to working precision when an LDL^H pivot falls to
 # this fraction of its diagonal entry: its solve would keep fewer than about
 # four significant digits.
@@ -121,22 +133,35 @@ def build_filter_bank(
     M, K, N_b = subbands.shape
     if N_b != cfg.block_len:
         raise DimensionError(f"frequency channel block_len {N_b} != config {cfg.block_len}")
+    weights, gram_weights, loads = _model_weights(models)
+    mult, rpiv = _empty_factors(K, len(models), N_b)
+    _map(
+        _factor_subbands,
+        [
+            (subbands, gram_weights, None, loads, mult, rpiv, lo, hi)
+            for lo, hi in _subband_chunks(N_b, (K * (K + 1) // 2 + K) * M)
+        ],
+        subbands.nbytes,
+    )
+    return FilterBank(subbands, weights, mult, rpiv)
+
+
+def _model_weights(models: Sequence[BussgangModel]):
+    """The (Q, M) weights g / D and g^2 / D and the (Q,) loads 1 / sigma_x^2."""
     diags = np.array([bm.eff_noise_diag for bm in models], dtype=np.float64)
     if np.any(diags <= 0):
         raise ConfigurationError("effective-noise diagonal must be strictly positive")
     gains = np.array([bm.gain for bm in models], dtype=np.float64)[:, None]
     loads = 1.0 / np.array([bm.sigma_x2 for bm in models], dtype=np.float64)
-    mult = np.empty((K * (K - 1) // 2, len(models), N_b), dtype=np.complex128)
-    rpiv = np.empty((K, len(models), N_b))
-    _map(
-        _factor_subbands,
-        [
-            (subbands, gains**2 / diags, loads, mult, rpiv, lo, hi)
-            for lo, hi in _subband_chunks(N_b, (K * (K + 1) // 2 + K) * M)
-        ],
-        subbands.nbytes,
+    return gains / diags, gains**2 / diags, loads
+
+
+def _empty_factors(K: int, Q: int, N_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialized LDL^H multipliers and reciprocal pivots, as FilterBank holds them."""
+    return (
+        np.empty((K * (K - 1) // 2, Q, N_b), dtype=np.complex128),
+        np.empty((K, Q, N_b)),
     )
-    return FilterBank(subbands, gains / diags, mult, rpiv)
 
 
 def _subband_chunks(N_b: int, entries: int) -> list[tuple[int, int]]:
@@ -145,23 +170,38 @@ def _subband_chunks(N_b: int, entries: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, N_b)) for lo in range(0, N_b, step)]
 
 
-def _factor_subbands(subbands, weights, loads, mult, rpiv, lo, hi) -> None:
+def _antenna_groups(M: int, K: int, N_b: int) -> list[tuple[int, int]]:
+    """(a, b) antenna row ranges of about _GROUP_BYTES of (K, N_b) subbands each."""
+    g = max(1, min(M, _GROUP_BYTES // (K * N_b * 16)))
+    return [(a, min(a + g, M)) for a in range(0, M, g)]
+
+
+def _factor_subbands(H, weights, gram, loads, mult, rpiv, lo, hi) -> None:
     """Factor the Gram matrices of subbands lo..hi-1 into mult and rpiv.
 
-    The products conj(H_i) H_j (i <= j), antenna-major, are shared by all
-    models; one real product with the weights g^2 / D sums them over the
-    antennas for all models.
+    H holds the (g, K, N_b) subbands of a group of antennas and weights their
+    (Q, g) g^2 / D.  The products conj(H_i) H_j (i <= j), antenna-major, are
+    shared by all models; one real product with the weights sums them over the
+    group for all models.  With gram, the (Q, K(K+1)/2, N_b) sums of the
+    groups before, this group's are added to it, and the Gram matrices are
+    complete only at the last group, which passes loads; without loads
+    nothing is factored.
     """
-    H = subbands[:, :, lo:hi]
-    M, K, n = H.shape
+    H = H[:, :, lo:hi]
+    g, K, n = H.shape
     Hc = np.conjugate(H)
     pairs = [(i, j) for i in range(K) for j in range(i, K)]
-    P = np.empty((M, len(pairs), n), dtype=np.complex128)
+    P = np.empty((g, len(pairs), n), dtype=np.complex128)
     for p, (i, j) in enumerate(pairs):
         np.multiply(Hc[:, i], H[:, j], out=P[:, p])
-    gram = (weights @ P.reshape(M, -1).view(np.float64)).view(np.complex128)
-    gram = gram.reshape(len(weights), len(pairs), n)
-    entry = {ij: gram[:, p] for p, ij in enumerate(pairs)}
+    sums = (weights @ P.reshape(g, -1).view(np.float64)).view(np.complex128)
+    sums = sums.reshape(len(weights), len(pairs), n)
+    if gram is not None:
+        gram[..., lo:hi] += sums
+        sums = gram[..., lo:hi]
+    if loads is None:
+        return
+    entry = {ij: sums[:, p] for p, ij in enumerate(pairs)}
     for k in range(K):
         entry[k, k].real += loads[:, None]
     A = [[entry.get((i, j)) for j in range(K)] for i in range(K)]
@@ -220,14 +260,12 @@ def equalize_stream(
     return overlap_save_stream(r, bank, cfg)[0].reshape(len(models), subbands.shape[1], -1)
 
 
-def equalize_block(R: np.ndarray, bank: FilterBank, overwrite_r: bool = False) -> np.ndarray:
+def equalize_block(R: np.ndarray, bank: FilterBank) -> np.ndarray:
     """Equalize one M x N_b receive block (columns newest-first) to Q*K x N_b.
 
     Row q*K + k holds user k's estimates under model q of the bank.  A
     (B, M, N_b) stack of blocks gives (B, Q*K, N_b), each block's estimates
-    bitwise those of its own call.  With overwrite_r, a complex128 R is
-    overwritten with its transform instead of a new array (as scipy.fft's
-    overwrite_x); the estimates are bitwise the same.
+    bitwise those of its own call.
     """
     R = np.asarray(R, dtype=np.complex128)
     M, _, N_b = bank.subbands.shape
@@ -236,7 +274,7 @@ def equalize_block(R: np.ndarray, bank: FilterBank, overwrite_r: bool = False) -
             f"receive block must be {M} x {N_b} or a stack of them, got {R.shape}"
         )
     r = R.reshape(-1, M, N_b)[..., ::-1]
-    X = _equalize_block(r, bank, pooled=True, overwrite_r=overwrite_r)[..., ::-1]
+    X = _equalize_block(r, bank, pooled=True)[..., ::-1]
     return X if R.ndim == 3 else X[0]
 
 
@@ -250,18 +288,20 @@ def _stack_len(M: int, K: int, N_b: int) -> int:
     return max(1, _CHUNK_BYTES // ((K + 1) * M * N_b * 16))
 
 
-def _equalize_block(r, bank: FilterBank, pooled: bool, overwrite_r: bool = False) -> np.ndarray:
+def _equalize_block(r, bank: FilterBank, pooled: bool) -> np.ndarray:
     """(B, Q*K, N_b) estimates, in time order, of the time-order (B, M, N_b) blocks r.
 
     Pooled, a stack of _PARALLEL_MIN_BYTES or more splits its transform rows
-    and its subband chunks over the pool.  With overwrite_r the transform is
-    written over r.
+    and its subband chunks over the pool.
     """
     M, K, N_b = bank.subbands.shape
     B = len(r)
-    Rc = r if overwrite_r else np.empty((B, M, N_b), dtype=np.complex128)
+    Rc = np.empty((B, M, N_b), dtype=np.complex128)
     X = np.empty((B, len(bank.weights), K, N_b), dtype=np.complex128)
-    chunks = [(bank, Rc, X, lo, hi) for lo, hi in _subband_chunks(N_b, (K + 1) * M)]
+    chunks = [
+        (bank.subbands, Rc, bank.weights, X, False, bank.mult, bank.rpiv, lo, hi)
+        for lo, hi in _subband_chunks(N_b, (K + 1) * M)
+    ]
     rows = _split(M, r.nbytes) if pooled else [(0, M)]
     if len(rows) > 1:
         _map(_transform_rows, [(r, Rc, lo, hi) for lo, hi in rows])
@@ -281,25 +321,116 @@ def _transform_rows(r, Rc, lo, hi) -> None:
     np.conjugate(Rc[:, lo:hi], out=Rc[:, lo:hi])
 
 
-def _solve_subbands(bank: FilterBank, Rc, X, lo, hi) -> None:
-    """Write every model's estimates of subbands lo..hi-1 into X (B, Q, K, N_b).
+def _solve_subbands(H, Rc, weights, X, add, mult, rpiv, lo, hi) -> None:
+    """Sum, and at the last group solve, every model's subbands lo..hi-1 in X (B, Q, K, N_b).
 
-    The products H conj(R_f), block-major and then antenna-major, are shared
-    by all models; per block, one real product with the weights g / D sums
-    them over the antennas for all models into the conjugated matched-filter
-    output.
+    H holds the (g, K, N_b) subbands of a group of antennas, Rc (B, g, N_b)
+    the conjugated transforms of their rows in B blocks and weights their
+    (Q, g) g / D.  The products H conj(R_f), block-major and then
+    antenna-major, are shared by all models; per block, one real product with
+    the weights sums them over the group for all models into the conjugated
+    matched-filter output, which is written to X, or with add added to the
+    sums of the groups before.  With mult (the last group) the subband
+    systems are then solved in place with the factors mult and rpiv.
     """
-    H = bank.subbands[:, :, lo:hi]
-    M, K, n = H.shape
+    H = H[:, :, lo:hi]
+    g, K, n = H.shape
     P = H * Rc[:, :, None, lo:hi]
-    S = bank.weights @ P.reshape(len(P), M, -1).view(np.float64)
     b = X[..., lo:hi]
-    np.conjugate(S.view(np.complex128).reshape(b.shape), out=b)
-    _ldl_solve(bank.mult[..., lo:hi], bank.rpiv[:, None, :, lo:hi], b.transpose(2, 0, 1, 3))
+    S = (weights @ P.reshape(len(P), g, -1).view(np.float64)).view(np.complex128)
+    S = S.reshape(b.shape)
+    if add:  # the conjugate of a sum is the sum of the conjugates, bitwise
+        b += np.conjugate(S, out=S)
+    else:
+        np.conjugate(S, out=b)
+    if mult is not None:
+        _ldl_solve(mult[..., lo:hi], rpiv[:, None, :, lo:hi], b.transpose(2, 0, 1, 3))
+
+
+def equalize_one_block(
+    r: np.ndarray,
+    taps: ChannelTaps,
+    models: Sequence[BussgangModel],
+    lo: int = 0,
+    hi: int | None = None,
+    bank: FilterBank | None = None,
+    keep: bool = False,
+) -> tuple[np.ndarray, FilterBank | None]:
+    """Equalize an M x N_b stream of one block (N_b = T_c) with models lo..hi-1.
+
+    Returns the (hi - lo) * K x N_b estimates in time order, rows as for
+    equalize_block of FilterBank.subset(lo, hi), and, with keep, the bank of
+    every model for a later call on the same r's taps and models (as bank=),
+    else None.  A complex128 r is overwritten with its transform.
+
+    The antenna rows go in groups of about _GROUP_BYTES of subbands.  Per
+    group, the subbands of taps are built (unless bank holds them whole) and,
+    per subband chunk, the group's Gram products for every model (unless bank
+    holds their factors) and its matched-filter products for models lo..hi-1
+    are added to the sums of the groups before, in group order.  At the last
+    group the loads are added, the Gram matrices factored and the systems
+    solved.  So the subbands are whole only when they fit one group or keep
+    holds them for a later call.  With one group the estimates are bitwise
+    build_filter_bank and overlap_save_stream's; with more they agree to
+    rounding.
+    """
+    r = np.asarray(r, dtype=np.complex128)
+    M, K = taps.n_rx, taps.n_users
+    if r.ndim != 2 or r.shape[0] != M:
+        raise DimensionError(f"stream must be M x T with M={M}")
+    N_b = r.shape[1]
+    if N_b < taps.memory + 1:
+        raise DimensionError(f"N_b={N_b} must be >= L+1={taps.memory + 1}")
+    if bank is not None and bank.subbands.shape != (M, K, N_b):
+        raise DimensionError(f"bank subbands {bank.subbands.shape} != {(M, K, N_b)}")
+    hi = len(models) if hi is None else hi
+    Rc = r[None]  # the one block, transformed in place
+    _map(_transform_rows, [(Rc, Rc, a, b) for a, b in _split(M, r.nbytes)])
+
+    groups = _antenna_groups(M, K, N_b)
+    g = groups[0][1]  # antennas per group
+    build = bank is None
+    if build:
+        weights, gram_weights, loads = _model_weights(models)
+        mult, rpiv = _empty_factors(K, len(models), N_b)
+        gram = None if len(groups) == 1 else np.zeros(
+            (len(models), K * (K + 1) // 2, N_b), dtype=np.complex128
+        )
+        rows = np.ascontiguousarray(taps.taps.transpose(1, 2, 0))
+        # Whole if kept, else one group's, reused by every group.
+        subbands = np.empty((M if keep else g, K, N_b), dtype=np.complex128)
+    else:
+        subbands, weights, mult, rpiv = bank.subbands, bank.weights, bank.mult, bank.rpiv
+    X = np.empty((1, hi - lo, K, N_b), dtype=np.complex128)
+    for a, b in groups:
+        last = b == M
+        H = subbands[a:b] if len(subbands) == M else subbands[: b - a]
+        if build:
+            _map(_transform_taps, [(rows[a:b], H, c, d) for c, d in _split(b - a, H.nbytes)])
+            _map(
+                _factor_subbands,
+                [
+                    (H, gram_weights[:, a:b], gram, loads if last else None, mult, rpiv, c, d)
+                    for c, d in _subband_chunks(N_b, (K * (K + 1) // 2 + K) * g)
+                ],
+                H.nbytes,
+            )
+        _map(
+            _solve_subbands,
+            [
+                (H, Rc[:, a:b], weights[lo:hi, a:b], X, a > 0,
+                 mult[:, lo:hi] if last else None, rpiv[:, lo:hi], c, d)
+                for c, d in _subband_chunks(N_b, (K + 1) * g)
+            ],
+            H.nbytes,
+        )
+    X = X.reshape(-1, N_b)
+    np.fft.ifft(X, axis=-1, out=X)
+    return X, FilterBank(subbands, weights, mult, rpiv) if keep else None
 
 
 def overlap_save_stream(
-    r: np.ndarray, bank: FilterBank, cfg: FdeConfig, overwrite_r: bool = False
+    r: np.ndarray, bank: FilterBank, cfg: FdeConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Equalize an M x T_c stream block-wise with overlap and edge discard.
 
@@ -312,10 +443,8 @@ def overlap_save_stream(
     estimates, rows as for equalize_block, and a length-T_c boolean edge mask).
 
     The blocks go to equalize_block in stacks of consecutive blocks, views of
-    the stream; the clamped final block is a stack of its own.  With
-    overwrite_r, a stream of one block (T = N_b) is overwritten with its
-    transform (see equalize_block); a stream of more blocks, which overlap,
-    is never overwritten.
+    the stream; the clamped final block is a stack of its own.  The stream is
+    not written.
     """
     r = np.asarray(r, dtype=np.complex128)
     M, K, _ = bank.subbands.shape
@@ -328,7 +457,7 @@ def overlap_save_stream(
     edge = np.zeros(T, dtype=bool)
     edge[T - cfg.overlap :] = True
     if T == N_b:  # one block: its estimates are the stream's
-        return equalize_block(r[:, ::-1], bank, overwrite_r=overwrite_r)[:, ::-1], edge
+        return equalize_block(r[:, ::-1], bank)[:, ::-1], edge
 
     step = N_b - cfg.overlap
     out = np.empty((len(bank.weights) * K, T), dtype=np.complex128)

@@ -190,7 +190,7 @@ def quantize(
 
 
 def _quantize_rows(y, spec, scale, out, lo, hi) -> None:
-    if _by_sign(spec, scale[lo:hi]) and y.flags.c_contiguous and out.flags.c_contiguous:
+    if _by_sign(spec, scale[lo:hi]) and _rows_contiguous(y) and _rows_contiguous(out):
         # Both parts of every row at once, through the float views.
         _quantize_sign(y[lo:hi].view(np.float64), spec, scale[lo:hi], out[lo:hi].view(np.float64))
         return
@@ -200,6 +200,11 @@ def _quantize_rows(y, spec, scale, out, lo, hi) -> None:
         levels = spec.levels * scale[m]
         out[m].real = levels[np.searchsorted(thresholds, y[m].real, side="left")]
         out[m].imag = levels[np.searchsorted(thresholds, y[m].imag, side="left")]
+
+
+def _rows_contiguous(a: np.ndarray) -> bool:
+    """Whether the rows of the 2-D a are contiguous, so a has a float view."""
+    return a.shape[1] <= 1 or a.strides[1] == a.itemsize
 
 
 def _by_sign(spec: QuantizerSpec, scale: np.ndarray) -> bool:

@@ -29,7 +29,14 @@ from .channel import (
 from . import _pool
 from ._pool import _set_threads, _thread_count
 from .errors import ConfigurationError
-from .fde import FdeConfig, _stack_len, build_filter_bank, equalize_block, overlap_save_stream
+from .fde import (
+    FdeConfig,
+    _stack_len,
+    build_filter_bank,
+    equalize_block,
+    equalize_one_block,
+    overlap_save_stream,
+)
 from .quant import MAX_BITS, bussgang_model, design_quantizer, per_antenna_agc, quantize
 
 METHODS = ("WF", "WF_Q")
@@ -43,7 +50,10 @@ MAX_EBN0_DB = 300.0
 # at the last Eb/N0 point); paper scale (M=64, T_c=50000) is 51 MB.  The K x T_c
 # symbol stream, the (L+1, M, K) channel taps and the (M, K, N_b) subbands of
 # all block lengths together (113 MB at paper scale) have the same bound.  The
-# block length scan has its own, larger cap on T_c (blockopt.MAX_COHERENCE).
+# subbands of N_b = T_c (102 MB at paper scale) are whole only while a later
+# Eb/N0 point needs them; otherwise they are built a group of antennas at a
+# time.  The block length scan has its own, larger cap on T_c
+# (blockopt.MAX_COHERENCE).
 MAX_STREAM_BYTES = 2**28
 
 
@@ -351,7 +361,10 @@ def _run_one_realization(args):
     The models need the taps, the design's rho_q and each point's transmit
     power, not the received stream, so each N_b gets one filter bank for
     every point's models, built at the first point and dropped after the
-    last; each point streams through its own subset of the bank.
+    last; each point streams through its own subset of the bank.  The
+    one-block N_b = T_c goes through equalize_one_block, which builds its
+    subbands and every point's factors a group of antennas at a time at the
+    first point and keeps them, the subbands whole, only for later points.
 
     Each point's noise comes from _noise_ahead: where a CPU would idle, a
     helper thread draws the next point's noise while this point is
@@ -359,7 +372,8 @@ def _run_one_realization(args):
 
     No stream outlives its last reader: the last point scales the noiseless
     stream in place into its received one, and at every point the one-block
-    N_b = T_c, equalized last, transforms the received stream in place.
+    N_b = T_c, equalized last, transforms the received stream in place.  With
+    one point, a paper realization holds one stream at its peak.
     """
     cfg, index, sigma_x2_by_ebn0 = args
     taps, rng, unit_syms = _symbols(cfg, index)
@@ -384,14 +398,18 @@ def _run_one_realization(args):
             _receive(cfg, taps, r, sigma_x2, rng, noise_i)
             for j in order:
                 n_b = cfg.block_lens[j]
-                fde_cfg = FdeConfig(block_len=n_b, overlap=cfg.L)
-                if i == 0:
-                    banks[n_b] = build_filter_bank(freq_channel(taps, n_b), models, fde_cfg)
-                bank = banks[n_b] if i < last else banks.pop(n_b)
-                out = overlap_save_stream(
-                    r, bank.subset(i * Q, (i + 1) * Q), fde_cfg, overwrite_r=True
-                )[0]
-                del bank  # after the last point, before the next N_b's bank is built
+                if n_b == cfg.T_c:
+                    out, banks[n_b] = equalize_one_block(
+                        r, taps, models, i * Q, (i + 1) * Q,
+                        bank=banks.pop(n_b, None), keep=i < last,
+                    )
+                else:
+                    fde_cfg = FdeConfig(block_len=n_b, overlap=cfg.L)
+                    if i == 0:
+                        banks[n_b] = build_filter_bank(freq_channel(taps, n_b), models, fde_cfg)
+                    bank = banks[n_b] if i < last else banks.pop(n_b)
+                    out = overlap_save_stream(r, bank.subset(i * Q, (i + 1) * Q), fde_cfg)[0]
+                    del bank  # after the last point, before the next N_b's bank is built
                 estimates = out.reshape(Q, cfg.K, -1)
                 for k, xhat in enumerate(estimates[..., :n]):
                     # MSE per unit symbol energy: fixed unit change, not blind scaling

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpfde import _pool, channel
 from cpfde.channel import (
     ChannelTaps,
     PowerDelayProfile,
@@ -283,3 +284,79 @@ class TestConvolveTransmit:
         z = np.ones((2, 7), dtype=complex)
         assert add_noise(z, 0.0) is z and np.all(z == 1.0)
 
+
+
+def whole_array_convolution(taps, x):
+    """convolve_transmit in one range of all blocks: every block's spectrum at
+    once, (nfft, M, n_blk), as the reference for its ranges."""
+    K, T = x.shape
+    L, M = taps.memory, taps.n_rx
+    nfft = min(channel._next_pow2(max(4 * (L + 1), 64)), channel._next_pow2(T + L))
+    step = nfft - L
+    n_blk = -(-T // step)
+    xb = np.zeros((K, n_blk * step), dtype=complex)
+    xb[:, :T] = x
+    Xf = np.fft.fft(xb.reshape(K, n_blk, step), n=nfft, axis=-1)
+    yf = np.fft.fft(taps.taps, n=nfft, axis=0) @ Xf.transpose(2, 0, 1)
+    yb = np.fft.ifft(yf, axis=0).transpose(1, 2, 0)  # (M, n_blk, nfft)
+    y = np.zeros((M, n_blk * step + L), dtype=complex)
+    for b in range(n_blk):  # the head of block b is written, then its tail added
+        y[:, b * step : (b + 1) * step] = yb[:, b, :step]
+    for b in range(n_blk - 1):
+        y[:, (b + 1) * step : (b + 1) * step + L] += yb[:, b, step:]
+    return y[:, :T]
+
+
+class TestConvolveRanges:
+    @pytest.mark.parametrize("blocks", [8, 24])
+    @pytest.mark.parametrize("T", [1, 100, 8 * 49, 9 * 49, 9 * 49 + 1, 17 * 49 - 3, 40 * 49 + 20])
+    def test_ranges_are_bitwise_the_whole_array(self, monkeypatch, T, blocks):
+        # nfft = 64 and step = 49 at L = 15.  Ranges of 8 or 24 blocks with a
+        # carried tail, the last range whole, partial, cut inside the stream's
+        # last block, or of one block (joined to the range before), give
+        # bitwise the one-range result, with its rows split over the pool.
+        rng = np.random.default_rng(20 + T)
+        M, K = 5, 2
+        taps = random_taps(rng, 15, M, K)
+        x = rng.standard_normal((K, T)) + 1j * rng.standard_normal((K, T))
+        monkeypatch.setattr(channel, "_RANGE_BYTES", blocks * 64 * M * 16)
+        monkeypatch.setattr(_pool, "_PARALLEL_MIN_BYTES", 0)
+        monkeypatch.setattr(_pool, "_threads", 2)
+        calls = []
+        original = channel._overlap_add
+        monkeypatch.setattr(
+            channel, "_overlap_add", lambda *a: calls.append(a[1].shape[1]) or original(*a)
+        )
+        y = convolve_transmit(taps, x)
+        n_blk = -(-T // 49)
+        expected = [blocks] * (n_blk // blocks) + [n_blk % blocks] * (n_blk % blocks > 0)
+        if len(expected) > 1 and expected[-1] == 1:
+            expected[-2:] = [blocks + 1]
+        assert calls == expected
+        np.testing.assert_array_equal(y, whole_array_convolution(taps, x))
+
+    def test_paper_shape_is_bitwise_the_whole_array(self):
+        # M = 64, L = 127: nfft = 512, and a range is 8 blocks of 4 MiB, with
+        # a last range of 2 at T = 50000 (130 blocks).
+        rng = np.random.default_rng(29)
+        taps = random_taps(rng, 127, 64, 2)
+        x = rng.standard_normal((2, 50000)) + 1j * rng.standard_normal((2, 50000))
+        np.testing.assert_array_equal(convolve_transmit(taps, x), whole_array_convolution(taps, x))
+
+
+class TestNoiseRanges:
+    @pytest.mark.parametrize("shape", [(), (7,), (5, 33), (3, 4, 5), (0, 4)])
+    @pytest.mark.parametrize("rows", [1, 2, 3, None])
+    def test_row_ranges_are_one_whole_draw(self, monkeypatch, shape, rows):
+        # The draws go into a buffer of `rows` rows (None: all rows at once),
+        # in the order of one draw of the whole shape: bitwise its noise.
+        if rows is not None:
+            monkeypatch.setattr(channel, "_RANGE_BYTES", rows * 8 * int(np.prod(shape[1:])))
+        y = np.ones(shape, dtype=complex)
+        add_noise(y, 0.7, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        real, imag = rng.standard_normal(shape), rng.standard_normal(shape)
+        expected = np.ones(shape, dtype=complex)
+        expected.real += real * (0.7 / np.sqrt(2.0))
+        expected.imag += imag * (0.7 / np.sqrt(2.0))
+        np.testing.assert_array_equal(y, expected)

@@ -514,6 +514,27 @@ class TestOutputPath:
         assert seen == [True]
 
 
+    def test_shorter_rewrite_leaves_exactly_the_new_bytes(self, capsys, tmp_path):
+        # A rerun over an existing CSV and sidecar, here with fewer rows and
+        # through a symlink, leaves the bytes of a first run and no tail of
+        # the longer files before.
+        small = ["sweep", "--antennas", "4", "--taps", "4", "--coherence", "256",
+                 "--realizations", "1", "--block-lens", "16"]
+        fresh = tmp_path / "fresh"
+        assert run_cli(capsys, *small, "--ebn0", "0", "--output-dir", str(fresh))[0] == 0
+        old = tmp_path / "old"
+        assert run_cli(capsys, *small, "--ebn0", "0,5,10", "--output-dir", str(old))[0] == 0
+        (tmp_path / "link").mkdir()
+        for name in ("report.csv", "report.csv.json"):
+            (tmp_path / "link" / name).symlink_to(old / name)
+        assert (old / "report.csv").stat().st_size > (fresh / "report.csv").stat().st_size
+        link = tmp_path / "link"
+        assert run_cli(capsys, *small, "--ebn0", "0", "--output-dir", str(link))[0] == 0
+        for name in ("report.csv", "report.csv.json"):
+            assert (link / name).is_symlink()
+            assert (old / name).read_bytes() == (fresh / name).read_bytes()
+
+
 class TestQuantizerTable:
     def test_table(self, capsys):
         code, out, _ = run_cli(capsys, "quantizer-table")

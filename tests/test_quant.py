@@ -211,6 +211,29 @@ class TestQuantize:
             expected = searchsorted_rows(y, spec, scale)
             assert quantize(y, spec, scale).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("in_place", [False, True], ids=["new", "out=y"])
+    def test_one_bit_column_slice_goes_by_sign(self, monkeypatch, in_place):
+        # A column slice of a stream has contiguous rows, not a contiguous
+        # array: it quantizes by sign, bitwise as the row loop, which a
+        # stride of 2 columns still takes.
+        rng = np.random.default_rng(48)
+        stream = rng.standard_normal((6, 50)) + 1j * rng.standard_normal((6, 50))
+        stream.real[2, 10], stream.imag[3, 11] = -0.0, np.nan
+        spec, scale = design_quantizer(1, 1.0), rng.uniform(0.3, 3.0, 6)
+        by_sign = []
+        original = quant._quantize_sign
+        monkeypatch.setattr(
+            quant, "_quantize_sign", lambda *a: by_sign.append(a[0].shape) or original(*a)
+        )
+        for cols, sign in ((slice(5, 45), True), (slice(5, 45, 2), False)):
+            y = stream.copy()[:, cols]
+            assert not y.flags.c_contiguous
+            expected = searchsorted_rows(y, spec, scale)
+            by_sign.clear()
+            got = quantize(y, spec, scale, out=y if in_place else None)
+            assert bool(by_sign) == sign
+            assert got.tobytes() == expected.tobytes()
+
     def test_scale_length_enforced(self):
         spec = design_quantizer(1, 1.0)
         with pytest.raises(DimensionError):

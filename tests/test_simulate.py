@@ -407,18 +407,32 @@ class TestEngine:
             assert started == expected
             assert rep.rows == serial.rows
 
-    def test_every_block_length_crosses_equalize_block(self, monkeypatch):
-        # Scaling equalize_block's result moves every row: the multi-block
-        # N_b = 16 and the one-block N_b = T_c = 128 alike.
+    def test_every_block_length_crosses_solve_subbands(self, monkeypatch):
+        # The multi-block N_b = 16 goes through equalize_block, the one-block
+        # N_b = T_c = 128 through equalize_one_block; both solve their
+        # subbands with _solve_subbands.  Scaling equalize_block's result
+        # moves the N_b = 16 rows alone, and a fault in the solve kernel
+        # moves every row.
         cfg = self.small_cfg(N_sim=1)
         base = run_experiment(cfg)
         original = fde.equalize_block
-        monkeypatch.setattr(
-            fde, "equalize_block", lambda R, bank, **kw: original(R, bank, **kw) * 1.01
-        )
+        monkeypatch.setattr(fde, "equalize_block", lambda R, bank: original(R, bank) * 1.01)
         scaled = run_experiment(cfg)
         assert {r.n_b for r in scaled.rows} == {16, 128}
         for a, b in zip(base.rows, scaled.rows):
+            assert (b.mse != a.mse) == (a.n_b == 16)
+        monkeypatch.setattr(fde, "equalize_block", original)
+
+        solve = fde._solve_subbands
+
+        def faulty(H, Rc, weights, X, add, mult, rpiv, lo, hi):
+            solve(H, Rc, weights, X, add, mult, rpiv, lo, hi)
+            if mult is not None:  # the last group: the estimates are solved
+                X[..., lo:hi] *= 1.01
+
+        monkeypatch.setattr(fde, "_solve_subbands", faulty)
+        faulted = run_experiment(cfg)
+        for a, b in zip(base.rows, faulted.rows):
             assert b.mse != a.mse
 
     def test_one_block_length_listed_first_gives_the_same_rows(self):
@@ -432,13 +446,29 @@ class TestEngine:
         for key, mse in last.realization_mse.items():
             np.testing.assert_array_equal(first.realization_mse[key], mse)
 
+    def test_one_block_subbands_built_once_per_realization(self, monkeypatch):
+        # The first point builds the N_b = T_c subbands and factors, keeps them
+        # for the later points, and the last point lets them go.
+        calls, original = [], fde.equalize_one_block
+
+        def recording(r, taps, models, lo, hi, bank, keep):
+            calls.append((lo, hi, bank is None, keep))
+            return original(r, taps, models, lo, hi, bank=bank, keep=keep)
+
+        monkeypatch.setattr(simulate, "equalize_one_block", recording)
+        run_experiment(self.small_cfg(N_sim=2, ebn0_grid=(0.0, 10.0, 20.0)))
+        expected = [(0, 2, True, True), (2, 4, False, True), (4, 6, False, False)]
+        assert calls == expected * 2
+
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_peak_memory_below_four_streams(self, monkeypatch, threads):
+    def test_peak_memory_below_three_streams(self, monkeypatch, threads):
         # An M x T_c = 32 x 32768 stream is 16 MiB, and the one-block
-        # N_b = T_c subbands are two streams.  At the last (here the only)
-        # point the noiseless stream is scaled in place into the received
-        # one, which N_b = T_c overwrites with its transform, so the
-        # realization peaks below four streams.
+        # N_b = T_c subbands would be two streams.  At the last (here the
+        # only) point the noiseless stream is scaled in place into the
+        # received one, which N_b = T_c transforms in place and equalizes in
+        # groups of antennas, so the subbands are never whole.  The transmit
+        # convolution and the noise go in bounded ranges too, so the
+        # realization peaks below three streams.
         cfg = SimConfig(M=32, T_c=32768, N_sim=1, ebn0_grid=(10.0,), block_lens=(256, 32768))
         sigma_x2 = simulate._sigma_x2(cfg)
         monkeypatch.setattr(_pool, "_threads", threads)
@@ -450,7 +480,7 @@ class TestEngine:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 4 * cfg.M * cfg.T_c * 16
+        assert peak < 3 * cfg.M * cfg.T_c * 16
 
     def test_report_shape_and_counting(self):
         cfg = self.small_cfg()
@@ -492,20 +522,23 @@ class TestEngine:
         cfg = self.small_cfg()
         default_chunks = run_experiment(cfg)
         # Every call pooled: freq_channel, convolve_transmit and quantize split
-        # their M = 8 rows, overlap-save its blocks, the bank is factored in
-        # chunks of 2 subbands (5 * M * 16 bytes each), and at N_b = T_c = 128
-        # the block's transform splits its rows and its subband systems are
-        # solved in chunks of 3 (3 * M * 16 bytes each).  The chunks do not
-        # depend on the thread count, so neither do the results, bitwise.
+        # their M = 8 rows, overlap-save its blocks, and the bank is factored
+        # in chunks of 2 subbands (5 * M * 16 bytes each).  At N_b = T_c = 128
+        # the block's transform splits its rows, and its antennas go in groups
+        # of 3 (3, 3, 2), each factored in chunks of 5 subbands and solved in
+        # chunks of 8.  The chunks and groups do not depend on the thread
+        # count, so neither do the results, bitwise.
         monkeypatch.setattr(_pool, "_PARALLEL_MIN_BYTES", 0)
         monkeypatch.setattr(fde, "_CHUNK_BYTES", 5 * cfg.K * cfg.M * 16)
+        monkeypatch.setattr(fde, "_GROUP_BYTES", 3 * cfg.K * cfg.T_c * 16)
         monkeypatch.setattr(_pool, "_threads", 1)
         serial = run_experiment(cfg)
         for threads in (2, 5):
             monkeypatch.setattr(_pool, "_threads", threads)
             assert_same_results(run_experiment(cfg), serial)
-        # Another chunk width sums over the antennas in another order, so it
-        # agrees to rounding; the multi-block rows happen to agree bitwise.
+        # Another chunk width or antenna groups sum over the antennas in
+        # another order, so they agree to rounding; the multi-block rows
+        # happen to agree bitwise.
         for a, b in zip(serial.rows, default_chunks.rows):
             assert dataclasses.replace(a, mse=b.mse, mse_stderr=b.mse_stderr) == b
             assert a.mse == pytest.approx(b.mse, rel=1e-12)
