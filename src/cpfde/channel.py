@@ -223,8 +223,11 @@ def add_noise(
     noise_std^2 per sample: (noise_std/sqrt(2)) * (N_1 + j N_2), where the real
     draws N_1 (shape of y) come from rng before the imaginary draws N_2.  Each
     is drawn a range of rows at a time, into one reused buffer of about
-    _RANGE_BYTES: the same draws as one of the whole shape.
+    _RANGE_BYTES: the same draws as one of the whole shape.  A y that is
+    not a complex array raises DimensionError before anything is written.
     """
+    if not (isinstance(y, np.ndarray) and np.iscomplexobj(y)):
+        raise DimensionError(f"y must be a complex array, got {np.asarray(y).dtype}")
     if noise_std > 0:
         if rng is None:
             raise ConfigurationError("rng required when noise_std > 0")

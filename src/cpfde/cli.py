@@ -70,10 +70,19 @@ def _rewrite(path: Path):
     An existing file is overwritten from its start and cut after the last
     byte written, not truncated when opened: cutting a file to zero first
     can cost tens of milliseconds on a file system that discards freed blocks.
+    It is cut also when the writing stops on an error, so that no tail of
+    the old file is left behind what was written; if the buffered text
+    cannot be written either (a full disk), behind what reached the file.
     """
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
-        yield f
-        f.truncate()
+        try:
+            yield f
+        finally:
+            try:
+                f.truncate()
+            except OSError:
+                os.ftruncate(f.fileno(), os.lseek(f.fileno(), 0, os.SEEK_CUR))
+                raise
 
 
 # --------------------------------------------------------------------------
@@ -267,7 +276,7 @@ def _check_fde_oracle() -> tuple[bool, str]:
         # The stacked vector is newest-first; the stream runs oldest-first.
         stream = r.reshape(M, N_b, order="F")[:, ::-1]
         bank_est = fde.equalize_stream(stream, channel.freq_channel(taps, N_b), [bm], cfg)[0]
-        one_block = fde.equalize_one_block(stream.copy(), taps, [bm])[0]
+        one_block = fde.equalize_one_block(stream.copy(), taps, [bm])
         for est in (bank_est, one_block):
             fast = est[:, ::-1].reshape(-1, order="F")
             worst = max(worst, np.linalg.norm(fast - dense) / np.linalg.norm(dense))

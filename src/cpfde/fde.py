@@ -15,15 +15,15 @@ as one subband chunk (_CHUNK_BYTES) holds: 21 at the desk N_b = 64, one from
 paper N_b = 1024 up.  Each block of a stack is computed as in a call of its
 own, so its estimates are bitwise the same; a stack only saves numpy's
 per-call overhead.  equalize_stream chains the two; the sweep builds one bank
-for the models of all its Eb/N0 points and streams each point through
+per N_b for the models of all its Eb/N0 points and streams each point through
 FilterBank.subset, and the bathtub profile calls build_filter_bank and
 equalize_block, in the same stacks, itself.
 
-The sweep's stream of one block, the paper's N_b = T_c, goes through
-equalize_one_block instead, whose subbands would be twice the stream: it
-transforms the stream in place and builds the subbands, sums the Gram and
-matched-filter products and solves a group of antenna rows at a time
-(_GROUP_BYTES).  Both routes run the same kernels, _factor_subbands and
+A sweep of one Eb/N0 point equalizes its stream of one block, the paper's
+N_b = T_c, through equalize_one_block instead, whose subbands would be twice
+the stream: it transforms the stream in place and builds the subbands, sums
+the Gram and matched-filter products and solves a group of antenna rows at a
+time (_GROUP_BYTES).  Both routes run the same kernels, _factor_subbands and
 _solve_subbands; a bank is their case of one group, so with one group the
 two routes are bitwise the same, and with more they agree to rounding.  The
 estimates agree with explicit per-subband filters F^H G_f F to a relative
@@ -133,7 +133,7 @@ def build_filter_bank(
     M, K, N_b = subbands.shape
     if N_b != cfg.block_len:
         raise DimensionError(f"frequency channel block_len {N_b} != config {cfg.block_len}")
-    weights, gram_weights, loads = _model_weights(models)
+    weights, gram_weights, loads = _model_weights(models, M)
     mult, rpiv = _empty_factors(K, len(models), N_b)
     _map(
         _factor_subbands,
@@ -146,8 +146,12 @@ def build_filter_bank(
     return FilterBank(subbands, weights, mult, rpiv)
 
 
-def _model_weights(models: Sequence[BussgangModel]):
+def _model_weights(models: Sequence[BussgangModel], M: int):
     """The (Q, M) weights g / D and g^2 / D and the (Q,) loads 1 / sigma_x^2."""
+    if not models:
+        raise DimensionError("at least one Bussgang model is required")
+    if any(np.shape(bm.eff_noise_diag) != (M,) for bm in models):
+        raise DimensionError(f"effective-noise diagonals must hold one entry per antenna ({M})")
     diags = np.array([bm.eff_noise_diag for bm in models], dtype=np.float64)
     if np.any(diags <= 0):
         raise ConfigurationError("effective-noise diagonal must be strictly positive")
@@ -348,31 +352,21 @@ def _solve_subbands(H, Rc, weights, X, add, mult, rpiv, lo, hi) -> None:
 
 
 def equalize_one_block(
-    r: np.ndarray,
-    taps: ChannelTaps,
-    models: Sequence[BussgangModel],
-    lo: int = 0,
-    hi: int | None = None,
-    bank: FilterBank | None = None,
-    keep: bool = False,
-) -> tuple[np.ndarray, FilterBank | None]:
-    """Equalize an M x N_b stream of one block (N_b = T_c) with models lo..hi-1.
+    r: np.ndarray, taps: ChannelTaps, models: Sequence[BussgangModel]
+) -> np.ndarray:
+    """Equalize an M x N_b stream of one block (N_b = T_c) with every model.
 
-    Returns the (hi - lo) * K x N_b estimates in time order, rows as for
-    equalize_block of FilterBank.subset(lo, hi), and, with keep, the bank of
-    every model for a later call on the same r's taps and models (as bank=),
-    else None.  A complex128 r is overwritten with its transform.
+    Returns the len(models) * K x N_b estimates in time order, rows as for
+    equalize_block.  A complex128 r is overwritten with its transform.
 
     The antenna rows go in groups of about _GROUP_BYTES of subbands.  Per
-    group, the subbands of taps are built (unless bank holds them whole) and,
-    per subband chunk, the group's Gram products for every model (unless bank
-    holds their factors) and its matched-filter products for models lo..hi-1
-    are added to the sums of the groups before, in group order.  At the last
-    group the loads are added, the Gram matrices factored and the systems
-    solved.  So the subbands are whole only when they fit one group or keep
-    holds them for a later call.  With one group the estimates are bitwise
-    build_filter_bank and overlap_save_stream's; with more they agree to
-    rounding.
+    group, the subbands of taps are built into one reused buffer and, per
+    subband chunk, the group's Gram and matched-filter products are added to
+    the sums of the groups before, in group order.  At the last group the
+    loads are added, the Gram matrices factored and the systems solved.  So
+    the subbands are whole only when they fit one group.  With one group the
+    estimates are bitwise build_filter_bank and overlap_save_stream's; with
+    more they agree to rounding.
     """
     r = np.asarray(r, dtype=np.complex128)
     M, K = taps.n_rx, taps.n_users
@@ -381,52 +375,42 @@ def equalize_one_block(
     N_b = r.shape[1]
     if N_b < taps.memory + 1:
         raise DimensionError(f"N_b={N_b} must be >= L+1={taps.memory + 1}")
-    if bank is not None and bank.subbands.shape != (M, K, N_b):
-        raise DimensionError(f"bank subbands {bank.subbands.shape} != {(M, K, N_b)}")
-    hi = len(models) if hi is None else hi
+    weights, gram_weights, loads = _model_weights(models, M)
     Rc = r[None]  # the one block, transformed in place
     _map(_transform_rows, [(Rc, Rc, a, b) for a, b in _split(M, r.nbytes)])
 
     groups = _antenna_groups(M, K, N_b)
     g = groups[0][1]  # antennas per group
-    build = bank is None
-    if build:
-        weights, gram_weights, loads = _model_weights(models)
-        mult, rpiv = _empty_factors(K, len(models), N_b)
-        gram = None if len(groups) == 1 else np.zeros(
-            (len(models), K * (K + 1) // 2, N_b), dtype=np.complex128
-        )
-        rows = np.ascontiguousarray(taps.taps.transpose(1, 2, 0))
-        # Whole if kept, else one group's, reused by every group.
-        subbands = np.empty((M if keep else g, K, N_b), dtype=np.complex128)
-    else:
-        subbands, weights, mult, rpiv = bank.subbands, bank.weights, bank.mult, bank.rpiv
-    X = np.empty((1, hi - lo, K, N_b), dtype=np.complex128)
+    mult, rpiv = _empty_factors(K, len(models), N_b)
+    gram = None if len(groups) == 1 else np.zeros(
+        (len(models), K * (K + 1) // 2, N_b), dtype=np.complex128
+    )
+    rows = np.ascontiguousarray(taps.taps.transpose(1, 2, 0))
+    subbands = np.empty((g, K, N_b), dtype=np.complex128)  # reused by every group
+    X = np.empty((1, len(models), K, N_b), dtype=np.complex128)
     for a, b in groups:
         last = b == M
-        H = subbands[a:b] if len(subbands) == M else subbands[: b - a]
-        if build:
-            _map(_transform_taps, [(rows[a:b], H, c, d) for c, d in _split(b - a, H.nbytes)])
-            _map(
-                _factor_subbands,
-                [
-                    (H, gram_weights[:, a:b], gram, loads if last else None, mult, rpiv, c, d)
-                    for c, d in _subband_chunks(N_b, (K * (K + 1) // 2 + K) * g)
-                ],
-                H.nbytes,
-            )
+        H = subbands[: b - a]
+        _map(_transform_taps, [(rows[a:b], H, c, d) for c, d in _split(b - a, H.nbytes)])
+        _map(
+            _factor_subbands,
+            [
+                (H, gram_weights[:, a:b], gram, loads if last else None, mult, rpiv, c, d)
+                for c, d in _subband_chunks(N_b, (K * (K + 1) // 2 + K) * g)
+            ],
+            H.nbytes,
+        )
         _map(
             _solve_subbands,
             [
-                (H, Rc[:, a:b], weights[lo:hi, a:b], X, a > 0,
-                 mult[:, lo:hi] if last else None, rpiv[:, lo:hi], c, d)
+                (H, Rc[:, a:b], weights[:, a:b], X, a > 0, mult if last else None, rpiv, c, d)
                 for c, d in _subband_chunks(N_b, (K + 1) * g)
             ],
             H.nbytes,
         )
     X = X.reshape(-1, N_b)
     np.fft.ifft(X, axis=-1, out=X)
-    return X, FilterBank(subbands, weights, mult, rpiv) if keep else None
+    return X
 
 
 def overlap_save_stream(

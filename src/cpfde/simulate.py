@@ -49,11 +49,10 @@ MAX_EBN0_DB = 300.0
 # most two such streams at once, the noiseless and the received one (one array
 # at the last Eb/N0 point); paper scale (M=64, T_c=50000) is 51 MB.  The K x T_c
 # symbol stream, the (L+1, M, K) channel taps and the (M, K, N_b) subbands of
-# all block lengths together (113 MB at paper scale) have the same bound.  The
-# subbands of N_b = T_c (102 MB at paper scale) are whole only while a later
-# Eb/N0 point needs them; otherwise they are built a group of antennas at a
-# time.  The block length scan has its own, larger cap on T_c
-# (blockopt.MAX_COHERENCE).
+# all block lengths together (113 MB at paper scale) have the same bound.  With
+# one Eb/N0 point the subbands of N_b = T_c (102 MB at paper scale) are built
+# a group of antennas at a time, never whole.  The block length scan has its
+# own, larger cap on T_c (blockopt.MAX_COHERENCE).
 MAX_STREAM_BYTES = 2**28
 
 
@@ -361,19 +360,18 @@ def _run_one_realization(args):
     The models need the taps, the design's rho_q and each point's transmit
     power, not the received stream, so each N_b gets one filter bank for
     every point's models, built at the first point and dropped after the
-    last; each point streams through its own subset of the bank.  The
-    one-block N_b = T_c goes through equalize_one_block, which builds its
-    subbands and every point's factors a group of antennas at a time at the
-    first point and keeps them, the subbands whole, only for later points.
+    last; each point streams through its own subset of the bank.  With one
+    point, the one-block N_b = T_c goes through equalize_one_block instead,
+    which builds its subbands a group of antennas at a time.
 
     Each point's noise comes from _noise_ahead: where a CPU would idle, a
     helper thread draws the next point's noise while this point is
     quantized, equalized and scored, the same draws as add_noise's.
 
     No stream outlives its last reader: the last point scales the noiseless
-    stream in place into its received one, and at every point the one-block
-    N_b = T_c, equalized last, transforms the received stream in place.  With
-    one point, a paper realization holds one stream at its peak.
+    stream in place into its received one, and with one point the one-block
+    N_b = T_c, equalized last, transforms the received stream in place.  So
+    a paper realization of one point holds one stream at its peak.
     """
     cfg, index, sigma_x2_by_ebn0 = args
     taps, rng, unit_syms = _symbols(cfg, index)
@@ -389,7 +387,7 @@ def _run_one_realization(args):
         bit_err = np.empty(shape, dtype=np.int64)
         banks = {}
         last = len(cfg.ebn0_grid) - 1
-        # The one-block N_b = T_c goes last: it overwrites r with its transform.
+        # The one-block N_b = T_c goes last: it may overwrite r with its transform.
         order = sorted(range(len(cfg.block_lens)), key=lambda j: cfg.block_lens[j] == cfg.T_c)
         for i, (ebn0, noise_i) in enumerate(zip(cfg.ebn0_grid, drawn)):
             sigma_x2 = sigma_x2_by_ebn0[ebn0]
@@ -398,11 +396,8 @@ def _run_one_realization(args):
             _receive(cfg, taps, r, sigma_x2, rng, noise_i)
             for j in order:
                 n_b = cfg.block_lens[j]
-                if n_b == cfg.T_c:
-                    out, banks[n_b] = equalize_one_block(
-                        r, taps, models, i * Q, (i + 1) * Q,
-                        bank=banks.pop(n_b, None), keep=i < last,
-                    )
+                if n_b == cfg.T_c and last == 0:
+                    out = equalize_one_block(r, taps, models)
                 else:
                     fde_cfg = FdeConfig(block_len=n_b, overlap=cfg.L)
                     if i == 0:

@@ -284,6 +284,16 @@ class TestConvolveTransmit:
         z = np.ones((2, 7), dtype=complex)
         assert add_noise(z, 0.0) is z and np.all(z == 1.0)
 
+    def test_add_noise_rejects_a_real_stream_unwritten(self):
+        # A real stream has no imaginary part to draw into: it is refused
+        # before its real part gets any noise.
+        y = np.ones((2, 7))
+        rng = np.random.default_rng(17)
+        with pytest.raises(DimensionError, match="complex"):
+            add_noise(y, 0.5, rng)
+        assert np.all(y == 1.0)
+        assert rng.standard_normal() == np.random.default_rng(17).standard_normal()
+
 
 
 def whole_array_convolution(taps, x):

@@ -2,13 +2,15 @@
 
 import argparse
 import dataclasses
+import errno
+import io
 import json
 import shlex
 from pathlib import Path
 
 import pytest
 
-from cpfde import blockopt, simulate
+from cpfde import blockopt, cli, simulate
 from cpfde.channel import PowerDelayProfile
 from cpfde.cli import build_parser, main, parse_args
 
@@ -533,6 +535,45 @@ class TestOutputPath:
         for name in ("report.csv", "report.csv.json"):
             assert (link / name).is_symlink()
             assert (old / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_interrupted_rewrite_leaves_no_old_tail(self, tmp_path):
+        # A write that stops on an error leaves the rows written so far and
+        # none of the longer file before, so the CSV does not look whole.
+        out = tmp_path / "report.csv"
+        out.write_text("h\n" + "".join(f"old{i}\n" for i in range(5)))
+
+        def lines():
+            yield "new0"
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            cli._write_report(out, "h", lines(), {})
+        assert out.read_text() == "h\nnew0\n"
+
+    def test_rewrite_on_a_full_disk_leaves_no_old_tail(self, monkeypatch, tmp_path):
+        # When the disk fills, the buffered text cannot be written either:
+        # the file is cut behind the bytes that reached it.
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"x" * 100)
+
+        class FullDisk(io.FileIO):
+            room = 10
+
+            def write(self, b):
+                if self.room == 0:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                n = min(len(b), self.room)
+                self.room -= n
+                return super().write(bytes(b[:n]))
+
+        monkeypatch.setattr(
+            cli, "open", lambda fd, mode: io.TextIOWrapper(io.BufferedWriter(FullDisk(fd, "w"))),
+            raising=False,
+        )
+        with pytest.raises(OSError, match="No space"):
+            with cli._rewrite(path) as f:
+                f.write("new text of twenty-six b\n")
+        assert path.read_bytes() == b"new text o"
 
 
 class TestQuantizerTable:

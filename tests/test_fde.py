@@ -2,6 +2,7 @@
 dense time-domain oracle."""
 
 import contextlib
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -484,8 +485,7 @@ class TestOverwrite:
         # One block (T = N_b = 64) in one antenna group: equalize_one_block
         # writes the transform over r, split into row ranges on 2 and 5
         # threads (the pool floor is 0), and its estimates are bitwise those
-        # of the bank and overlap_save_stream, which allocate it.  So are a
-        # later point's, through the bank the first point kept.
+        # of the bank and overlap_save_stream, which allocate it.
         rng = np.random.default_rng(21)
         M, K, N_b = 8, 2, 64
         taps = random_taps(rng, 3, M, K)
@@ -493,18 +493,13 @@ class TestOverwrite:
         models = [bussgang_model(taps, rho, 1.0, s) for s in (1.0, 3.0) for rho in (0.0, 0.3)]
         bank = build_filter_bank(freq_channel(taps, N_b), models, cfg)
         r = rng.standard_normal((M, N_b)) + 1j * rng.standard_normal((M, N_b))
-        kept = None
+        overwritten = r.copy()
         with pool_threads(threads):
             assert fde._antenna_groups(M, K, N_b) == [(0, M)]
-            for lo in (0, 2):
-                overwritten = r.copy()
-                est, kept = fde.equalize_one_block(
-                    overwritten, taps, models, lo, lo + 2, bank=kept, keep=lo == 0
-                )
-                expected = overlap_save_stream(r, bank.subset(lo, lo + 2), cfg)[0]
-                np.testing.assert_array_equal(est, expected)
-                assert not np.array_equal(overwritten, r)
-        assert kept is None
+            est = fde.equalize_one_block(overwritten, taps, models)
+            expected = overlap_save_stream(r, bank, cfg)[0]
+        np.testing.assert_array_equal(est, expected)
+        assert not np.array_equal(overwritten, r)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("T", [61, 64], ids=["clamped", "unclamped"])
@@ -524,28 +519,15 @@ class TestOverwrite:
         np.testing.assert_array_equal(out, expected)
 
 
-def one_block_points(r, taps, models, Q):
-    """equalize_one_block at every Eb/N0 point of Q models in turn, as the
-    sweep calls it: the estimates per point."""
-    kept, points, out = None, len(models) // Q, []
-    for i in range(points):
-        est, kept = fde.equalize_one_block(
-            r.copy(), taps, models, i * Q, (i + 1) * Q, bank=kept, keep=i < points - 1
-        )
-        out.append(est)
-    return out
-
-
 class TestOneBlockRoute:
     @pytest.mark.parametrize("points", [1, 2, 3])
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_groups_match_the_bank_route(self, monkeypatch, K, points):
         # M = 7 antennas in groups of 3 (3, 3, 1): the sums over the groups
-        # agree with the bank and overlap_save_stream to rounding, at every
-        # point, the first one (which builds the subbands and factors every
-        # point's models) and the later ones (which reuse them).
+        # agree with the bank and overlap_save_stream to rounding, for the
+        # two models of each of 1 to 3 Eb/N0 points in one call.
         rng = np.random.default_rng(40 + K)
-        M, L, N_b, Q = 7, 3, 40, 2
+        M, L, N_b = 7, 3, 40
         taps = random_taps(rng, L, M, K)
         models = [bussgang_model(taps, rho, 0.7, s) for s in (0.5, 1.3, 4.0)[:points]
                   for rho in (0.0, 0.3)]
@@ -555,16 +537,16 @@ class TestOneBlockRoute:
         assert fde._antenna_groups(M, K, N_b) == [(0, M)]
         monkeypatch.setattr(fde, "_GROUP_BYTES", 3 * K * N_b * 16)
         assert fde._antenna_groups(M, K, N_b) == [(0, 3), (3, 6), (6, 7)]
-        for i, est in enumerate(one_block_points(r, taps, models, Q)):
-            assert est.shape == (Q * K, N_b)
-            assert_close(est, overlap_save_stream(r, bank.subset(i * Q, (i + 1) * Q), cfg)[0])
+        est = fde.equalize_one_block(r.copy(), taps, models)
+        assert est.shape == (len(models) * K, N_b)
+        assert_close(est, overlap_save_stream(r, bank, cfg)[0])
 
     def test_bitwise_for_any_thread_count(self, monkeypatch):
         # The groups and subband chunks are cut by size: on 1, 2 and 5
-        # threads (pool floor 0, chunks of 5 subbands) the estimates of all
-        # three points are bitwise the same.
+        # threads (pool floor 0, chunks of 5 subbands) the estimates of six
+        # models are bitwise the same.
         rng = np.random.default_rng(44)
-        M, K, L, N_b, Q = 7, 2, 3, 40, 2
+        M, K, L, N_b = 7, 2, 3, 40
         taps = random_taps(rng, L, M, K)
         models = [bussgang_model(taps, rho, 0.7, s) for s in (0.5, 1.3, 4.0) for rho in (0.0, 0.3)]
         r = rng.standard_normal((M, N_b)) + 1j * rng.standard_normal((M, N_b))
@@ -572,35 +554,16 @@ class TestOneBlockRoute:
         runs = []
         for threads in (1, 2, 5):
             with pool_threads(threads, chunk_bytes=5 * 5 * 3 * 16):
-                runs.append(one_block_points(r, taps, models, Q))
+                runs.append(fde.equalize_one_block(r.copy(), taps, models))
         for run in runs[1:]:
-            for a, b in zip(run, runs[0]):
-                np.testing.assert_array_equal(a, b)
-
-    def test_kept_bank_holds_the_subbands_whole(self, monkeypatch):
-        # keep returns every model's bank on the whole subbands, built a group
-        # at a time, bitwise freq_channel's; a later point through it is
-        # bitwise a call of its own.  Without keep nothing is returned.
-        rng = np.random.default_rng(45)
-        M, K, N_b = 5, 2, 24
-        taps = random_taps(rng, 2, M, K)
-        models = [bussgang_model(taps, 0.3, 1.0, s) for s in (0.5, 2.0)]
-        r = rng.standard_normal((M, N_b)) + 1j * rng.standard_normal((M, N_b))
-        monkeypatch.setattr(fde, "_GROUP_BYTES", 2 * K * N_b * 16)
-        _, kept = fde.equalize_one_block(r.copy(), taps, models, 0, 1, keep=True)
-        later, none = fde.equalize_one_block(r.copy(), taps, models, 1, 2, bank=kept)
-        own, _ = fde.equalize_one_block(r.copy(), taps, models, 1, 2)
-        np.testing.assert_array_equal(kept.subbands, freq_channel(taps, N_b))
-        assert kept.weights.shape == (2, M) and kept.mult.shape == (1, 2, N_b)
-        assert none is None
-        np.testing.assert_array_equal(later, own)
+            np.testing.assert_array_equal(run, runs[0])
 
     def test_peak_memory_below_the_subbands(self, monkeypatch):
         # An M x N_b = 32 x 32768 stream is 16 MiB and its subbands 32 MiB.
         # Transformed in place, in groups of 8 antennas, the block allocates
         # one group's subbands (8 MiB), the two models' Gram sums (3 MiB),
         # factors (2 MiB) and estimates (2 MiB), and a chunk's products and
-        # temporaries (under 4 MiB); kept, the subbands are whole.
+        # temporaries (under 4 MiB).
         rng = np.random.default_rng(46)
         M, K, L, N_b = 32, 2, 15, 32768
         taps = random_taps(rng, L, M, K)
@@ -609,17 +572,14 @@ class TestOneBlockRoute:
         group, gram, factors, estimates = 8 * K * N_b * 16, 2 * 3 * N_b * 16, 2 << 20, 2 << 20
         monkeypatch.setattr(_pool, "_threads", 1)
         assert len(fde._antenna_groups(M, K, N_b)) == 4
-        subbands = M * K * N_b * 16
-        for keep, bound in ((False, group), (True, subbands)):
-            tracemalloc.start()
-            try:
-                est, _ = fde.equalize_one_block(r, taps, models, keep=keep)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert est.shape == (2 * K, N_b)
-            assert peak < bound + gram + factors + estimates + 2 * fde._CHUNK_BYTES
-        assert peak > subbands
+        tracemalloc.start()
+        try:
+            est = fde.equalize_one_block(r, taps, models)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.shape == (2 * K, N_b)
+        assert peak < group + gram + factors + estimates + 2 * fde._CHUNK_BYTES
 
     def test_rejects_mismatched_inputs(self):
         rng = np.random.default_rng(47)
@@ -630,9 +590,13 @@ class TestOneBlockRoute:
             fde.equalize_one_block(r[:3], taps, [bm])
         with pytest.raises(DimensionError):
             fde.equalize_one_block(r[:, :2], taps, [bm])  # N_b < L + 1
-        _, kept = fde.equalize_one_block(r.copy(), taps, [bm], keep=True)
-        with pytest.raises(DimensionError):
-            fde.equalize_one_block(np.ones((4, 8), dtype=complex), taps, [bm], bank=kept)
+        # No model, or a diagonal without one entry per antenna, is refused
+        # before the stream is transformed in place.
+        short = dataclasses.replace(bm, eff_noise_diag=bm.eff_noise_diag[:-1])
+        for models in ([], [bm, short]):
+            with pytest.raises(DimensionError, match="model|per antenna"):
+                fde.equalize_one_block(r, taps, models)
+            np.testing.assert_array_equal(r, 1.0)
 
 
 class TestDiscardBenefit:
@@ -1036,3 +1000,7 @@ class TestOneBlockStream:
             equalize_stream(r[:3], freq_channel(taps, 16), [bm], cfg)
         with pytest.raises(DimensionError):
             equalize_stream(r, freq_channel(taps, 8), [bm], cfg)
+        short = dataclasses.replace(bm, eff_noise_diag=bm.eff_noise_diag[:-1])
+        for models in ([], [bm, short]):
+            with pytest.raises(DimensionError, match="model|per antenna"):
+                build_filter_bank(freq_channel(taps, 16), models, cfg)

@@ -408,57 +408,69 @@ class TestEngine:
             assert rep.rows == serial.rows
 
     def test_every_block_length_crosses_solve_subbands(self, monkeypatch):
-        # The multi-block N_b = 16 goes through equalize_block, the one-block
-        # N_b = T_c = 128 through equalize_one_block; both solve their
+        # The multi-block N_b = 16 goes through equalize_block, and so does
+        # the one-block N_b = T_c = 128 at more than one Eb/N0 point; at one
+        # point N_b = T_c goes through equalize_one_block.  Both solve their
         # subbands with _solve_subbands.  Scaling equalize_block's result
-        # moves the N_b = 16 rows alone, and a fault in the solve kernel
-        # moves every row.
-        cfg = self.small_cfg(N_sim=1)
-        base = run_experiment(cfg)
-        original = fde.equalize_block
-        monkeypatch.setattr(fde, "equalize_block", lambda R, bank: original(R, bank) * 1.01)
-        scaled = run_experiment(cfg)
-        assert {r.n_b for r in scaled.rows} == {16, 128}
-        for a, b in zip(base.rows, scaled.rows):
-            assert (b.mse != a.mse) == (a.n_b == 16)
-        monkeypatch.setattr(fde, "equalize_block", original)
-
-        solve = fde._solve_subbands
+        # moves the N_b = 16 rows alone at one point and every row at two,
+        # and a fault in the solve kernel moves every row.
+        original, solve = fde.equalize_block, fde._solve_subbands
 
         def faulty(H, Rc, weights, X, add, mult, rpiv, lo, hi):
             solve(H, Rc, weights, X, add, mult, rpiv, lo, hi)
             if mult is not None:  # the last group: the estimates are solved
                 X[..., lo:hi] *= 1.01
 
-        monkeypatch.setattr(fde, "_solve_subbands", faulty)
-        faulted = run_experiment(cfg)
-        for a, b in zip(base.rows, faulted.rows):
-            assert b.mse != a.mse
+        for grid in ((10.0,), (0.0, 10.0)):
+            cfg = self.small_cfg(N_sim=1, ebn0_grid=grid)
+            base = run_experiment(cfg)
+            monkeypatch.setattr(fde, "equalize_block", lambda R, bank: original(R, bank) * 1.01)
+            scaled = run_experiment(cfg)
+            monkeypatch.setattr(fde, "equalize_block", original)
+            assert {r.n_b for r in scaled.rows} == {16, 128}
+            for a, b in zip(base.rows, scaled.rows):
+                assert (b.mse != a.mse) == (a.n_b == 16 or len(grid) > 1)
+
+            monkeypatch.setattr(fde, "_solve_subbands", faulty)
+            faulted = run_experiment(cfg)
+            monkeypatch.setattr(fde, "_solve_subbands", solve)
+            for a, b in zip(base.rows, faulted.rows):
+                assert b.mse != a.mse
 
     def test_one_block_length_listed_first_gives_the_same_rows(self):
-        # The one-block N_b = T_c = 128 overwrites the received stream, so each
-        # point equalizes it last, wherever the grid lists it.
-        grid = dict(ebn0_grid=(0.0, 10.0, 20.0))
-        last = run_experiment(self.small_cfg(block_lens=(16, 20, 128), **grid))
-        first = run_experiment(self.small_cfg(block_lens=(128, 16, 20), **grid))
-        assert [r.n_b for r in first.rows[:2]] == [128, 128]
-        assert sorted(first.rows, key=row_key) == sorted(last.rows, key=row_key)
-        for key, mse in last.realization_mse.items():
-            np.testing.assert_array_equal(first.realization_mse[key], mse)
+        # At one Eb/N0 point the one-block N_b = T_c = 128 overwrites the
+        # received stream, so it is equalized last, wherever the grid lists
+        # it; at three points it goes through its bank like any N_b.
+        for grid in ((10.0,), (0.0, 10.0, 20.0)):
+            last = run_experiment(self.small_cfg(block_lens=(16, 20, 128), ebn0_grid=grid))
+            first = run_experiment(self.small_cfg(block_lens=(128, 16, 20), ebn0_grid=grid))
+            assert [r.n_b for r in first.rows[:2]] == [128, 128]
+            assert sorted(first.rows, key=row_key) == sorted(last.rows, key=row_key)
+            for key, mse in last.realization_mse.items():
+                np.testing.assert_array_equal(first.realization_mse[key], mse)
 
     def test_one_block_subbands_built_once_per_realization(self, monkeypatch):
-        # The first point builds the N_b = T_c subbands and factors, keeps them
-        # for the later points, and the last point lets them go.
-        calls, original = [], fde.equalize_one_block
+        # At three points N_b = T_c = 128 gets one bank per realization, built
+        # at the first point, like N_b = 16; at one point it goes through
+        # equalize_one_block once per realization and gets no bank.
+        calls = []
+        bank, one_block = simulate.build_filter_bank, simulate.equalize_one_block
 
-        def recording(r, taps, models, lo, hi, bank, keep):
-            calls.append((lo, hi, bank is None, keep))
-            return original(r, taps, models, lo, hi, bank=bank, keep=keep)
+        def building(subbands, models, cfg):
+            calls.append(("bank", subbands.shape[-1], len(models)))
+            return bank(subbands, models, cfg)
 
-        monkeypatch.setattr(simulate, "equalize_one_block", recording)
+        def equalizing(r, taps, models):
+            calls.append(("one_block", r.shape[-1], len(models)))
+            return one_block(r, taps, models)
+
+        monkeypatch.setattr(simulate, "build_filter_bank", building)
+        monkeypatch.setattr(simulate, "equalize_one_block", equalizing)
         run_experiment(self.small_cfg(N_sim=2, ebn0_grid=(0.0, 10.0, 20.0)))
-        expected = [(0, 2, True, True), (2, 4, False, True), (4, 6, False, False)]
-        assert calls == expected * 2
+        assert calls == [("bank", 16, 6), ("bank", 128, 6)] * 2
+        calls.clear()
+        run_experiment(self.small_cfg(N_sim=2, ebn0_grid=(10.0,)))
+        assert calls == [("bank", 16, 2), ("one_block", 128, 2)] * 2
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_peak_memory_below_three_streams(self, monkeypatch, threads):
