@@ -214,6 +214,11 @@ def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+def _short_fft_len(L: int, T: int) -> int:
+    """The FFT block of an overlap method for L+1 taps on a stream of T samples."""
+    return min(_next_pow2(max(4 * (L + 1), 64)), _next_pow2(T + L))
+
+
 def add_noise(
     y: np.ndarray, noise_std: float, rng: np.random.Generator | None = None
 ) -> np.ndarray:
@@ -248,10 +253,12 @@ def convolve_transmit(taps: ChannelTaps, x: np.ndarray) -> np.ndarray:
     """Pass a K x T symbol stream through the channel: y[n] = sum_l H_l x[n-l].
 
     Symbols before the stream start are zero.  The convolution is an FFT
-    overlap-add over time: input blocks of nfft - L samples are transformed,
-    multiplied by the tap spectra per frequency bin and transformed back, and
-    each block's L-sample tail is added to the head of the next.  The result
-    is noiseless; add_noise adds receiver noise.
+    overlap-add over time: input blocks of nfft - L samples are transformed
+    (nfft a power of 2 of at least 4(L+1), 64 minimum, points, or one block
+    covering the whole stream when that is shorter), multiplied by the tap
+    spectra per frequency bin and transformed back, and each block's L-sample
+    tail is added to the head of the next.  The result is noiseless;
+    add_noise adds receiver noise.
 
     The blocks go through the product and the inverse transform a range at a
     time, a multiple of 8 blocks of at most about _RANGE_BYTES of spectra,
@@ -267,9 +274,7 @@ def convolve_transmit(taps: ChannelTaps, x: np.ndarray) -> np.ndarray:
     if T < 1:
         raise DimensionError("stream length must be >= 1")
     L, M = taps.memory, taps.n_rx
-    # Power-of-2 transform of at least 4(L+1) (64 minimum) points, or one block
-    # covering the whole stream when that is shorter.
-    nfft = min(_next_pow2(max(4 * (L + 1), 64)), _next_pow2(T + L))
+    nfft = _short_fft_len(L, T)
     step = nfft - L
     n_blk = -(-T // step)
     xb = np.zeros((K, n_blk * step), dtype=np.complex128)

@@ -255,12 +255,13 @@ def _check_diagonalization(broken: bool) -> tuple[bool, str]:
 
 
 def _check_fde_oracle() -> tuple[bool, str]:
-    # Both equalizer routes against the dense filter, on a one-block stream:
-    # the filter bank with overlap-save, and the one-block route of the sweep.
+    # Both equalizer routes against the dense filter, on one-block streams:
+    # the filter bank with overlap-save, and the one-block route of the sweep,
+    # whose matched filter at N_b = 65 runs on a block of 64 and the wrapped
+    # one (one user keeps that dense filter small).
     rng = np.random.default_rng(7)
     worst = 0.0
-    for _ in range(20):
-        M, K, L, N_b = 6, 2, 3, 16
+    for M, K, L, N_b in [(6, 2, 3, 16)] * 20 + [(3, 1, 3, 65)] * 2:
         taps = channel.ChannelTaps(
             rng.standard_normal((L + 1, M, K)) + 1j * rng.standard_normal((L + 1, M, K))
         )
@@ -276,7 +277,7 @@ def _check_fde_oracle() -> tuple[bool, str]:
         # The stacked vector is newest-first; the stream runs oldest-first.
         stream = r.reshape(M, N_b, order="F")[:, ::-1]
         bank_est = fde.equalize_stream(stream, channel.freq_channel(taps, N_b), [bm], cfg)[0]
-        one_block = fde.equalize_one_block(stream.copy(), taps, [bm])
+        one_block = fde.equalize_one_block(stream, fde.build_one_block_bank(taps, [bm], cfg), cfg)
         for est in (bank_est, one_block):
             fast = est[:, ::-1].reshape(-1, order="F")
             worst = max(worst, np.linalg.norm(fast - dense) / np.linalg.norm(dense))

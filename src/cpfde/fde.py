@@ -19,15 +19,13 @@ per N_b for the models of all its Eb/N0 points and streams each point through
 FilterBank.subset, and the bathtub profile calls build_filter_bank and
 equalize_block, in the same stacks, itself.
 
-A sweep of one Eb/N0 point equalizes its stream of one block, the paper's
-N_b = T_c, through equalize_one_block instead, whose subbands would be twice
-the stream: it transforms the stream in place and builds the subbands, sums
-the Gram and matched-filter products and solves a group of antenna rows at a
-time (_GROUP_BYTES).  Both routes run the same kernels, _factor_subbands and
-_solve_subbands; a bank is their case of one group, so with one group the
-two routes are bitwise the same, and with more they agree to rounding.  The
-estimates agree with explicit per-subband filters F^H G_f F to a relative
-1e-12 (rounding: the arithmetic is ordered differently).
+A stream of one block, the paper's N_b = T_c, goes build_one_block_bank,
+then equalize_one_block, without its N_b subbands (twice the stream): its
+Gram matrices are the transform of the taps' 2L+1 weighted autocorrelation
+lags, and its matched filter is a circular correlation with the L+1 taps, by
+overlap-save at convolve_transmit's short block (Falconer et al., IEEE
+Commun. Mag. 2002).  Both routes agree with explicit per-subband filters
+F^H G_f F to a relative 1e-12 (rounding: the arithmetic is ordered differently).
 
 Convention: blocks are newest-sample-first (column 0 holds time n).  With that
 ordering a delay by l taps is a cyclic shift by +l columns, so the unitary
@@ -36,12 +34,12 @@ F[a, b] = exp(+2j pi a b / N) / sqrt(N); its conjugate maps back to time.  In
 time order the same filter is ifft(G_f fft(r)), which is how blocks are
 computed.
 
-Large bank builds, blocks, antenna groups and overlap-save streams are cut
-into subband chunks that fit in cache, antenna rows or ranges of stacks, and
-mapped over the thread pool of _pool (numpy's FFT, matmul and elementwise
-arithmetic release the GIL).  The chunks and groups do not depend on the
-thread count, so results are bit-identical for any thread count.  A pool job
-never starts a pool of its own.
+Large bank builds, blocks and overlap-save streams are cut into subband
+chunks that fit in cache, antenna rows or ranges of stacks, and mapped over
+the thread pool of _pool (numpy's FFT, matmul and elementwise arithmetic
+release the GIL).  The chunks do not depend on the thread count, so results
+are bit-identical for any thread count.  A pool job never starts a pool of
+its own.
 
 A Gram matrix that is singular to working precision (a pivot of its LDL^H
 factorization at most _PIVOT_RTOL times its diagonal entry, as with more users
@@ -57,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pool import _map, _split
-from .channel import ChannelTaps, _transform_taps
+from .channel import ChannelTaps, _next_pow2, _short_fft_len
 from .errors import ConfigurationError, DimensionError
 from .quant import BussgangModel
 
@@ -67,9 +65,6 @@ DENSE_SIZE_CAP = 4096
 # temporaries, and a stack of blocks fills at most one chunk; a call of one
 # chunk runs in the calling thread.
 _CHUNK_BYTES = 2 << 20
-# A stream of one block is equalized in groups of antenna rows whose subbands
-# take about this many bytes, so that no intermediate reaches the stream's size.
-_GROUP_BYTES = 8 << 20
 # A Gram matrix is singular to working precision when an LDL^H pivot falls to
 # this fraction of its diagonal entry: its solve would keep fewer than about
 # four significant digits.
@@ -96,11 +91,12 @@ class FdeConfig:
 class FilterBank:
     """The per-subband MMSE filters of Q Bussgang models, in factored form.
 
-    subbands are the gain-free (M, K, N_b) of freq_channel; weights (Q, M)
-    hold each model's gain over its effective-noise diagonal, g / D; mult
-    (K(K-1)/2, Q, N_b) and rpiv (K, Q, N_b) hold the LDL^H multipliers L[i, k]
-    (k < i, in the order k, then i) and the reciprocal pivots 1 / d_k of
-    every Gram matrix g^2 H^H D^-1 H + I/sigma_x^2 = L diag(d) L^H.
+    subbands are the gain-free (M, K, n) tap spectra of the matched filter,
+    at N_b (freq_channel's) or a short length (build_one_block_bank); weights
+    (Q, M) hold each model's gain over its effective-noise diagonal, g / D;
+    mult (K(K-1)/2, Q, N_b) and rpiv (K, Q, N_b) hold the LDL^H multipliers
+    L[i, k] (k < i, in the order k, then i) and the reciprocal pivots 1 / d_k
+    of every Gram matrix g^2 H^H D^-1 H + I/sigma_x^2 = L diag(d) L^H.
     """
 
     subbands: np.ndarray
@@ -138,7 +134,7 @@ def build_filter_bank(
     _map(
         _factor_subbands,
         [
-            (subbands, gram_weights, None, loads, mult, rpiv, lo, hi)
+            (subbands, gram_weights, loads, mult, rpiv, lo, hi)
             for lo, hi in _subband_chunks(N_b, (K * (K + 1) // 2 + K) * M)
         ],
         subbands.nbytes,
@@ -174,42 +170,34 @@ def _subband_chunks(N_b: int, entries: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, N_b)) for lo in range(0, N_b, step)]
 
 
-def _antenna_groups(M: int, K: int, N_b: int) -> list[tuple[int, int]]:
-    """(a, b) antenna row ranges of about _GROUP_BYTES of (K, N_b) subbands each."""
-    g = max(1, min(M, _GROUP_BYTES // (K * N_b * 16)))
-    return [(a, min(a + g, M)) for a in range(0, M, g)]
+def _factor_subbands(H, weights, loads, mult, rpiv, lo, hi) -> None:
+    """Factor the Gram matrices of subbands lo..hi-1 of the (M, K, N_b) H into mult and rpiv."""
+    _factor_gram(_gram_sums(H[:, :, lo:hi], weights), loads, mult[..., lo:hi], rpiv[..., lo:hi])
 
 
-def _factor_subbands(H, weights, gram, loads, mult, rpiv, lo, hi) -> None:
-    """Factor the Gram matrices of subbands lo..hi-1 into mult and rpiv.
-
-    H holds the (g, K, N_b) subbands of a group of antennas and weights their
-    (Q, g) g^2 / D.  The products conj(H_i) H_j (i <= j), antenna-major, are
-    shared by all models; one real product with the weights sums them over the
-    group for all models.  With gram, the (Q, K(K+1)/2, N_b) sums of the
-    groups before, this group's are added to it, and the Gram matrices are
-    complete only at the last group, which passes loads; without loads
-    nothing is factored.
-    """
-    H = H[:, :, lo:hi]
-    g, K, n = H.shape
+def _gram_sums(H, weights) -> np.ndarray:
+    """The (Q, K(K+1)/2, n) sums over the antennas of weights * conj(H_i) H_j (i <= j),
+    for (M, K, n) spectra H and their (Q, M) weights g^2 / D: the products are
+    formed antenna-major once, and one real product sums them for all models."""
+    M, K, n = H.shape
     Hc = np.conjugate(H)
     pairs = [(i, j) for i in range(K) for j in range(i, K)]
-    P = np.empty((g, len(pairs), n), dtype=np.complex128)
+    P = np.empty((M, len(pairs), n), dtype=np.complex128)
     for p, (i, j) in enumerate(pairs):
         np.multiply(Hc[:, i], H[:, j], out=P[:, p])
-    sums = (weights @ P.reshape(g, -1).view(np.float64)).view(np.complex128)
-    sums = sums.reshape(len(weights), len(pairs), n)
-    if gram is not None:
-        gram[..., lo:hi] += sums
-        sums = gram[..., lo:hi]
-    if loads is None:
-        return
+    sums = (weights @ P.reshape(M, -1).view(np.float64)).view(np.complex128)
+    return sums.reshape(len(weights), len(pairs), n)
+
+
+def _factor_gram(sums, loads, mult, rpiv) -> None:
+    """Add the (Q,) loads 1 / sigma_x^2 to the Gram sums of _gram_sums and factor them."""
+    K = len(rpiv)
+    pairs = [(i, j) for i in range(K) for j in range(i, K)]
     entry = {ij: sums[:, p] for p, ij in enumerate(pairs)}
     for k in range(K):
         entry[k, k].real += loads[:, None]
     A = [[entry.get((i, j)) for j in range(K)] for i in range(K)]
-    _ldl_factor(A, mult[..., lo:hi], rpiv[..., lo:hi])
+    _ldl_factor(A, mult, rpiv)
 
 
 def _ldl_factor(A, mult, rpiv) -> None:
@@ -295,15 +283,17 @@ def _stack_len(M: int, K: int, N_b: int) -> int:
 def _equalize_block(r, bank: FilterBank, pooled: bool) -> np.ndarray:
     """(B, Q*K, N_b) estimates, in time order, of the time-order (B, M, N_b) blocks r.
 
-    Pooled, a stack of _PARALLEL_MIN_BYTES or more splits its transform rows
-    and its subband chunks over the pool.
+    A bank without factors (mult None) gives the matched-filter outputs
+    instead, transformed back to time like the estimates.  Pooled, a stack of
+    _PARALLEL_MIN_BYTES or more splits its transform rows and its subband
+    chunks over the pool.
     """
     M, K, N_b = bank.subbands.shape
     B = len(r)
     Rc = np.empty((B, M, N_b), dtype=np.complex128)
     X = np.empty((B, len(bank.weights), K, N_b), dtype=np.complex128)
     chunks = [
-        (bank.subbands, Rc, bank.weights, X, False, bank.mult, bank.rpiv, lo, hi)
+        (bank.subbands, Rc, bank.weights, X, bank.mult, bank.rpiv, lo, hi)
         for lo, hi in _subband_chunks(N_b, (K + 1) * M)
     ]
     rows = _split(M, r.nbytes) if pooled else [(0, M)]
@@ -325,90 +315,87 @@ def _transform_rows(r, Rc, lo, hi) -> None:
     np.conjugate(Rc[:, lo:hi], out=Rc[:, lo:hi])
 
 
-def _solve_subbands(H, Rc, weights, X, add, mult, rpiv, lo, hi) -> None:
-    """Sum, and at the last group solve, every model's subbands lo..hi-1 in X (B, Q, K, N_b).
+def _solve_subbands(H, Rc, weights, X, mult, rpiv, lo, hi) -> None:
+    """Write every model's matched-filter output on subbands lo..hi-1 to X
+    (B, Q, K, N_b) and, with mult, solve it with the factors mult and rpiv.
 
-    H holds the (g, K, N_b) subbands of a group of antennas, Rc (B, g, N_b)
-    the conjugated transforms of their rows in B blocks and weights their
-    (Q, g) g / D.  The products H conj(R_f), block-major and then
-    antenna-major, are shared by all models; per block, one real product with
-    the weights sums them over the group for all models into the conjugated
-    matched-filter output, which is written to X, or with add added to the
-    sums of the groups before.  With mult (the last group) the subband
-    systems are then solved in place with the factors mult and rpiv.
+    H holds the (M, K, N_b) subbands, Rc (B, M, N_b) the conjugated transforms
+    of B blocks' rows and weights the (Q, M) g / D.  The products H conj(R_f),
+    block-major and then antenna-major, are shared by all models; per block,
+    one real product with the weights sums them over the antennas.
     """
     H = H[:, :, lo:hi]
-    g, K, n = H.shape
+    M, K, n = H.shape
     P = H * Rc[:, :, None, lo:hi]
     b = X[..., lo:hi]
-    S = (weights @ P.reshape(len(P), g, -1).view(np.float64)).view(np.complex128)
-    S = S.reshape(b.shape)
-    if add:  # the conjugate of a sum is the sum of the conjugates, bitwise
-        b += np.conjugate(S, out=S)
-    else:
-        np.conjugate(S, out=b)
+    S = (weights @ P.reshape(len(P), M, -1).view(np.float64)).view(np.complex128)
+    np.conjugate(S.reshape(b.shape), out=b)
     if mult is not None:
         _ldl_solve(mult[..., lo:hi], rpiv[:, None, :, lo:hi], b.transpose(2, 0, 1, 3))
 
 
-def equalize_one_block(
-    r: np.ndarray, taps: ChannelTaps, models: Sequence[BussgangModel]
-) -> np.ndarray:
-    """Equalize an M x N_b stream of one block (N_b = T_c) with every model.
+def build_one_block_bank(
+    taps: ChannelTaps, models: Sequence[BussgangModel], cfg: FdeConfig
+) -> FilterBank:
+    """The factored MMSE filters of every model for a stream of one block (N_b = T).
 
-    Returns the len(models) * K x N_b estimates in time order, rows as for
-    equalize_block.  A complex128 r is overwritten with its transform.
+    The factors are build_filter_bank's on freq_channel(taps, N_b) to
+    rounding: the taps' spectra at a power of 2 of at least 2L+1 points give
+    the Gram sums of _gram_sums, whose inverse transforms are the lags -L..L;
+    one model at a time, these go circularly into a row of N_b (added where
+    they alias, when N_b < 2L+1), which is transformed and factored.  The
+    subbands are the taps' spectra at the matched filter's short length
+    channel._short_fft_len(cfg.overlap, N_b), or at N_b if that is not
+    shorter; cfg.overlap must cover the channel memory L.
+    """
+    L, M, K = taps.memory, taps.n_rx, taps.n_users
+    N_b = cfg.block_len
+    if cfg.overlap < L:
+        raise ConfigurationError(f"overlap {cfg.overlap} must cover the channel memory L={L}")
+    weights, gram_weights, loads = _model_weights(models, M)
+    rows = np.ascontiguousarray(taps.taps.transpose(1, 2, 0))
+    n = _next_pow2(2 * L + 1)
+    lags = np.fft.ifft(_gram_sums(np.fft.fft(rows, n, axis=-1), gram_weights), axis=-1)
+    mult, rpiv = _empty_factors(K, len(models), N_b)
+    gram = np.empty((1, K * (K + 1) // 2, N_b), dtype=np.complex128)  # one model's at a time
+    for q in range(len(models)):
+        gram[..., L + 1 :] = 0
+        gram[..., : L + 1] = lags[q : q + 1, :, : L + 1]
+        gram[..., N_b - L :] += lags[q : q + 1, :, n - L :]
+        np.fft.fft(gram, axis=-1, out=gram)
+        _factor_gram(gram, loads[q : q + 1], mult[:, q : q + 1], rpiv[:, q : q + 1])
+    subbands = np.fft.fft(rows, min(_short_fft_len(cfg.overlap, N_b), N_b), axis=-1)
+    return FilterBank(subbands, weights, mult, rpiv)
 
-    The antenna rows go in groups of about _GROUP_BYTES of subbands.  Per
-    group, the subbands of taps are built into one reused buffer and, per
-    subband chunk, the group's Gram and matched-filter products are added to
-    the sums of the groups before, in group order.  At the last group the
-    loads are added, the Gram matrices factored and the systems solved.  So
-    the subbands are whole only when they fit one group.  With one group the
-    estimates are bitwise build_filter_bank and overlap_save_stream's; with
-    more they agree to rounding.
+
+def equalize_one_block(r: np.ndarray, bank: FilterBank, cfg: FdeConfig) -> np.ndarray:
+    """Equalize an M x N_b stream of one block (N_b = T) with a bank of build_one_block_bank.
+
+    Returns the Q*K x N_b estimates in time order, rows as for
+    equalize_block; r is not written.  The matched-filter outputs, a circular
+    correlation of the stream with the taps, come from the stack kernels
+    without a solve, by overlap-save at the bank's short length S: its
+    blocks advance by step = S - cfg.overlap, and the last step positions come
+    from one wrapped block, the stream's tail and then its first cfg.overlap
+    samples (at S = N_b the one block is the stream).  Their Q*K rows are
+    transformed, solved with the bank's factors and transformed back.
     """
     r = np.asarray(r, dtype=np.complex128)
-    M, K = taps.n_rx, taps.n_users
-    if r.ndim != 2 or r.shape[0] != M:
-        raise DimensionError(f"stream must be M x T with M={M}")
-    N_b = r.shape[1]
-    if N_b < taps.memory + 1:
-        raise DimensionError(f"N_b={N_b} must be >= L+1={taps.memory + 1}")
-    weights, gram_weights, loads = _model_weights(models, M)
-    Rc = r[None]  # the one block, transformed in place
-    _map(_transform_rows, [(Rc, Rc, a, b) for a, b in _split(M, r.nbytes)])
-
-    groups = _antenna_groups(M, K, N_b)
-    g = groups[0][1]  # antennas per group
-    mult, rpiv = _empty_factors(K, len(models), N_b)
-    gram = None if len(groups) == 1 else np.zeros(
-        (len(models), K * (K + 1) // 2, N_b), dtype=np.complex128
-    )
-    rows = np.ascontiguousarray(taps.taps.transpose(1, 2, 0))
-    subbands = np.empty((g, K, N_b), dtype=np.complex128)  # reused by every group
-    X = np.empty((1, len(models), K, N_b), dtype=np.complex128)
-    for a, b in groups:
-        last = b == M
-        H = subbands[: b - a]
-        _map(_transform_taps, [(rows[a:b], H, c, d) for c, d in _split(b - a, H.nbytes)])
-        _map(
-            _factor_subbands,
-            [
-                (H, gram_weights[:, a:b], gram, loads if last else None, mult, rpiv, c, d)
-                for c, d in _subband_chunks(N_b, (K * (K + 1) // 2 + K) * g)
-            ],
-            H.nbytes,
-        )
-        _map(
-            _solve_subbands,
-            [
-                (H, Rc[:, a:b], weights[:, a:b], X, a > 0, mult if last else None, rpiv, c, d)
-                for c, d in _subband_chunks(N_b, (K + 1) * g)
-            ],
-            H.nbytes,
-        )
-    X = X.reshape(-1, N_b)
+    M, K, S = bank.subbands.shape
+    N_b = cfg.block_len
+    if r.shape != (M, N_b) or bank.rpiv.shape[-1] != N_b:
+        raise DimensionError(f"stream must be M x N_b = {M} x {N_b} as the bank's, got {r.shape}")
+    matched = FilterBank(bank.subbands, bank.weights, None, None)
+    if S == N_b:
+        X = _equalize_block(r[None], matched, pooled=True)[0]
+    else:
+        step = S - cfg.overlap
+        X = np.empty((len(bank.weights) * K, N_b), dtype=np.complex128)
+        _overlap_save(r, matched, step, X, N_b - step, _equalize_job_block)
+        wrapped = np.concatenate([r[:, N_b - step :], r[:, : cfg.overlap]], axis=1)
+        X[:, N_b - step :] = _equalize_block(wrapped[None], matched, pooled=False)[0, :, :step]
+    np.fft.fft(X, axis=-1, out=X)
+    _ldl_solve(bank.mult, bank.rpiv, X.reshape(-1, K, N_b).transpose(1, 0, 2))
     np.fft.ifft(X, axis=-1, out=X)
     return X
 
@@ -427,8 +414,7 @@ def overlap_save_stream(
     estimates, rows as for equalize_block, and a length-T_c boolean edge mask).
 
     The blocks go to equalize_block in stacks of consecutive blocks, views of
-    the stream; the clamped final block is a stack of its own.  The stream is
-    not written.
+    the stream (the clamped final block alone); the stream is not written.
     """
     r = np.asarray(r, dtype=np.complex128)
     M, K, _ = bank.subbands.shape
@@ -443,23 +429,32 @@ def overlap_save_stream(
     if T == N_b:  # one block: its estimates are the stream's
         return equalize_block(r[:, ::-1], bank)[:, ::-1], edge
 
-    step = N_b - cfg.overlap
     out = np.empty((len(bank.weights) * K, T), dtype=np.complex128)
-    n = (T - N_b) // step + 1  # regular blocks, starting at multiples of step
+    _overlap_save(r, bank, N_b - cfg.overlap, out, T, equalize_block)
+    return out, edge
+
+
+def _overlap_save(r, bank, step, out, end, serial) -> None:
+    """Write to out the positions that r's blocks at multiples of step emit and,
+    where these stop short of position end, the clamped final block's: the stacks
+    run through serial, or in contiguous ranges through _equalize_job_block on the pool.
+    """
+    M, K, N_b = bank.subbands.shape
+    T = r.shape[1]
+    n = (T - N_b) // step + 1  # regular blocks
     size = _stack_len(M, K, N_b)
     stacks = [(j * step, min(size, n - j)) for j in range(0, n, size)]  # (start, blocks)
-    if (T - N_b) % step:
+    if (T - N_b) % step and n * step < end:
         stacks.append((T - N_b, 1))  # clamped final block
     windows = np.lib.stride_tricks.sliding_window_view(r, N_b, axis=1)
     parts = _split(len(stacks), r.nbytes)
     if len(parts) == 1:
-        _equalize_stacks(equalize_block, windows, bank, step, stacks, out)
+        _equalize_stacks(serial, windows, bank, step, stacks, out)
     else:
         # Contiguous stack ranges write disjoint stretches of out.
         jobs = [(_equalize_job_block, windows, bank, step, stacks[lo:hi], out)
                 for lo, hi in parts]
         _map(_equalize_stacks, jobs)
-    return out, edge
 
 
 def _equalize_stacks(equalize, windows, bank, step, stacks, out) -> None:

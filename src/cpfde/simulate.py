@@ -33,6 +33,7 @@ from .fde import (
     FdeConfig,
     _stack_len,
     build_filter_bank,
+    build_one_block_bank,
     equalize_block,
     equalize_one_block,
     overlap_save_stream,
@@ -49,10 +50,9 @@ MAX_EBN0_DB = 300.0
 # most two such streams at once, the noiseless and the received one (one array
 # at the last Eb/N0 point); paper scale (M=64, T_c=50000) is 51 MB.  The K x T_c
 # symbol stream, the (L+1, M, K) channel taps and the (M, K, N_b) subbands of
-# all block lengths together (113 MB at paper scale) have the same bound.  With
-# one Eb/N0 point the subbands of N_b = T_c (102 MB at paper scale) are built
-# a group of antennas at a time, never whole.  The block length scan has its
-# own, larger cap on T_c (blockopt.MAX_COHERENCE).
+# all block lengths together (113 MB at paper scale) have the same bound; N_b =
+# T_c counts there, though its subbands (102 MB) are never formed.  The block
+# length scan has its own, larger cap on T_c (blockopt.MAX_COHERENCE).
 MAX_STREAM_BYTES = 2**28
 
 
@@ -132,9 +132,11 @@ def demap_symbols(estimates: np.ndarray, order: int) -> tuple[np.ndarray, np.nda
     return gray[..., 0], gray[..., 1]
 
 
-def _bit_errors(sent, detected) -> int:
-    """Bits in which per-axis Gray indices differ, over both axes."""
-    return sum(int(np.bitwise_count(a ^ b).sum()) for a, b in zip(sent, detected))
+def _bit_errors(sent, detected) -> np.ndarray:
+    """Bits in which per-axis Gray indices differ, over both axes: one count
+    per leading index that detected has beyond sent's dimensions."""
+    axes = tuple(range(-np.ndim(sent[0]), 0))
+    return sum(np.bitwise_count(d ^ s).sum(axis=axes) for s, d in zip(sent, detected))
 
 
 # --------------------------------------------------------------------------
@@ -360,18 +362,18 @@ def _run_one_realization(args):
     The models need the taps, the design's rho_q and each point's transmit
     power, not the received stream, so each N_b gets one filter bank for
     every point's models, built at the first point and dropped after the
-    last; each point streams through its own subset of the bank.  With one
-    point, the one-block N_b = T_c goes through equalize_one_block instead,
-    which builds its subbands a group of antennas at a time.
+    last; each point streams through its own subset of the bank.  The
+    one-block N_b = T_c gets build_one_block_bank's and goes through
+    equalize_one_block, which forms no N_b subbands and does not write the
+    received stream.  Each point's Q*K estimate rows are scored at once.
 
     Each point's noise comes from _noise_ahead: where a CPU would idle, a
     helper thread draws the next point's noise while this point is
     quantized, equalized and scored, the same draws as add_noise's.
 
     No stream outlives its last reader: the last point scales the noiseless
-    stream in place into its received one, and with one point the one-block
-    N_b = T_c, equalized last, transforms the received stream in place.  So
-    a paper realization of one point holds one stream at its peak.
+    stream in place into its received one.  So a paper realization holds one
+    stream while it equalizes its last (or only) point, and two before.
     """
     cfg, index, sigma_x2_by_ebn0 = args
     taps, rng, unit_syms = _symbols(cfg, index)
@@ -387,31 +389,28 @@ def _run_one_realization(args):
         bit_err = np.empty(shape, dtype=np.int64)
         banks = {}
         last = len(cfg.ebn0_grid) - 1
-        # The one-block N_b = T_c goes last: it may overwrite r with its transform.
-        order = sorted(range(len(cfg.block_lens)), key=lambda j: cfg.block_lens[j] == cfg.T_c)
         for i, (ebn0, noise_i) in enumerate(zip(cfg.ebn0_grid, drawn)):
             sigma_x2 = sigma_x2_by_ebn0[ebn0]
-            x = np.sqrt(sigma_x2) * unit_syms[:, :n]
             r = np.multiply(np.sqrt(sigma_x2), hx, out=hx if i == last else None)
             _receive(cfg, taps, r, sigma_x2, rng, noise_i)
-            for j in order:
-                n_b = cfg.block_lens[j]
-                if n_b == cfg.T_c and last == 0:
-                    out = equalize_one_block(r, taps, models)
-                else:
-                    fde_cfg = FdeConfig(block_len=n_b, overlap=cfg.L)
-                    if i == 0:
-                        banks[n_b] = build_filter_bank(freq_channel(taps, n_b), models, fde_cfg)
-                    bank = banks[n_b] if i < last else banks.pop(n_b)
-                    out = overlap_save_stream(r, bank.subset(i * Q, (i + 1) * Q), fde_cfg)[0]
-                    del bank  # after the last point, before the next N_b's bank is built
-                estimates = out.reshape(Q, cfg.K, -1)
-                for k, xhat in enumerate(estimates[..., :n]):
-                    # MSE per unit symbol energy: fixed unit change, not blind scaling
-                    sq[i, j, k] = np.sum(np.abs((xhat - x) / np.sqrt(sigma_x2)) ** 2)
-                    # BER on the same positions, against the scaled constellation
-                    detected = demap_symbols(xhat / np.sqrt(sigma_x2), cfg.modulation)
-                    bit_err[i, j, k] = _bit_errors(sent, detected)
+            for j, n_b in enumerate(cfg.block_lens):
+                fde_cfg = FdeConfig(block_len=n_b, overlap=cfg.L)
+                one_block = n_b == cfg.T_c
+                if i == 0:
+                    banks[n_b] = (
+                        build_one_block_bank(taps, models, fde_cfg) if one_block
+                        else build_filter_bank(freq_channel(taps, n_b), models, fde_cfg)
+                    )
+                bank = (banks[n_b] if i < last else banks.pop(n_b)).subset(i * Q, (i + 1) * Q)
+                out = (equalize_one_block(r, bank, fde_cfg) if one_block
+                       else overlap_save_stream(r, bank, fde_cfg)[0])
+                # Per unit symbol energy, against the unit constellation: a
+                # fixed unit change, not blind scaling.
+                xhat = out.reshape(Q, cfg.K, -1)[..., :n] / np.sqrt(sigma_x2)
+                sq[i, j] = np.sum(np.abs(xhat - unit_syms[:, :n]) ** 2, axis=(1, 2))
+                bit_err[i, j] = _bit_errors(sent, demap_symbols(xhat, cfg.modulation))
+                del bank, out, xhat  # before the next N_b's bank is built
+            del r  # before the next point's stream is made
     return sq, bit_err
 
 

@@ -268,8 +268,9 @@ class TestHermitianSolve:
         # More users than antennas at a huge transmit power: the Gram matrix
         # H^H H + I/sigma_x^2 has rank M < K in working precision.  The bank
         # build, and so a multi-block and a one-block stream, raise rather
-        # than return NaN; with K < M the same powers give the zero-forcing
-        # limit, finite.
+        # than return NaN, and so does the one-block bank built from the
+        # taps' lags; with K < M the same powers give the zero-forcing limit,
+        # finite.
         rng = np.random.default_rng(37)
         taps = random_taps(rng, 2, M, K)
         bm = bussgang_model(taps, 0.0, 1.0, sigma_x2)
@@ -280,6 +281,7 @@ class TestHermitianSolve:
             lambda: build_filter_bank(subbands, [bm], multi).rpiv,
             lambda: equalize_stream(r, subbands, [bm], multi),
             lambda: equalize_stream(r, freq_channel(taps, 48), [bm], one),
+            lambda: fde.equalize_one_block(r, fde.build_one_block_bank(taps, [bm], one), one),
         ]
         for call in calls:
             if singular:
@@ -482,24 +484,25 @@ class TestOverlapSave:
 class TestOverwrite:
     @pytest.mark.parametrize("threads", [1, 2, 5])
     def test_one_block_is_bitwise_the_copying_call(self, threads):
-        # One block (T = N_b = 64) in one antenna group: equalize_one_block
-        # writes the transform over r, split into row ranges on 2 and 5
-        # threads (the pool floor is 0), and its estimates are bitwise those
-        # of the bank and overlap_save_stream, which allocate it.
+        # The one-block route reads its stream through views (overlap-save
+        # windows of the short block and the wrapped block's copy) and never
+        # writes it: on 1, 2 and 5 threads (the pool floor is 0, so the
+        # blocks split over the pool) the stream is unchanged, and the
+        # estimates are bitwise those of a call on a copy on one thread.
         rng = np.random.default_rng(21)
-        M, K, N_b = 8, 2, 64
-        taps = random_taps(rng, 3, M, K)
-        cfg = FdeConfig(block_len=N_b, overlap=3)
+        M, K, L, N_b = 8, 2, 3, 300
+        taps = random_taps(rng, L, M, K)
+        cfg = FdeConfig(block_len=N_b, overlap=L)
         models = [bussgang_model(taps, rho, 1.0, s) for s in (1.0, 3.0) for rho in (0.0, 0.3)]
-        bank = build_filter_bank(freq_channel(taps, N_b), models, cfg)
+        bank = fde.build_one_block_bank(taps, models, cfg)
+        assert bank.subbands.shape[-1] == 64 < N_b
         r = rng.standard_normal((M, N_b)) + 1j * rng.standard_normal((M, N_b))
-        overwritten = r.copy()
-        with pool_threads(threads):
-            assert fde._antenna_groups(M, K, N_b) == [(0, M)]
-            est = fde.equalize_one_block(overwritten, taps, models)
-            expected = overlap_save_stream(r, bank, cfg)[0]
+        kept = r.copy()
+        expected = fde.equalize_one_block(kept.copy(), bank, cfg)
+        with pool_threads(threads, chunk_bytes=(K + 1) * M * 64 * 16):
+            est = fde.equalize_one_block(r, bank, cfg)
+        np.testing.assert_array_equal(r, kept)
         np.testing.assert_array_equal(est, expected)
-        assert not np.array_equal(overwritten, r)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("T", [61, 64], ids=["clamped", "unclamped"])
@@ -519,84 +522,114 @@ class TestOverwrite:
         np.testing.assert_array_equal(out, expected)
 
 
+class TestLagGram:
+    # L = 4: 2L + 1 = 9 lags, which alias at L + 1 = 5 <= N_b < 9.
+    @pytest.mark.parametrize("N_b", [64, 9, 8, 6, 5])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_factors_match_the_subband_factors(self, K, N_b):
+        # The one-block bank's Gram factors, from the taps' lags, against
+        # those that _factor_subbands takes of freq_channel's N_b subbands,
+        # for the models of two Eb/N0 points: the same to rounding.
+        rng = np.random.default_rng(50 + K)
+        M, L = 5, 4
+        taps = random_taps(rng, L, M, K)
+        models = [bussgang_model(taps, rho, 0.7, s) for s in (0.5, 4.0) for rho in (0.0, 0.3)]
+        cfg = FdeConfig(block_len=N_b, overlap=L)
+        lagged = fde.build_one_block_bank(taps, models, cfg)
+        bank = build_filter_bank(freq_channel(taps, N_b), models, cfg)
+        for got, want in ((lagged.mult, bank.mult), (lagged.rpiv, bank.rpiv)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=RTOL * np.abs(want).max(initial=1))
+        np.testing.assert_array_equal(lagged.weights, bank.weights)
+
+
 class TestOneBlockRoute:
     @pytest.mark.parametrize("points", [1, 2, 3])
     @pytest.mark.parametrize("K", [1, 2, 3])
-    def test_groups_match_the_bank_route(self, monkeypatch, K, points):
-        # M = 7 antennas in groups of 3 (3, 3, 1): the sums over the groups
-        # agree with the bank and overlap_save_stream to rounding, for the
-        # two models of each of 1 to 3 Eb/N0 points in one call.
+    def test_groups_match_the_bank_route(self, K, points):
+        # One one-block bank holds the two models of each of 1 to 3 Eb/N0
+        # points, and each point's group of models (FilterBank.subset)
+        # agrees with build_filter_bank and overlap_save_stream on the N_b
+        # subbands to rounding.  At L = 15 the short block is 64 samples and
+        # its step 49: N_b = 2048 is no multiple of it, N_b = 99 needs the
+        # clamped final block before the wrapped one, and the regular blocks
+        # of N_b = 113 end where the wrapped one starts; N_b = 64 and 20
+        # (whose Gram lags alias) are one block, the stream itself.
         rng = np.random.default_rng(40 + K)
-        M, L, N_b = 7, 3, 40
+        M, L = 5, 15
         taps = random_taps(rng, L, M, K)
         models = [bussgang_model(taps, rho, 0.7, s) for s in (0.5, 1.3, 4.0)[:points]
                   for rho in (0.0, 0.3)]
-        r = rng.standard_normal((M, N_b)) + 1j * rng.standard_normal((M, N_b))
-        cfg = FdeConfig(block_len=N_b, overlap=L)
-        bank = build_filter_bank(freq_channel(taps, N_b), models, cfg)
-        assert fde._antenna_groups(M, K, N_b) == [(0, M)]
-        monkeypatch.setattr(fde, "_GROUP_BYTES", 3 * K * N_b * 16)
-        assert fde._antenna_groups(M, K, N_b) == [(0, 3), (3, 6), (6, 7)]
-        est = fde.equalize_one_block(r.copy(), taps, models)
-        assert est.shape == (len(models) * K, N_b)
-        assert_close(est, overlap_save_stream(r, bank, cfg)[0])
+        for N_b, short in ((2048, 64), (99, 64), (113, 64), (64, 64), (20, 20)):
+            r = rng.standard_normal((M, N_b)) + 1j * rng.standard_normal((M, N_b))
+            cfg = FdeConfig(block_len=N_b, overlap=L)
+            one_block = fde.build_one_block_bank(taps, models, cfg)
+            assert one_block.subbands.shape == (M, K, short)
+            bank = build_filter_bank(freq_channel(taps, N_b), models, cfg)
+            for q in range(0, len(models), 2):
+                est = fde.equalize_one_block(r, one_block.subset(q, q + 2), cfg)
+                assert est.shape == (2 * K, N_b)
+                assert_close(est, overlap_save_stream(r, bank.subset(q, q + 2), cfg)[0])
 
-    def test_bitwise_for_any_thread_count(self, monkeypatch):
-        # The groups and subband chunks are cut by size: on 1, 2 and 5
-        # threads (pool floor 0, chunks of 5 subbands) the estimates of six
-        # models are bitwise the same.
+    def test_bitwise_for_any_thread_count(self):
+        # The stacks and subband chunks are cut by size: on 1, 2 and 5
+        # threads (pool floor 0, stacks of one block, chunks of 5 subbands)
+        # the estimates of six models are bitwise the same.
         rng = np.random.default_rng(44)
-        M, K, L, N_b = 7, 2, 3, 40
+        M, K, L, N_b = 7, 2, 3, 300
         taps = random_taps(rng, L, M, K)
         models = [bussgang_model(taps, rho, 0.7, s) for s in (0.5, 1.3, 4.0) for rho in (0.0, 0.3)]
+        cfg = FdeConfig(block_len=N_b, overlap=L)
         r = rng.standard_normal((M, N_b)) + 1j * rng.standard_normal((M, N_b))
-        monkeypatch.setattr(fde, "_GROUP_BYTES", 3 * K * N_b * 16)
         runs = []
         for threads in (1, 2, 5):
-            with pool_threads(threads, chunk_bytes=5 * 5 * 3 * 16):
-                runs.append(fde.equalize_one_block(r.copy(), taps, models))
+            with pool_threads(threads, chunk_bytes=5 * (K + 1) * M * 16):
+                bank = fde.build_one_block_bank(taps, models, cfg)
+                runs.append(fde.equalize_one_block(r, bank, cfg))
         for run in runs[1:]:
             np.testing.assert_array_equal(run, runs[0])
 
     def test_peak_memory_below_the_subbands(self, monkeypatch):
         # An M x N_b = 32 x 32768 stream is 16 MiB and its subbands 32 MiB.
-        # Transformed in place, in groups of 8 antennas, the block allocates
-        # one group's subbands (8 MiB), the two models' Gram sums (3 MiB),
-        # factors (2 MiB) and estimates (2 MiB), and a chunk's products and
-        # temporaries (under 4 MiB).
+        # The one-block route forms neither those nor the stream's transform:
+        # building and equalizing allocate the two models' Gram sums (3 MiB,
+        # then factors of 2 MiB), the estimates (2 MiB) and a stack's
+        # products and temporaries (about 3 MiB), below 10 MiB.
         rng = np.random.default_rng(46)
         M, K, L, N_b = 32, 2, 15, 32768
         taps = random_taps(rng, L, M, K)
         models = [bussgang_model(taps, rho, 1.0, 0.5) for rho in (0.0, 0.3)]
+        cfg = FdeConfig(block_len=N_b, overlap=L)
         r = rng.standard_normal((M, N_b)) + 1j * rng.standard_normal((M, N_b))
-        group, gram, factors, estimates = 8 * K * N_b * 16, 2 * 3 * N_b * 16, 2 << 20, 2 << 20
         monkeypatch.setattr(_pool, "_threads", 1)
-        assert len(fde._antenna_groups(M, K, N_b)) == 4
         tracemalloc.start()
         try:
-            est = fde.equalize_one_block(r, taps, models)
+            est = fde.equalize_one_block(r, fde.build_one_block_bank(taps, models, cfg), cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert est.shape == (2 * K, N_b)
-        assert peak < group + gram + factors + estimates + 2 * fde._CHUNK_BYTES
+        assert peak < 10 << 20
 
     def test_rejects_mismatched_inputs(self):
         rng = np.random.default_rng(47)
         taps = random_taps(rng, 2, 4, 2)
         bm = bussgang_model(taps, 0.2, 1.0, 1.0)
+        cfg = FdeConfig(block_len=16, overlap=2)
+        bank = fde.build_one_block_bank(taps, [bm], cfg)
         r = np.ones((4, 16), dtype=complex)
         with pytest.raises(DimensionError):
-            fde.equalize_one_block(r[:3], taps, [bm])
+            fde.equalize_one_block(r[:3], bank, cfg)
         with pytest.raises(DimensionError):
-            fde.equalize_one_block(r[:, :2], taps, [bm])  # N_b < L + 1
-        # No model, or a diagonal without one entry per antenna, is refused
-        # before the stream is transformed in place.
+            fde.equalize_one_block(r[:, :8], bank, FdeConfig(block_len=8, overlap=2))
+        with pytest.raises(ConfigurationError, match="channel memory"):
+            fde.build_one_block_bank(taps, [bm], FdeConfig(block_len=16, overlap=1))
+        # No model, or a diagonal without one entry per antenna, is refused.
         short = dataclasses.replace(bm, eff_noise_diag=bm.eff_noise_diag[:-1])
         for models in ([], [bm, short]):
             with pytest.raises(DimensionError, match="model|per antenna"):
-                fde.equalize_one_block(r, taps, models)
-            np.testing.assert_array_equal(r, 1.0)
+                fde.build_one_block_bank(taps, models, cfg)
+        np.testing.assert_array_equal(r, 1.0)
 
 
 class TestDiscardBenefit:
