@@ -255,10 +255,10 @@ def _check_diagonalization(broken: bool) -> tuple[bool, str]:
 
 
 def _check_fde_oracle() -> tuple[bool, str]:
-    # Both equalizer routes against the dense filter, on one-block streams:
-    # the filter bank with overlap-save, and the one-block route of the sweep,
-    # whose matched filter at N_b = 65 runs on a block of 64 and the wrapped
-    # one (one user keeps that dense filter small).
+    # Both banks through overlap_save_stream against the dense filter, on
+    # one-block streams: the filter bank at N_b, and the one-block bank of the
+    # sweep's N_b = T_c, whose matched filter at N_b = 65 runs on a block of
+    # 64 and the wrapped one (one user keeps that dense filter small).
     rng = np.random.default_rng(7)
     worst = 0.0
     for M, K, L, N_b in [(6, 2, 3, 16)] * 20 + [(3, 1, 3, 65)] * 2:
@@ -276,9 +276,8 @@ def _check_fde_oracle() -> tuple[bool, str]:
         dense = fde.time_domain_wf(r, cir, bm)
         # The stacked vector is newest-first; the stream runs oldest-first.
         stream = r.reshape(M, N_b, order="F")[:, ::-1]
-        bank_est = fde.equalize_stream(stream, channel.freq_channel(taps, N_b), [bm], cfg)[0]
-        one_block = fde.equalize_one_block(stream, fde.build_one_block_bank(taps, [bm], cfg), cfg)
-        for est in (bank_est, one_block):
+        for build in (fde.build_filter_bank, fde.build_one_block_bank):
+            est = fde.overlap_save_stream(stream, build(taps, [bm], cfg), cfg)[0]
             fast = est[:, ::-1].reshape(-1, order="F")
             worst = max(worst, np.linalg.norm(fast - dense) / np.linalg.norm(dense))
     return worst < 1e-9, f"max relative error {worst:.3g}"

@@ -3,10 +3,12 @@
 The block-circulant channel approximation is diagonalized subband by subband.
 Per subband and Bussgang model, the MMSE filter
 (g^2 H^H D^-1 H + I/sigma_x^2)^-1 g H^H D^-1 is kept in factored form: the
-LDL^H factors of its K x K Gram matrix.  A received block is transformed row
-by row, its matched-filter output g H^H D^-1 R_f is formed antenna-major for
-all models at once, each subband's system is solved with the stored factors,
-and the estimates are transformed back.  A dense time-domain Wiener filter is
+LDL^H factors of its K x K Gram matrix.  That Gram matrix is the transform of
+the taps' weighted autocorrelation, which has 2L+1 lags, so every N_b's
+factors come from those lags.  A received block is transformed row by row,
+its matched-filter output g H^H D^-1 R_f is formed antenna-major for all
+models at once, each subband's system is solved with the stored factors, and
+the estimates are transformed back.  A dense time-domain Wiener filter is
 provided as an oracle for small instances.
 
 A stream goes build_filter_bank, then overlap_save_stream, which calls
@@ -19,13 +21,14 @@ per N_b for the models of all its Eb/N0 points and streams each point through
 FilterBank.subset, and the bathtub profile calls build_filter_bank and
 equalize_block, in the same stacks, itself.
 
-A stream of one block, the paper's N_b = T_c, goes build_one_block_bank,
-then equalize_one_block, without its N_b subbands (twice the stream): its
-Gram matrices are the transform of the taps' 2L+1 weighted autocorrelation
-lags, and its matched filter is a circular correlation with the L+1 taps, by
-overlap-save at convolve_transmit's short block (Falconer et al., IEEE
-Commun. Mag. 2002).  Both routes agree with explicit per-subband filters
-F^H G_f F to a relative 1e-12 (rounding: the arithmetic is ordered differently).
+A stream of one block, the paper's N_b = T_c, gets its bank from
+build_one_block_bank, which holds the taps' spectra at convolve_transmit's
+short block instead of the N_b subbands (twice the stream).
+overlap_save_stream then forms the matched filter, a circular correlation
+with the L+1 taps, by overlap-save at that short block (Falconer et al., IEEE
+Commun. Mag. 2002) and solves on the N_b subbands.  Both banks agree with
+explicit per-subband filters F^H G_f F to a relative 1e-12 (rounding: the
+arithmetic is ordered differently).
 
 Convention: blocks are newest-sample-first (column 0 holds time n).  With that
 ordering a delay by l taps is a cyclic shift by +l columns, so the unitary
@@ -34,12 +37,11 @@ F[a, b] = exp(+2j pi a b / N) / sqrt(N); its conjugate maps back to time.  In
 time order the same filter is ifft(G_f fft(r)), which is how blocks are
 computed.
 
-Large bank builds, blocks and overlap-save streams are cut into subband
-chunks that fit in cache, antenna rows or ranges of stacks, and mapped over
-the thread pool of _pool (numpy's FFT, matmul and elementwise arithmetic
-release the GIL).  The chunks do not depend on the thread count, so results
-are bit-identical for any thread count.  A pool job never starts a pool of
-its own.
+Large blocks and overlap-save streams are cut into subband chunks that fit
+in cache, antenna rows or ranges of stacks, and mapped over the thread pool
+of _pool (numpy's FFT, matmul and elementwise arithmetic release the GIL).
+The chunks do not depend on the thread count, so results are bit-identical
+for any thread count.  A pool job never starts a pool of its own.
 
 A Gram matrix that is singular to working precision (a pivot of its LDL^H
 factorization at most _PIVOT_RTOL times its diagonal entry, as with more users
@@ -55,15 +57,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pool import _map, _split
-from .channel import ChannelTaps, _next_pow2, _short_fft_len
+from .channel import ChannelTaps, _next_pow2, _short_fft_len, freq_channel
 from .errors import ConfigurationError, DimensionError
 from .quant import BussgangModel
 
 DENSE_SIZE_CAP = 4096
 
-# Subbands are built and equalized in chunks of about this many bytes of
-# temporaries, and a stack of blocks fills at most one chunk; a call of one
-# chunk runs in the calling thread.
+# Subbands are equalized in chunks of about this many bytes of temporaries, a
+# stack of blocks fills at most one chunk, and a bank factors as many models'
+# Gram rows at once as one chunk holds; a call of one chunk runs in the
+# calling thread.
 _CHUNK_BYTES = 2 << 20
 # A Gram matrix is singular to working precision when an LDL^H pivot falls to
 # this fraction of its diagonal entry: its solve would keep fewer than about
@@ -91,12 +94,13 @@ class FdeConfig:
 class FilterBank:
     """The per-subband MMSE filters of Q Bussgang models, in factored form.
 
-    subbands are the gain-free (M, K, n) tap spectra of the matched filter,
-    at N_b (freq_channel's) or a short length (build_one_block_bank); weights
-    (Q, M) hold each model's gain over its effective-noise diagonal, g / D;
-    mult (K(K-1)/2, Q, N_b) and rpiv (K, Q, N_b) hold the LDL^H multipliers
-    L[i, k] (k < i, in the order k, then i) and the reciprocal pivots 1 / d_k
-    of every Gram matrix g^2 H^H D^-1 H + I/sigma_x^2 = L diag(d) L^H.
+    subbands are the gain-free (M, K, n) tap spectra of the matched filter:
+    freq_channel's at N_b, or for a stream of one block at the short length
+    of build_one_block_bank; weights (Q, M) hold each model's gain over its
+    effective-noise diagonal, g / D; mult (K(K-1)/2, Q, N_b) and rpiv
+    (K, Q, N_b) hold the LDL^H multipliers L[i, k] (k < i, in the order k,
+    then i) and the reciprocal pivots 1 / d_k of every Gram matrix
+    g^2 H^H D^-1 H + I/sigma_x^2 = L diag(d) L^H.
     """
 
     subbands: np.ndarray
@@ -118,27 +122,70 @@ def unitary_dft_matrix(n: int) -> np.ndarray:
 
 
 def build_filter_bank(
-    subbands: np.ndarray, models: Sequence[BussgangModel], cfg: FdeConfig
+    taps: ChannelTaps, models: Sequence[BussgangModel], cfg: FdeConfig
 ) -> FilterBank:
-    """The factored MMSE filters of every model on the (M, K, N_b) subbands.
+    """The factored MMSE filters of every model on the N_b = cfg.block_len subbands.
 
-    Model q's filter is that of its gain times the gain-free subbands of
-    freq_channel, its effective-noise diagonal and its transmit power; the
-    rho_q = 0 model gives the quantization-unaware filter.
+    Model q's filter is that of its gain times the gain-free subbands
+    freq_channel(taps, N_b), its effective-noise diagonal and its transmit
+    power; the rho_q = 0 model gives the quantization-unaware filter.
     """
-    M, K, N_b = subbands.shape
-    if N_b != cfg.block_len:
-        raise DimensionError(f"frequency channel block_len {N_b} != config {cfg.block_len}")
+    return _lag_bank(taps, models, cfg.block_len, cfg.block_len)
+
+
+def build_one_block_bank(
+    taps: ChannelTaps, models: Sequence[BussgangModel], cfg: FdeConfig
+) -> FilterBank:
+    """build_filter_bank's filters for a stream of one block (N_b = T), on short spectra.
+
+    The spectra are the taps' at the matched filter's short length
+    channel._short_fft_len(cfg.overlap, N_b), or at N_b if that is not
+    shorter, so that overlap_save_stream never forms the N_b subbands;
+    cfg.overlap must cover the channel memory L.
+    """
+    N_b = cfg.block_len
+    if cfg.overlap < taps.memory:
+        raise ConfigurationError(
+            f"overlap {cfg.overlap} must cover the channel memory L={taps.memory}"
+        )
+    return _lag_bank(taps, models, N_b, min(_short_fft_len(cfg.overlap, N_b), N_b))
+
+
+def _lag_bank(taps: ChannelTaps, models: Sequence[BussgangModel], N_b: int, n_spec: int):
+    """The bank of every model's Gram factors at N_b subbands and the taps' spectra at n_spec.
+
+    The Gram matrix g^2 H^H D^-1 H is the transform of the taps' weighted
+    autocorrelation, which has the 2L+1 lags -L..L: the taps' spectra at a
+    power of 2 of at least 2L+1 points give the Gram sums of _gram_sums,
+    whose inverse transforms are those lags.  A group of models at a time,
+    as many as _CHUNK_BYTES of (K(K+1)/2, N_b) rows hold, the lags go
+    circularly into rows of N_b (added where they alias, when N_b < 2L+1),
+    which are transformed, loaded with 1 / sigma_x^2 and factored.
+    """
+    subbands = freq_channel(taps, n_spec)
+    L, M, K = taps.memory, taps.n_rx, taps.n_users
     weights, gram_weights, loads = _model_weights(models, M)
-    mult, rpiv = _empty_factors(K, len(models), N_b)
-    _map(
-        _factor_subbands,
-        [
-            (subbands, gram_weights, loads, mult, rpiv, lo, hi)
-            for lo, hi in _subband_chunks(N_b, (K * (K + 1) // 2 + K) * M)
-        ],
-        subbands.nbytes,
-    )
+    rows = np.ascontiguousarray(taps.taps.transpose(1, 2, 0))
+    n = _next_pow2(2 * L + 1)
+    lags = np.fft.ifft(_gram_sums(np.fft.fft(rows, n, axis=-1), gram_weights), axis=-1)
+    Q = len(models)
+    mult = np.empty((K * (K - 1) // 2, Q, N_b), dtype=np.complex128)
+    rpiv = np.empty((K, Q, N_b))
+    pairs = [(i, j) for i in range(K) for j in range(i, K)]
+    group = max(1, _CHUNK_BYTES // (len(pairs) * N_b * 16))
+    gram = np.empty((min(group, Q), len(pairs), N_b), dtype=np.complex128)
+    for lo in range(0, Q, group):
+        hi = min(lo + group, Q)
+        g = gram[: hi - lo]
+        g[..., L + 1 :] = 0
+        g[..., : L + 1] = lags[lo:hi, :, : L + 1]
+        g[..., N_b - L :] += lags[lo:hi, :, n - L :]
+        np.fft.fft(g, axis=-1, out=g)
+        entry = {ij: g[:, p] for p, ij in enumerate(pairs)}
+        for k in range(K):
+            entry[k, k].real += loads[lo:hi, None]
+        _ldl_factor([[entry.get((i, j)) for j in range(K)] for i in range(K)],
+                    mult[:, lo:hi], rpiv[:, lo:hi])
     return FilterBank(subbands, weights, mult, rpiv)
 
 
@@ -156,23 +203,10 @@ def _model_weights(models: Sequence[BussgangModel], M: int):
     return gains / diags, gains**2 / diags, loads
 
 
-def _empty_factors(K: int, Q: int, N_b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uninitialized LDL^H multipliers and reciprocal pivots, as FilterBank holds them."""
-    return (
-        np.empty((K * (K - 1) // 2, Q, N_b), dtype=np.complex128),
-        np.empty((K, Q, N_b)),
-    )
-
-
 def _subband_chunks(N_b: int, entries: int) -> list[tuple[int, int]]:
     """(lo, hi) subband ranges of about _CHUNK_BYTES of entries complex values each."""
     step = max(1, _CHUNK_BYTES // (entries * 16))
     return [(lo, min(lo + step, N_b)) for lo in range(0, N_b, step)]
-
-
-def _factor_subbands(H, weights, loads, mult, rpiv, lo, hi) -> None:
-    """Factor the Gram matrices of subbands lo..hi-1 of the (M, K, N_b) H into mult and rpiv."""
-    _factor_gram(_gram_sums(H[:, :, lo:hi], weights), loads, mult[..., lo:hi], rpiv[..., lo:hi])
 
 
 def _gram_sums(H, weights) -> np.ndarray:
@@ -187,17 +221,6 @@ def _gram_sums(H, weights) -> np.ndarray:
         np.multiply(Hc[:, i], H[:, j], out=P[:, p])
     sums = (weights @ P.reshape(M, -1).view(np.float64)).view(np.complex128)
     return sums.reshape(len(weights), len(pairs), n)
-
-
-def _factor_gram(sums, loads, mult, rpiv) -> None:
-    """Add the (Q,) loads 1 / sigma_x^2 to the Gram sums of _gram_sums and factor them."""
-    K = len(rpiv)
-    pairs = [(i, j) for i in range(K) for j in range(i, K)]
-    entry = {ij: sums[:, p] for p, ij in enumerate(pairs)}
-    for k in range(K):
-        entry[k, k].real += loads[:, None]
-    A = [[entry.get((i, j)) for j in range(K)] for i in range(K)]
-    _ldl_factor(A, mult, rpiv)
 
 
 def _ldl_factor(A, mult, rpiv) -> None:
@@ -245,11 +268,11 @@ def _ldl_solve(mult, rpiv, b) -> None:
 
 
 def equalize_stream(
-    r: np.ndarray, subbands: np.ndarray, models: Sequence[BussgangModel], cfg: FdeConfig
+    r: np.ndarray, taps: ChannelTaps, models: Sequence[BussgangModel], cfg: FdeConfig
 ) -> np.ndarray:
     """(len(models), K, T) MMSE estimates of an M x T stream, one K x T per model."""
-    bank = build_filter_bank(subbands, models, cfg)
-    return overlap_save_stream(r, bank, cfg)[0].reshape(len(models), subbands.shape[1], -1)
+    bank = build_filter_bank(taps, models, cfg)
+    return overlap_save_stream(r, bank, cfg)[0].reshape(len(models), taps.n_users, -1)
 
 
 def equalize_block(R: np.ndarray, bank: FilterBank) -> np.ndarray:
@@ -261,6 +284,11 @@ def equalize_block(R: np.ndarray, bank: FilterBank) -> np.ndarray:
     """
     R = np.asarray(R, dtype=np.complex128)
     M, _, N_b = bank.subbands.shape
+    if bank.rpiv is not None and bank.rpiv.shape[-1] != N_b:
+        raise DimensionError(
+            f"bank spectra of length {N_b} but factors of {bank.rpiv.shape[-1]}:"
+            " a one-block bank equalizes only through overlap_save_stream"
+        )
     if R.ndim not in (2, 3) or R.shape[-2:] != (M, N_b):
         raise DimensionError(
             f"receive block must be {M} x {N_b} or a stack of them, got {R.shape}"
@@ -334,72 +362,6 @@ def _solve_subbands(H, Rc, weights, X, mult, rpiv, lo, hi) -> None:
         _ldl_solve(mult[..., lo:hi], rpiv[:, None, :, lo:hi], b.transpose(2, 0, 1, 3))
 
 
-def build_one_block_bank(
-    taps: ChannelTaps, models: Sequence[BussgangModel], cfg: FdeConfig
-) -> FilterBank:
-    """The factored MMSE filters of every model for a stream of one block (N_b = T).
-
-    The factors are build_filter_bank's on freq_channel(taps, N_b) to
-    rounding: the taps' spectra at a power of 2 of at least 2L+1 points give
-    the Gram sums of _gram_sums, whose inverse transforms are the lags -L..L;
-    one model at a time, these go circularly into a row of N_b (added where
-    they alias, when N_b < 2L+1), which is transformed and factored.  The
-    subbands are the taps' spectra at the matched filter's short length
-    channel._short_fft_len(cfg.overlap, N_b), or at N_b if that is not
-    shorter; cfg.overlap must cover the channel memory L.
-    """
-    L, M, K = taps.memory, taps.n_rx, taps.n_users
-    N_b = cfg.block_len
-    if cfg.overlap < L:
-        raise ConfigurationError(f"overlap {cfg.overlap} must cover the channel memory L={L}")
-    weights, gram_weights, loads = _model_weights(models, M)
-    rows = np.ascontiguousarray(taps.taps.transpose(1, 2, 0))
-    n = _next_pow2(2 * L + 1)
-    lags = np.fft.ifft(_gram_sums(np.fft.fft(rows, n, axis=-1), gram_weights), axis=-1)
-    mult, rpiv = _empty_factors(K, len(models), N_b)
-    gram = np.empty((1, K * (K + 1) // 2, N_b), dtype=np.complex128)  # one model's at a time
-    for q in range(len(models)):
-        gram[..., L + 1 :] = 0
-        gram[..., : L + 1] = lags[q : q + 1, :, : L + 1]
-        gram[..., N_b - L :] += lags[q : q + 1, :, n - L :]
-        np.fft.fft(gram, axis=-1, out=gram)
-        _factor_gram(gram, loads[q : q + 1], mult[:, q : q + 1], rpiv[:, q : q + 1])
-    subbands = np.fft.fft(rows, min(_short_fft_len(cfg.overlap, N_b), N_b), axis=-1)
-    return FilterBank(subbands, weights, mult, rpiv)
-
-
-def equalize_one_block(r: np.ndarray, bank: FilterBank, cfg: FdeConfig) -> np.ndarray:
-    """Equalize an M x N_b stream of one block (N_b = T) with a bank of build_one_block_bank.
-
-    Returns the Q*K x N_b estimates in time order, rows as for
-    equalize_block; r is not written.  The matched-filter outputs, a circular
-    correlation of the stream with the taps, come from the stack kernels
-    without a solve, by overlap-save at the bank's short length S: its
-    blocks advance by step = S - cfg.overlap, and the last step positions come
-    from one wrapped block, the stream's tail and then its first cfg.overlap
-    samples (at S = N_b the one block is the stream).  Their Q*K rows are
-    transformed, solved with the bank's factors and transformed back.
-    """
-    r = np.asarray(r, dtype=np.complex128)
-    M, K, S = bank.subbands.shape
-    N_b = cfg.block_len
-    if r.shape != (M, N_b) or bank.rpiv.shape[-1] != N_b:
-        raise DimensionError(f"stream must be M x N_b = {M} x {N_b} as the bank's, got {r.shape}")
-    matched = FilterBank(bank.subbands, bank.weights, None, None)
-    if S == N_b:
-        X = _equalize_block(r[None], matched, pooled=True)[0]
-    else:
-        step = S - cfg.overlap
-        X = np.empty((len(bank.weights) * K, N_b), dtype=np.complex128)
-        _overlap_save(r, matched, step, X, N_b - step, _equalize_job_block)
-        wrapped = np.concatenate([r[:, N_b - step :], r[:, : cfg.overlap]], axis=1)
-        X[:, N_b - step :] = _equalize_block(wrapped[None], matched, pooled=False)[0, :, :step]
-    np.fft.fft(X, axis=-1, out=X)
-    _ldl_solve(bank.mult, bank.rpiv, X.reshape(-1, K, N_b).transpose(1, 0, 2))
-    np.fft.ifft(X, axis=-1, out=X)
-    return X
-
-
 def overlap_save_stream(
     r: np.ndarray, bank: FilterBank, cfg: FdeConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -415,29 +377,61 @@ def overlap_save_stream(
 
     The blocks go to equalize_block in stacks of consecutive blocks, views of
     the stream (the clamped final block alone); the stream is not written.
+    A bank of build_one_block_bank whose spectra are shorter than N_b takes
+    a stream of one block (N_b = T) only, whose matched filter it forms by
+    overlap-save at that short length (_equalize_one_block).
     """
     r = np.asarray(r, dtype=np.complex128)
-    M, K, _ = bank.subbands.shape
+    M, K, n_spec = bank.subbands.shape
     if r.ndim != 2 or r.shape[0] != M:
         raise DimensionError(f"stream must be M x T with M={M}")
     N_b = cfg.block_len
+    if bank.rpiv.shape[-1] != N_b:
+        raise DimensionError(f"bank factors for N_b = {bank.rpiv.shape[-1]} != config {N_b}")
     T = r.shape[1]
     if T < N_b:
         raise ConfigurationError(f"stream length {T} shorter than block length {N_b}")
     edge = np.zeros(T, dtype=bool)
     edge[T - cfg.overlap :] = True
-    if T == N_b:  # one block: its estimates are the stream's
-        return equalize_block(r[:, ::-1], bank)[:, ::-1], edge
-
+    if n_spec != N_b:
+        if T != N_b:
+            raise DimensionError(f"a one-block bank for N_b = {N_b} got a stream of {T}")
+        return _equalize_one_block(r, bank, cfg), edge
     out = np.empty((len(bank.weights) * K, T), dtype=np.complex128)
-    _overlap_save(r, bank, N_b - cfg.overlap, out, T, equalize_block)
+    _overlap_save(r, bank, N_b - cfg.overlap, out, T)
     return out, edge
 
 
-def _overlap_save(r, bank, step, out, end, serial) -> None:
+def _equalize_one_block(r: np.ndarray, bank: FilterBank, cfg: FdeConfig) -> np.ndarray:
+    """The Q*K x N_b estimates of an M x N_b stream of one block, from a bank of short spectra.
+
+    The matched-filter outputs, a circular correlation of the stream with the
+    taps, come from the stack kernels without a solve, by overlap-save at the
+    bank's short length S (Falconer et al., IEEE Commun. Mag. 2002): its
+    blocks advance by step = S - cfg.overlap, and the last step positions
+    come from one wrapped block, the stream's tail and then its first
+    cfg.overlap samples.  Their Q*K rows are transformed, solved with the
+    bank's factors and transformed back.
+    """
+    M, K, S = bank.subbands.shape
+    N_b = cfg.block_len
+    step = S - cfg.overlap
+    matched = FilterBank(bank.subbands, bank.weights, None, None)
+    X = np.empty((len(bank.weights) * K, N_b), dtype=np.complex128)
+    _overlap_save(r, matched, step, X, N_b - step)
+    wrapped = np.concatenate([r[:, N_b - step :], r[:, : cfg.overlap]], axis=1)
+    X[:, N_b - step :] = _equalize_block(wrapped[None], matched, pooled=False)[0, :, :step]
+    np.fft.fft(X, axis=-1, out=X)
+    _ldl_solve(bank.mult, bank.rpiv, X.reshape(-1, K, N_b).transpose(1, 0, 2))
+    np.fft.ifft(X, axis=-1, out=X)
+    return X
+
+
+def _overlap_save(r, bank, step, out, end) -> None:
     """Write to out the positions that r's blocks at multiples of step emit and,
-    where these stop short of position end, the clamped final block's: the stacks
-    run through serial, or in contiguous ranges through _equalize_job_block on the pool.
+    where these stop short of position end, the clamped final block's: the
+    stacks run through equalize_block, or in contiguous ranges through
+    _equalize_job_block on the pool.
     """
     M, K, N_b = bank.subbands.shape
     T = r.shape[1]
@@ -449,7 +443,7 @@ def _overlap_save(r, bank, step, out, end, serial) -> None:
     windows = np.lib.stride_tricks.sliding_window_view(r, N_b, axis=1)
     parts = _split(len(stacks), r.nbytes)
     if len(parts) == 1:
-        _equalize_stacks(serial, windows, bank, step, stacks, out)
+        _equalize_stacks(equalize_block, windows, bank, step, stacks, out)
     else:
         # Contiguous stack ranges write disjoint stretches of out.
         jobs = [(_equalize_job_block, windows, bank, step, stacks[lo:hi], out)

@@ -21,9 +21,9 @@ import numpy as np
 from .channel import (
     ChannelTaps,
     PowerDelayProfile,
+    _short_fft_len,
     add_noise,
     convolve_transmit,
-    freq_channel,
     generate_channel,
 )
 from . import _pool
@@ -35,7 +35,6 @@ from .fde import (
     build_filter_bank,
     build_one_block_bank,
     equalize_block,
-    equalize_one_block,
     overlap_save_stream,
 )
 from .quant import MAX_BITS, bussgang_model, design_quantizer, per_antenna_agc, quantize
@@ -49,9 +48,10 @@ MAX_EBN0_DB = 300.0
 # Largest M x T_c complex128 receive stream, in bytes.  A realization holds at
 # most two such streams at once, the noiseless and the received one (one array
 # at the last Eb/N0 point); paper scale (M=64, T_c=50000) is 51 MB.  The K x T_c
-# symbol stream, the (L+1, M, K) channel taps and the (M, K, N_b) subbands of
-# all block lengths together (113 MB at paper scale) have the same bound; N_b =
-# T_c counts there, though its subbands (102 MB) are never formed.  The block
+# symbol stream, the (L+1, M, K) channel taps and the (M, K, n) tap spectra of
+# all block lengths together (12 MB at paper scale) have the same bound: n is
+# N_b, but for N_b = T_c the matched filter's short block (512 at paper scale,
+# fde.build_one_block_bank), as its T_c subbands are never formed.  The block
 # length scan has its own, larger cap on T_c (blockopt.MAX_COHERENCE).
 MAX_STREAM_BYTES = 2**28
 
@@ -174,7 +174,11 @@ class SimConfig:
         _check_bytes("M x T_c", (self.M, self.T_c), "stream")
         _check_bytes("K x T_c", (self.K, self.T_c), "symbol stream")
         _check_bytes("(L+1) x M x K", (self.L + 1, self.M, self.K), "taps array")
-        _check_bytes("M x K x sum(N_b)", (self.M, self.K, sum(self.block_lens)), "subbands")
+        spectra = sum(
+            min(n_b, _short_fft_len(self.L, n_b)) if n_b == self.T_c else n_b
+            for n_b in self.block_lens
+        )
+        _check_bytes("M x K x sum(n)", (self.M, self.K, spectra), "tap spectra")
         if self.N_sim < 1:
             raise ConfigurationError("N_sim must be >= 1")
         if self.workers < 1:
@@ -363,9 +367,9 @@ def _run_one_realization(args):
     power, not the received stream, so each N_b gets one filter bank for
     every point's models, built at the first point and dropped after the
     last; each point streams through its own subset of the bank.  The
-    one-block N_b = T_c gets build_one_block_bank's and goes through
-    equalize_one_block, which forms no N_b subbands and does not write the
-    received stream.  Each point's Q*K estimate rows are scored at once.
+    one-block N_b = T_c gets build_one_block_bank's, whose short spectra
+    keep its N_b subbands unformed.  Each point's Q*K estimate rows are
+    scored at once.
 
     Each point's noise comes from _noise_ahead: where a CPU would idle, a
     helper thread draws the next point's noise while this point is
@@ -395,15 +399,11 @@ def _run_one_realization(args):
             _receive(cfg, taps, r, sigma_x2, rng, noise_i)
             for j, n_b in enumerate(cfg.block_lens):
                 fde_cfg = FdeConfig(block_len=n_b, overlap=cfg.L)
-                one_block = n_b == cfg.T_c
                 if i == 0:
-                    banks[n_b] = (
-                        build_one_block_bank(taps, models, fde_cfg) if one_block
-                        else build_filter_bank(freq_channel(taps, n_b), models, fde_cfg)
-                    )
+                    build = build_one_block_bank if n_b == cfg.T_c else build_filter_bank
+                    banks[n_b] = build(taps, models, fde_cfg)
                 bank = (banks[n_b] if i < last else banks.pop(n_b)).subset(i * Q, (i + 1) * Q)
-                out = (equalize_one_block(r, bank, fde_cfg) if one_block
-                       else overlap_save_stream(r, bank, fde_cfg)[0])
+                out = overlap_save_stream(r, bank, fde_cfg)[0]
                 # Per unit symbol energy, against the unit constellation: a
                 # fixed unit change, not blind scaling.
                 xhat = out.reshape(Q, cfg.K, -1)[..., :n] / np.sqrt(sigma_x2)
@@ -494,7 +494,7 @@ def per_position_error_profile(cfg: SimConfig) -> np.ndarray:
         hx = convolve_transmit(taps, unit_syms)
         r = _receive(cfg, taps, np.multiply(np.sqrt(sigma_x2), hx, out=hx), sigma_x2, rng)
         models = _models(cfg, taps, sigma_x2_by_ebn0)
-        bank = build_filter_bank(freq_channel(taps, n_b), models, FdeConfig(n_b, overlap=0))
+        bank = build_filter_bank(taps, models, FdeConfig(n_b, overlap=0))
         # skip the first block: its history is the zero-padded stream start
         blocks, refs = (
             a[:, n_b : (interior + 1) * n_b].reshape(len(a), interior, n_b).transpose(1, 0, 2)

@@ -83,9 +83,9 @@ class TestAcceptance:
                 bm = bussgang_model(taps, rho, 1.0)
                 cir = build_block_circulant(taps, N_b, rho)
                 cfg = FdeConfig(block_len=N_b, overlap=L)
-                # Gain-free subbands; build_filter_bank applies (1 - rho), which
-                # the dense circulant carries.
-                bank = build_filter_bank(freq_channel(taps, N_b), [bm], cfg)
+                # build_filter_bank applies (1 - rho) to the gain-free taps,
+                # which the dense circulant carries.
+                bank = build_filter_bank(taps, [bm], cfg)
                 x = rng.standard_normal(K * N_b) + 1j * rng.standard_normal(K * N_b)
                 r = cir @ x + 0.1 * (
                     rng.standard_normal(M * N_b) + 1j * rng.standard_normal(M * N_b)

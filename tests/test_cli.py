@@ -118,20 +118,20 @@ class TestOptimizeBlock:
         ]
 
     def test_subbands_above_cap_exit_2(self, capsys, tmp_path, monkeypatch):
-        # The (M, K, N_b) subbands of all block lengths are bounded like the
-        # streams: 4 GiB here, rejected before any channel is drawn.
+        # The (M, K, N_b) subbands of a block length below T_c are bounded
+        # like the streams: 4 GiB here, rejected before any channel is drawn.
         def fail(*_):
             raise AssertionError("realization started")
 
         monkeypatch.setattr(simulate, "_realization_taps", fail)
         code, _, err = run_cli(
             capsys, "sweep", "--users", "256", "--antennas", "256", "--taps", "4",
-            "--coherence", "4096", "--block-lens", "4096", "--realizations", "1",
+            "--coherence", "8192", "--block-lens", "4096", "--realizations", "1",
             "--ebn0", "10", "--output-dir", str(tmp_path),
         )
         assert code == 2
         assert err.splitlines() == [
-            f"error: M x K x sum(N_b) = 256 x 256 x 4096 subbands exceeds"
+            f"error: M x K x sum(n) = 256 x 256 x 4096 tap spectra exceeds"
             f" {simulate.MAX_STREAM_BYTES} bytes"
         ]
 
@@ -327,15 +327,15 @@ class TestBathtub:
         )
         assert code == 2
         assert err.splitlines() == [
-            f"error: M x K x sum(N_b) = 32 x 16 x 262144 subbands exceeds"
+            f"error: M x K x sum(n) = 32 x 16 x 262144 tap spectra exceeds"
             f" {simulate.MAX_STREAM_BYTES} bytes"
         ]
         assert not (tmp_path / "bathtub.csv").exists()
 
     def test_config_holds_only_the_profiled_block_length(self, capsys, tmp_path, monkeypatch):
-        # A 4 x 256 stream at the bound: the default block lengths (n_opt_pow2
-        # and T_c) would hold 4 x 2 x 264 subbands, over it, but the run's
-        # configuration holds only the profiled N_b = 16, and so does its sidecar.
+        # A 4 x 256 stream at the bound: the run's configuration holds only
+        # the profiled N_b = 16, not the default block lengths (n_opt_pow2 and
+        # T_c), and so does its sidecar.
         monkeypatch.setattr(simulate, "MAX_STREAM_BYTES", 4 * 256 * 16)
         code, _, err = run_cli(
             capsys, "bathtub", "--antennas", "4", "--taps", "4", "--coherence", "256",

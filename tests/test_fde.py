@@ -108,7 +108,7 @@ def effective_filters(bank):
 def make_bank(taps, N_b, rho, sigma_eta2, sigma_x2, overlap=None):
     bm = bussgang_model(taps, rho, sigma_eta2, sigma_x2)
     cfg = FdeConfig(block_len=N_b, overlap=taps.memory if overlap is None else overlap)
-    return build_filter_bank(freq_channel(taps, N_b), [bm], cfg), bm, cfg
+    return build_filter_bank(taps, [bm], cfg), bm, cfg
 
 
 class TestConfig:
@@ -132,13 +132,15 @@ class TestTransforms:
         np.testing.assert_allclose(equalize_block(R, bank), R / 2, atol=1e-12)
 
     def test_matches_matrix_form(self):
-        # One user on one antenna with subbands h: one scalar filter per
-        # subband, which acts as F^H diag(g) F on the row.
+        # One user on one antenna with subbands h, the 8-point transform of
+        # 8 taps: one scalar filter per subband, which acts as F^H diag(g) F
+        # on the row.
         rng = np.random.default_rng(1)
         R = rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8))
         h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         bm = quant.BussgangModel(1.0, np.array([0.4]), 1.5)
-        bank = build_filter_bank(h.reshape(1, 1, 8), [bm], FdeConfig(block_len=8, overlap=0))
+        taps = ChannelTaps(np.fft.ifft(h).reshape(8, 1, 1))
+        bank = build_filter_bank(taps, [bm], FdeConfig(block_len=8, overlap=0))
         g = np.conj(h) * 1.5 / (np.abs(h) ** 2 * 1.5 + 0.4)
         F = unitary_dft_matrix(8)
         expected = R @ (F.conj().T @ np.diag(g) @ F).T
@@ -199,7 +201,7 @@ class TestFilterBank:
         rho, sx2 = 0.36, 1.4
         bm = bussgang_model(taps, rho, 0.8, sx2)
         subbands = freq_channel(taps, 16)
-        bank = build_filter_bank(subbands, [bm], FdeConfig(block_len=16, overlap=2))
+        bank = build_filter_bank(taps, [bm], FdeConfig(block_len=16, overlap=2))
         R = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
         est = equalize_block(R, bank)
         for power in (0, 1, 2):
@@ -215,22 +217,23 @@ class TestFilterBank:
         rng = np.random.default_rng(6)
         taps = random_taps(rng, 3, 5, 2)
         models = [bussgang_model(taps, rho, 0.7, sx2) for sx2 in (0.5, 2.0) for rho in (0.0, 0.3)]
-        subbands, cfg = freq_channel(taps, N_b), FdeConfig(block_len=N_b, overlap=3)
-        bank = build_filter_bank(subbands, models, cfg)
+        cfg = FdeConfig(block_len=N_b, overlap=3)
+        bank = build_filter_bank(taps, models, cfg)
         r = rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))
         for lo, hi in ((0, 2), (2, 4), (3, 4)):
             subset = bank.subset(lo, hi)
             assert np.shares_memory(subset.mult, bank.mult)
-            alone = build_filter_bank(subbands, models[lo:hi], cfg)
+            alone = build_filter_bank(taps, models[lo:hi], cfg)
             expected = overlap_save_stream(r, alone, cfg)[0]
             assert_close(overlap_save_stream(r, subset, cfg)[0], expected)
 
     def test_block_len_mismatch_rejected(self):
+        # A block shorter than the L + 1 = 3 taps has no subbands of its own.
         rng = np.random.default_rng(4)
-        taps = random_taps(rng, 0, 2, 1)
+        taps = random_taps(rng, 2, 2, 1)
         bm = bussgang_model(taps, 0.0, 1.0)
-        with pytest.raises(DimensionError):
-            build_filter_bank(freq_channel(taps, 8), [bm], FdeConfig(block_len=4, overlap=0))
+        with pytest.raises(DimensionError, match="L\\+1"):
+            build_filter_bank(taps, [bm], FdeConfig(block_len=2, overlap=0))
 
 
 class TestHermitianSolve:
@@ -268,20 +271,18 @@ class TestHermitianSolve:
         # More users than antennas at a huge transmit power: the Gram matrix
         # H^H H + I/sigma_x^2 has rank M < K in working precision.  The bank
         # build, and so a multi-block and a one-block stream, raise rather
-        # than return NaN, and so does the one-block bank built from the
-        # taps' lags; with K < M the same powers give the zero-forcing limit,
-        # finite.
+        # than return NaN, and so does the one-block bank of short spectra;
+        # with K < M the same powers give the zero-forcing limit, finite.
         rng = np.random.default_rng(37)
         taps = random_taps(rng, 2, M, K)
         bm = bussgang_model(taps, 0.0, 1.0, sigma_x2)
-        subbands = freq_channel(taps, 16)
         r = rng.standard_normal((M, 48)) + 1j * rng.standard_normal((M, 48))
         multi, one = FdeConfig(block_len=16, overlap=2), FdeConfig(block_len=48, overlap=2)
         calls = [
-            lambda: build_filter_bank(subbands, [bm], multi).rpiv,
-            lambda: equalize_stream(r, subbands, [bm], multi),
-            lambda: equalize_stream(r, freq_channel(taps, 48), [bm], one),
-            lambda: fde.equalize_one_block(r, fde.build_one_block_bank(taps, [bm], one), one),
+            lambda: build_filter_bank(taps, [bm], multi).rpiv,
+            lambda: equalize_stream(r, taps, [bm], multi),
+            lambda: equalize_stream(r, taps, [bm], one),
+            lambda: overlap_save_stream(r, fde.build_one_block_bank(taps, [bm], one), one)[0],
         ]
         for call in calls:
             if singular:
@@ -327,7 +328,7 @@ class TestEqualizeBlock:
         M, N_b = 5, 12
         taps = random_taps(rng, 3, M, K)
         models = [bussgang_model(taps, rho, 0.7, 1.3) for rho in (0.3, 0.0)[:Q]]
-        bank = build_filter_bank(freq_channel(taps, N_b), models, FdeConfig(N_b, 3))
+        bank = build_filter_bank(taps, models, FdeConfig(N_b, 3))
         for chunk_bytes in (fde._CHUNK_BYTES, 5 * (K + 1) * M * 16):
             with pool_threads(threads, chunk_bytes=chunk_bytes):
                 for B in range(1, 6):
@@ -415,7 +416,7 @@ class TestOverlapSave:
         taps = random_taps(rng, 3, M, K)
         cfg = FdeConfig(block_len=N_b, overlap=overlap)
         models = [bussgang_model(taps, 0.0, 1.0, 1.0), bussgang_model(taps, 0.3, 1.0, 1.0)]
-        bank = build_filter_bank(freq_channel(taps, N_b), models, cfg)
+        bank = build_filter_bank(taps, models, cfg)
         r = rng.standard_normal((M, T)) + 1j * rng.standard_normal((M, T))
         block_bytes = (K + 1) * M * N_b * 16
         for chunk_bytes in (3 * (K + 1) * M * 16, block_bytes, 2 * block_bytes,
@@ -498,9 +499,9 @@ class TestOverwrite:
         assert bank.subbands.shape[-1] == 64 < N_b
         r = rng.standard_normal((M, N_b)) + 1j * rng.standard_normal((M, N_b))
         kept = r.copy()
-        expected = fde.equalize_one_block(kept.copy(), bank, cfg)
+        expected = overlap_save_stream(kept.copy(), bank, cfg)[0]
         with pool_threads(threads, chunk_bytes=(K + 1) * M * 64 * 16):
-            est = fde.equalize_one_block(r, bank, cfg)
+            est = overlap_save_stream(r, bank, cfg)[0]
         np.testing.assert_array_equal(r, kept)
         np.testing.assert_array_equal(est, expected)
 
@@ -512,7 +513,7 @@ class TestOverwrite:
         M, K, N_b = 4, 2, 8
         taps = random_taps(rng, 3, M, K)
         cfg = FdeConfig(block_len=N_b, overlap=3)
-        bank = build_filter_bank(freq_channel(taps, N_b), [bussgang_model(taps, 0.3, 1.0, 1.0)], cfg)
+        bank = build_filter_bank(taps, [bussgang_model(taps, 0.3, 1.0, 1.0)], cfg)
         r = rng.standard_normal((M, T)) + 1j * rng.standard_normal((M, T))
         kept = r.copy()
         with pool_threads(threads):
@@ -522,25 +523,43 @@ class TestOverwrite:
         np.testing.assert_array_equal(out, expected)
 
 
+def subband_factors(subbands, models):
+    """The (mult, rpiv) of every model's Gram matrices from per-subband antenna
+    products of the (M, K, N_b) subbands: sum_m g^2 / D_m conj(H_mi) H_mj."""
+    M, K, N_b = subbands.shape
+    _, gram_weights, loads = fde._model_weights(models, M)
+    sums = fde._gram_sums(subbands, gram_weights)
+    pairs = [(i, j) for i in range(K) for j in range(i, K)]
+    entry = {ij: sums[:, p] for p, ij in enumerate(pairs)}
+    for k in range(K):
+        entry[k, k].real += loads[:, None]
+    mult = np.empty((K * (K - 1) // 2, len(models), N_b), dtype=complex)
+    rpiv = np.empty((K, len(models), N_b))
+    fde._ldl_factor([[entry.get((i, j)) for j in range(K)] for i in range(K)], mult, rpiv)
+    return mult, rpiv
+
+
 class TestLagGram:
     # L = 4: 2L + 1 = 9 lags, which alias at L + 1 = 5 <= N_b < 9.
     @pytest.mark.parametrize("N_b", [64, 9, 8, 6, 5])
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_factors_match_the_subband_factors(self, K, N_b):
-        # The one-block bank's Gram factors, from the taps' lags, against
-        # those that _factor_subbands takes of freq_channel's N_b subbands,
-        # for the models of two Eb/N0 points: the same to rounding.
+        # Both banks' Gram factors, from the taps' lags, against those of
+        # the antenna products of freq_channel's N_b subbands, for the
+        # models of two Eb/N0 points: the same to rounding.
         rng = np.random.default_rng(50 + K)
         M, L = 5, 4
         taps = random_taps(rng, L, M, K)
         models = [bussgang_model(taps, rho, 0.7, s) for s in (0.5, 4.0) for rho in (0.0, 0.3)]
         cfg = FdeConfig(block_len=N_b, overlap=L)
-        lagged = fde.build_one_block_bank(taps, models, cfg)
-        bank = build_filter_bank(freq_channel(taps, N_b), models, cfg)
-        for got, want in ((lagged.mult, bank.mult), (lagged.rpiv, bank.rpiv)):
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=0, atol=RTOL * np.abs(want).max(initial=1))
-        np.testing.assert_array_equal(lagged.weights, bank.weights)
+        want = subband_factors(freq_channel(taps, N_b), models)
+        for bank in (build_filter_bank(taps, models, cfg), fde.build_one_block_bank(taps, models, cfg)):
+            for got, expected in zip((bank.mult, bank.rpiv), want):
+                assert got.shape == expected.shape
+                np.testing.assert_allclose(
+                    got, expected, rtol=0, atol=RTOL * np.abs(expected).max(initial=1)
+                )
+            np.testing.assert_array_equal(bank.weights, fde._model_weights(models, M)[0])
 
 
 class TestOneBlockRoute:
@@ -565,9 +584,9 @@ class TestOneBlockRoute:
             cfg = FdeConfig(block_len=N_b, overlap=L)
             one_block = fde.build_one_block_bank(taps, models, cfg)
             assert one_block.subbands.shape == (M, K, short)
-            bank = build_filter_bank(freq_channel(taps, N_b), models, cfg)
+            bank = build_filter_bank(taps, models, cfg)
             for q in range(0, len(models), 2):
-                est = fde.equalize_one_block(r, one_block.subset(q, q + 2), cfg)
+                est = overlap_save_stream(r, one_block.subset(q, q + 2), cfg)[0]
                 assert est.shape == (2 * K, N_b)
                 assert_close(est, overlap_save_stream(r, bank.subset(q, q + 2), cfg)[0])
 
@@ -585,7 +604,7 @@ class TestOneBlockRoute:
         for threads in (1, 2, 5):
             with pool_threads(threads, chunk_bytes=5 * (K + 1) * M * 16):
                 bank = fde.build_one_block_bank(taps, models, cfg)
-                runs.append(fde.equalize_one_block(r, bank, cfg))
+                runs.append(overlap_save_stream(r, bank, cfg)[0])
         for run in runs[1:]:
             np.testing.assert_array_equal(run, runs[0])
 
@@ -604,7 +623,7 @@ class TestOneBlockRoute:
         monkeypatch.setattr(_pool, "_threads", 1)
         tracemalloc.start()
         try:
-            est = fde.equalize_one_block(r, fde.build_one_block_bank(taps, models, cfg), cfg)
+            est = overlap_save_stream(r, fde.build_one_block_bank(taps, models, cfg), cfg)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -619,9 +638,9 @@ class TestOneBlockRoute:
         bank = fde.build_one_block_bank(taps, [bm], cfg)
         r = np.ones((4, 16), dtype=complex)
         with pytest.raises(DimensionError):
-            fde.equalize_one_block(r[:3], bank, cfg)
+            overlap_save_stream(r[:3], bank, cfg)
         with pytest.raises(DimensionError):
-            fde.equalize_one_block(r[:, :8], bank, FdeConfig(block_len=8, overlap=2))
+            overlap_save_stream(r[:, :8], bank, FdeConfig(block_len=8, overlap=2))
         with pytest.raises(ConfigurationError, match="channel memory"):
             fde.build_one_block_bank(taps, [bm], FdeConfig(block_len=16, overlap=1))
         # No model, or a diagonal without one entry per antenna, is refused.
@@ -695,8 +714,10 @@ class TestOverlapSaveProperty:
         rng = np.random.default_rng(seed)
         overlap = round(overlap_frac * (N_b - 1))
         T = N_b + extra
-        # Random subbands and two random models: rows are model-major.
+        # Random subbands, the N_b-point transform of N_b taps, and two
+        # random models: rows are model-major.
         subbands = rng.standard_normal((M, K, N_b)) + 1j * rng.standard_normal((M, K, N_b))
+        taps = ChannelTaps(np.fft.ifft(subbands, axis=-1).transpose(2, 0, 1))
         models = [
             quant.BussgangModel(
                 rng.uniform(0.4, 1.0), rng.uniform(0.2, 2.0, M), rng.uniform(0.5, 2.0)
@@ -704,7 +725,7 @@ class TestOverlapSaveProperty:
             for _ in range(2)
         ]
         cfg = FdeConfig(block_len=N_b, overlap=overlap)
-        bank = build_filter_bank(subbands, models, cfg)
+        bank = build_filter_bank(taps, models, cfg)
         r = rng.standard_normal((M, T)) + 1j * rng.standard_normal((M, T))
         if threads is None:
             out, edge = overlap_save_stream(r, bank, cfg)
@@ -725,14 +746,15 @@ class TestThreadInvariance:
     @pytest.mark.parametrize("account", [False, True])
     @pytest.mark.parametrize("rho", [0.0, 0.3])
     def test_chunked_build_is_bitwise_one_shot(self, threads, account, rho):
-        # A bank built in chunks of 5 subbands (37 = 7 * 5 + 2 leaves a ragged
-        # last chunk) on any thread count is bitwise the bank of the same
-        # chunks built in one serial call, and so are the one-block stream's
-        # estimates, given both models, this one first.  Against the bank of
-        # one chunk and the textbook filters they agree to RTOL: the antenna
-        # sums are one real matrix product per chunk, and BLAS rounds a
-        # product of another width differently.  rho = 0 gives a unit gain;
-        # account=False is WF's model (rho_q = 0), pinned to gain 1 and D = s2 I.
+        # A bank factored one model at a time (a chunk of one model's Gram
+        # rows) on any thread count is bitwise the bank of both models at
+        # once, and the one-block stream's estimates, given both models,
+        # this one first, are bitwise those of the same chunks on one
+        # thread.  Against the textbook filters they agree to RTOL: the
+        # antenna sums are one real matrix product per chunk, and BLAS rounds
+        # a product of another width differently.  rho = 0 gives a unit
+        # gain; account=False is WF's model (rho_q = 0), pinned to gain 1 and
+        # D = s2 I.
         rng = np.random.default_rng(31)
         N_b, M, s2, sx2 = 37, 3, 0.6, 1.7
         cfg = FdeConfig(block_len=N_b, overlap=4)
@@ -749,20 +771,18 @@ class TestThreadInvariance:
             r = rng.standard_normal((M, N_b)) + 1j * rng.standard_normal((M, N_b))
             filters = np.concatenate([expected, model_filters(subbands, other)], axis=1)
             expected_est = oracle_block(r[:, ::-1], filters)[:, ::-1].reshape(2, K, N_b)
-            one_shot = build_filter_bank(subbands, [bm, other], cfg)
-            chunk_bytes = 5 * (K * (K + 1) // 2 + K) * M * 16
+            one_shot = build_filter_bank(taps, [bm, other], cfg)
+            chunk_bytes = K * (K + 1) // 2 * N_b * 16  # one model's Gram rows
             with pool_threads(1, chunk_bytes=chunk_bytes):
-                serial = build_filter_bank(subbands, [bm, other], cfg)
-                serial_est = equalize_stream(r, subbands, [bm, other], cfg)
+                serial_est = equalize_stream(r, taps, [bm, other], cfg)
             with pool_threads(threads, chunk_bytes=chunk_bytes):
-                chunked = build_filter_bank(subbands, [bm, other], cfg)
-                chunked_est = equalize_stream(r, subbands, [bm, other], cfg)
+                chunked = build_filter_bank(taps, [bm, other], cfg)
+                chunked_est = equalize_stream(r, taps, [bm, other], cfg)
             for name in ("mult", "rpiv"):
-                np.testing.assert_array_equal(getattr(chunked, name), getattr(serial, name))
-                assert_close(getattr(chunked, name), getattr(one_shot, name))
+                np.testing.assert_array_equal(getattr(chunked, name), getattr(one_shot, name))
             np.testing.assert_array_equal(chunked_est, serial_est)
             assert_close(chunked_est, expected_est)
-            assert_close(equalize_stream(r, subbands, [bm, other], cfg), expected_est)
+            assert_close(equalize_stream(r, taps, [bm, other], cfg), expected_est)
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
     @pytest.mark.parametrize("N_b, overlap, T", [(16, 3, 300), (8, 7, 61), (64, 0, 64)])
@@ -780,13 +800,13 @@ class TestThreadInvariance:
         chunk_bytes = 3 * 4 * 16
         for rho in (0.0, 0.2):
             models = [bussgang_model(taps, 0.0, 1.0, 1.0), bussgang_model(taps, rho, 1.0, 1.0)]
-            bank = build_filter_bank(subbands, models, cfg)
+            bank = build_filter_bank(taps, models, cfg)
             filters = np.concatenate([model_filters(subbands, m) for m in models], axis=1)
             with pool_threads(1, chunk_bytes=chunk_bytes):
                 serial, serial_edge = overlap_save_stream(r, bank, cfg)
             with pool_threads(threads, chunk_bytes=chunk_bytes):
                 pooled, pooled_edge = overlap_save_stream(r, bank, cfg)
-                streamed = equalize_stream(r, subbands, models, cfg)
+                streamed = equalize_stream(r, taps, models, cfg)
             np.testing.assert_array_equal(pooled, serial)
             np.testing.assert_array_equal(pooled_edge, serial_edge)
             np.testing.assert_array_equal(streamed.reshape(4, T), serial)
@@ -803,7 +823,7 @@ class TestThreadInvariance:
         r = rng.standard_normal((4, 300)) + 1j * rng.standard_normal((4, 300))
         chunk_bytes = 3 * 4 * 16  # 5 subband chunks per block
         with pool_threads(1, chunk_bytes=chunk_bytes):
-            bank = build_filter_bank(freq_channel(taps, 16), models, cfg)
+            bank = build_filter_bank(taps, models, cfg)
             serial = overlap_save_stream(r, bank, cfg)[0]
         pools = []
 
@@ -941,7 +961,7 @@ class TestRowSplit:
     @pytest.mark.parametrize(
         "module, job", [(channel, "_transform_taps"), (channel, "_inverse_rows"),
                         (quant, "_quantize_rows"), (fde, "_transform_rows"),
-                        (fde, "_solve_subbands"), (fde, "_factor_subbands")],
+                        (fde, "_solve_subbands")],
     )
     def test_row_job_exception_propagates(self, monkeypatch, module, job):
         # The job that ends at the last row (M = 4) or subband (N_b = 16) fails.
@@ -949,7 +969,7 @@ class TestRowSplit:
         taps = random_taps(rng, 2, 4, 2)
         x = np.ones((2, 64), dtype=complex)
         original = getattr(module, job)
-        last = 16 if job in ("_solve_subbands", "_factor_subbands") else 4
+        last = 16 if job == "_solve_subbands" else 4
 
         def fail_last(*args):
             if args[-1] == last:
@@ -961,7 +981,7 @@ class TestRowSplit:
 
         def stream():
             r, cfg = np.ones((4, 16), dtype=complex), FdeConfig(block_len=16, overlap=2)
-            return equalize_stream(r, freq_channel(taps, 16), [bm], cfg)
+            return equalize_stream(r, taps, [bm], cfg)
 
         calls = {
             "_transform_taps": lambda: freq_channel(taps, 16),
@@ -976,29 +996,29 @@ class TestRowSplit:
 class TestOneBlockStream:
     def test_peak_memory_below_the_bank(self, monkeypatch):
         # tracemalloc counts numpy's buffers.  Explicit (N_b, K, M) filters
-        # of this stream would be 32 MiB; the factored bank is 2 MiB, and the
-        # block holds its forward transform (16 MiB), both models' estimates
-        # (2 MiB, which the stream returns as they are) and one chunk's
-        # products and temporaries (under 2 MiB).
+        # of this stream would be 32 MiB.  The bank of N_b subbands is built
+        # before tracing, and the stream holds the block's forward transform
+        # (16 MiB), both models' estimates (2 MiB) and the copy it returns
+        # (2 MiB), and one chunk's products and temporaries (under 2 MiB).
         rng = np.random.default_rng(33)
         M, K, L, N_b = 32, 2, 15, 32768
         taps = random_taps(rng, L, M, K)
         bm = bussgang_model(taps, 0.3, 1.0, 0.5)
         cfg = FdeConfig(block_len=N_b, overlap=L)
-        subbands = freq_channel(taps, N_b)
         r = rng.standard_normal((M, N_b)) + 1j * rng.standard_normal((M, N_b))
         wf = bussgang_model(taps, 0.0, 1.0, 0.5)
         monkeypatch.setattr(_pool, "_threads", 1)
+        bank = build_filter_bank(taps, [wf, bm], cfg)
         tracemalloc.start()
         try:
-            est = equalize_stream(r, subbands, [wf, bm], cfg)
+            est = overlap_save_stream(r, bank, cfg)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert est.shape == (2, K, N_b)
+        assert est.shape == (2 * K, N_b)
         assert peak < N_b * K * M * 16
-        transform, estimates, bank = M * N_b * 16, 2 * K * N_b * 16, 2 << 20
-        assert peak < transform + estimates + bank + fde._CHUNK_BYTES
+        transform, estimates = M * N_b * 16, 2 * K * N_b * 16
+        assert peak < transform + 2 * estimates + fde._CHUNK_BYTES
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     @pytest.mark.parametrize("rho", [0.0, 0.3])
@@ -1016,7 +1036,7 @@ class TestOneBlockStream:
         x = rng.standard_normal(K * N_b) + 1j * rng.standard_normal(K * N_b)
         r = cir @ x + 0.1 * (rng.standard_normal(M * N_b) + 1j * rng.standard_normal(M * N_b))
         block = r.reshape(M, N_b, order="F")  # newest-first columns
-        est = equalize_stream(block[:, ::-1], subbands, [bm, wf], cfg)
+        est = equalize_stream(block[:, ::-1], taps, [bm, wf], cfg)
         dense = time_domain_wf(r, cir, bm)
         solved = est[0][:, ::-1].reshape(-1, order="F")
         assert np.linalg.norm(solved - dense) <= RTOL * np.linalg.norm(dense)
@@ -1030,10 +1050,43 @@ class TestOneBlockStream:
         cfg = FdeConfig(block_len=16, overlap=2)
         r = np.ones((4, 16), dtype=complex)
         with pytest.raises(DimensionError):
-            equalize_stream(r[:3], freq_channel(taps, 16), [bm], cfg)
+            equalize_stream(r[:3], taps, [bm], cfg)
         with pytest.raises(DimensionError):
-            equalize_stream(r, freq_channel(taps, 8), [bm], cfg)
+            equalize_stream(r[:, :2], taps, [bm], FdeConfig(block_len=2, overlap=0))
         short = dataclasses.replace(bm, eff_noise_diag=bm.eff_noise_diag[:-1])
         for models in ([], [bm, short]):
             with pytest.raises(DimensionError, match="model|per antenna"):
-                build_filter_bank(freq_channel(taps, 16), models, cfg)
+                build_filter_bank(taps, models, cfg)
+
+
+class TestBankMismatch:
+    def test_stream_config_must_match_the_bank(self):
+        # A bank for N_b = 64 under a config of N_b = 32 would equalize
+        # blocks of 64 advancing by the config's step.
+        rng = np.random.default_rng(60)
+        taps = random_taps(rng, 3, 4, 2)
+        bank = build_filter_bank(taps, [bussgang_model(taps, 0.2, 1.0, 1.0)], FdeConfig(64, 3))
+        r = rng.standard_normal((4, 500)) + 1j * rng.standard_normal((4, 500))
+        with pytest.raises(DimensionError, match="N_b = 64 != config 32"):
+            overlap_save_stream(r, bank, FdeConfig(32, 3))
+
+    def test_short_spectra_take_one_block(self):
+        # A one-block bank for N_b = 200 holds spectra of 64: a stream of
+        # more than one block is refused.
+        rng = np.random.default_rng(61)
+        taps = random_taps(rng, 3, 4, 2)
+        cfg = FdeConfig(200, 3)
+        bank = fde.build_one_block_bank(taps, [bussgang_model(taps, 0.2, 1.0, 1.0)], cfg)
+        assert bank.subbands.shape[-1] == 64
+        r = rng.standard_normal((4, 300)) + 1j * rng.standard_normal((4, 300))
+        with pytest.raises(DimensionError, match="one-block bank for N_b = 200"):
+            overlap_save_stream(r, bank, cfg)
+
+    def test_block_needs_spectra_and_factors_of_one_length(self):
+        # The same bank's spectra of 64 and factors of 200 make no block filter.
+        rng = np.random.default_rng(62)
+        taps = random_taps(rng, 3, 4, 2)
+        cfg = FdeConfig(200, 3)
+        bank = fde.build_one_block_bank(taps, [bussgang_model(taps, 0.2, 1.0, 1.0)], cfg)
+        with pytest.raises(DimensionError, match="spectra of length 64 but factors of 200"):
+            equalize_block(np.ones((4, 64), dtype=complex), bank)

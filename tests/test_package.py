@@ -1,6 +1,8 @@
 """The package's public surface."""
 
+import importlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,6 +14,20 @@ import cpfde
 def test_every_export_resolves():
     missing = [name for name in cpfde.__all__ if not hasattr(cpfde, name)]
     assert not missing, f"cpfde.__all__ names missing from the package: {missing}"
+
+
+def test_readme_module_references_resolve():
+    # Every `module.name` the README cites names an attribute of that module,
+    # so a renamed or removed function cannot linger in the docs.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    modules = "channel|quant|fde|blockopt|simulate|cli|_pool"
+    refs = set(re.findall(rf"`({modules})\.([A-Za-z_]\w*)", readme))
+    assert len(refs) >= 10
+    missing = sorted(
+        f"{module}.{name}" for module, name in refs
+        if not hasattr(importlib.import_module(f"cpfde.{module}"), name)
+    )
+    assert not missing, f"README names missing from their modules: {missing}"
 
 
 def test_cli_runs_without_scipy(tmp_path):

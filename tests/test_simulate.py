@@ -19,7 +19,7 @@ from scipy.stats import norm
 
 import cpfde
 from cpfde import _pool, fde, simulate
-from cpfde.channel import ChannelTaps, PowerDelayProfile, convolve_transmit, freq_channel
+from cpfde.channel import ChannelTaps, PowerDelayProfile, convolve_transmit
 from cpfde.errors import ConfigurationError
 from cpfde.quant import bussgang_model, design_quantizer
 from cpfde.simulate import (
@@ -91,7 +91,7 @@ def per_point_reference(cfg, index, sigma_x2_by_ebn0):
         ]
         for j, n_b in enumerate(cfg.block_lens):
             fde_cfg = fde.FdeConfig(block_len=n_b, overlap=cfg.L)
-            estimates = fde.equalize_stream(r, freq_channel(taps, n_b), models, fde_cfg)
+            estimates = fde.equalize_stream(r, taps, models, fde_cfg)
             for k, xhat in enumerate(estimates[..., :n] / np.sqrt(sigma_x2)):
                 sq[i, j, k] = np.sum(np.abs(xhat - unit_syms[:, :n]) ** 2)
                 rx_bits = bit_array_demap(xhat, cfg.modulation)
@@ -330,14 +330,31 @@ class TestConfigValidation:
             SimConfig(K=256, M=256, L=256, T_c=1024, block_lens=(257,))
 
     def test_subband_cap(self):
-        # A realization holds the (M, K, N_b) subbands of every block length at
-        # once: 113 MB at paper scale, inside the cap; 4 GiB here is not.
+        # A realization holds the (M, K, N_b) subbands of every block length
+        # below T_c at once, with the short spectra of N_b = T_c: 12 MB at
+        # paper scale, inside the cap; 4 GiB here is not.
         SimConfig(K=2, M=64, L=127, T_c=50000, block_lens=(256, 1024, 4096, 50000))
         SimConfig(K=256, M=256, L=3, T_c=4096, block_lens=(100, 156))  # 2**28 bytes
-        with pytest.raises(ConfigurationError, match="M x K x sum\\(N_b\\) = 256 x 256 x 257"):
+        with pytest.raises(ConfigurationError, match="sum\\(n\\) = 256 x 256 x 257"):
             SimConfig(K=256, M=256, L=3, T_c=4096, block_lens=(100, 157))
-        with pytest.raises(ConfigurationError, match="256 x 256 x 4096 subbands exceeds"):
-            SimConfig(K=256, M=256, L=3, T_c=4096, N_sim=1, block_lens=(4096,))
+        with pytest.raises(ConfigurationError, match="256 x 256 x 4096 tap spectra exceeds"):
+            SimConfig(K=256, M=256, L=3, T_c=8192, N_sim=1, block_lens=(4096,))
+
+    def test_one_block_counts_its_short_spectra(self):
+        # N_b = T_c forms no subbands of its length, only the taps' spectra
+        # at its short block: a 204.8 MB stream of T_c = 200000 passes with
+        # N_b 1024 and T_c (1024 + 512 spectra), though 64 x 2 x 201024
+        # subbands would not, and so does N_b = T_c = 4096 alone at
+        # 256 x 256 (64 spectra).  At L = 255 the short block of T_c = 1024
+        # is T_c itself, whose 1 GiB of spectra are refused.
+        SimConfig(M=64, L=127, T_c=200000, N_sim=1, ebn0_grid=(10.0,),
+                  block_lens=(1024, 200000))
+        SimConfig(K=256, M=256, L=3, T_c=4096, N_sim=1, block_lens=(4096,))
+        with pytest.raises(ConfigurationError, match="64 x 2 x 201024 tap spectra exceeds"):
+            SimConfig(M=64, L=127, T_c=200001, N_sim=1, ebn0_grid=(10.0,),
+                      block_lens=(1024, 200000))
+        with pytest.raises(ConfigurationError, match="256 x 256 x 1024 tap spectra exceeds"):
+            SimConfig(K=256, M=256, L=255, T_c=1024, N_sim=1, block_lens=(1024,))
 
     def test_overlap_defaults_to_memory(self, monkeypatch):
         # The sweep equalizes every stream with overlap L' = L.
@@ -407,11 +424,12 @@ class TestEngine:
             assert rep.rows == serial.rows
 
     def test_every_block_length_crosses_solve_subbands(self, monkeypatch):
-        # The multi-block N_b = 16 goes through equalize_block, and the
-        # one-block N_b = T_c = 128 through equalize_one_block, at one
-        # Eb/N0 point and at two.  Both form their matched-filter outputs
-        # with _solve_subbands.  Scaling equalize_block's result moves the
-        # N_b = 16 rows alone, and a fault in that kernel moves every row.
+        # The multi-block N_b = 16 equalizes its blocks through
+        # equalize_block, and the one-block N_b = T_c = 128 forms its matched
+        # filter there, at one Eb/N0 point and at two.  Both form their
+        # matched-filter outputs with _solve_subbands.  Scaling
+        # equalize_block's result moves every row, and so does a fault in
+        # that kernel.
         original, solve = fde.equalize_block, fde._solve_subbands
 
         def faulty(H, Rc, weights, X, mult, rpiv, lo, hi):
@@ -426,7 +444,7 @@ class TestEngine:
             monkeypatch.setattr(fde, "equalize_block", original)
             assert {r.n_b for r in scaled.rows} == {16, 128}
             for a, b in zip(base.rows, scaled.rows):
-                assert (b.mse != a.mse) == (a.n_b == 16)
+                assert b.mse != a.mse
 
             monkeypatch.setattr(fde, "_solve_subbands", faulty)
             faulted = run_experiment(cfg)
@@ -447,26 +465,27 @@ class TestEngine:
 
     def test_one_block_subbands_built_once_per_realization(self, monkeypatch):
         # Each N_b gets one bank per realization, built at the first point
-        # for every point's models: N_b = T_c = 128 from the taps' lags,
-        # without freq_channel, at one point and at three.
+        # for every point's models, at one point and at three: N_b = T_c =
+        # 128 on spectra of the short block, 64, not of its own length.
         calls = []
-        banks = {name: getattr(simulate, name) for name in
-                 ("build_filter_bank", "build_one_block_bank", "freq_channel")}
+        original = {"build_filter_bank": simulate.build_filter_bank,
+                    "build_one_block_bank": simulate.build_one_block_bank,
+                    "freq_channel": fde.freq_channel}
 
         def recording(name):
             def call(*args):
                 calls.append((name, len(args[1]) if name != "freq_channel" else args[1]))
-                return banks[name](*args)
+                return original[name](*args)
             return call
 
-        for name in banks:
-            monkeypatch.setattr(simulate, name, recording(name))
+        for name in original:
+            monkeypatch.setattr(fde if name == "freq_channel" else simulate, name, recording(name))
         for points in (3, 1):
             calls.clear()
             run_experiment(self.small_cfg(N_sim=2, ebn0_grid=(0.0, 10.0, 20.0)[:points]))
             models = 2 * points
-            assert calls == [("freq_channel", 16), ("build_filter_bank", models),
-                             ("build_one_block_bank", models)] * 2
+            assert calls == [("build_filter_bank", models), ("freq_channel", 16),
+                             ("build_one_block_bank", models), ("freq_channel", 64)] * 2
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_peak_memory_below_three_streams(self, monkeypatch, threads):
@@ -552,11 +571,11 @@ class TestEngine:
         cfg = self.small_cfg()
         default_chunks = run_experiment(cfg)
         # Every call pooled: freq_channel, convolve_transmit and quantize split
-        # their M = 8 rows, overlap-save its blocks, and the bank is factored
-        # in chunks of 2 subbands (5 * M * 16 bytes each).  At N_b = T_c = 128
-        # the matched filter's blocks of 64 split over the pool, each formed
-        # in chunks of 3 subbands.  The chunks do not depend on the thread
-        # count, so neither do the results, bitwise.
+        # their M = 8 rows, overlap-save its blocks, and the banks factor one
+        # model's Gram rows at a time.  At N_b = T_c = 128 the matched
+        # filter's blocks of 64 split over the pool, each formed in chunks of
+        # 3 subbands.  The chunks do not depend on the thread count, so
+        # neither do the results, bitwise.
         monkeypatch.setattr(_pool, "_PARALLEL_MIN_BYTES", 0)
         monkeypatch.setattr(fde, "_CHUNK_BYTES", 5 * cfg.K * cfg.M * 16)
         monkeypatch.setattr(_pool, "_threads", 1)
@@ -810,7 +829,7 @@ class TestErrorProfile:
             hx = np.sqrt(sigma_x2) * convolve_transmit(taps, unit_syms)
             r = simulate._receive(cfg, taps, hx, sigma_x2, rng)
             bm = bussgang_model(taps, rho, 1.0, sigma_x2)
-            bank = fde.build_filter_bank(freq_channel(taps, 16), [bm], fde.FdeConfig(16, 0))
+            bank = fde.build_filter_bank(taps, [bm], fde.FdeConfig(16, 0))
             for s in range(16, cfg.T_c - 16 + 1, 16):
                 est = original(r[:, s : s + 16][:, ::-1], bank)
                 acc += np.sum(np.abs(est - x[:, s : s + 16][:, ::-1]) ** 2, axis=0) / sigma_x2
