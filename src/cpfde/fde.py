@@ -138,17 +138,21 @@ def build_one_block_bank(
 ) -> FilterBank:
     """build_filter_bank's filters for a stream of one block (N_b = T), on short spectra.
 
-    The spectra are the taps' at the matched filter's short length
-    channel._short_fft_len(cfg.overlap, N_b), or at N_b if that is not
-    shorter, so that overlap_save_stream never forms the N_b subbands;
-    cfg.overlap must cover the channel memory L.
+    The spectra are the taps' at _one_block_spectra_len(cfg.overlap, N_b),
+    so that overlap_save_stream never forms the N_b subbands; cfg.overlap
+    must cover the channel memory L.
     """
     N_b = cfg.block_len
     if cfg.overlap < taps.memory:
         raise ConfigurationError(
             f"overlap {cfg.overlap} must cover the channel memory L={taps.memory}"
         )
-    return _lag_bank(taps, models, N_b, min(_short_fft_len(cfg.overlap, N_b), N_b))
+    return _lag_bank(taps, models, N_b, _one_block_spectra_len(cfg.overlap, N_b))
+
+
+def _one_block_spectra_len(overlap: int, N_b: int) -> int:
+    """A one-block bank's spectra length: its short block, at most N_b."""
+    return min(_short_fft_len(overlap, N_b), N_b)
 
 
 def _lag_bank(taps: ChannelTaps, models: Sequence[BussgangModel], N_b: int, n_spec: int):

@@ -21,7 +21,6 @@ import numpy as np
 from .channel import (
     ChannelTaps,
     PowerDelayProfile,
-    _short_fft_len,
     add_noise,
     convolve_transmit,
     generate_channel,
@@ -31,6 +30,7 @@ from ._pool import _set_threads, _thread_count
 from .errors import ConfigurationError
 from .fde import (
     FdeConfig,
+    _one_block_spectra_len,
     _stack_len,
     build_filter_bank,
     build_one_block_bank,
@@ -48,11 +48,11 @@ MAX_EBN0_DB = 300.0
 # Largest M x T_c complex128 receive stream, in bytes.  A realization holds at
 # most two such streams at once, the noiseless and the received one (one array
 # at the last Eb/N0 point); paper scale (M=64, T_c=50000) is 51 MB.  The K x T_c
-# symbol stream, the (L+1, M, K) channel taps and the (M, K, n) tap spectra of
-# all block lengths together (12 MB at paper scale) have the same bound: n is
-# N_b, but for N_b = T_c the matched filter's short block (512 at paper scale,
-# fde.build_one_block_bank), as its T_c subbands are never formed.  The block
-# length scan has its own, larger cap on T_c (blockopt.MAX_COHERENCE).
+# symbol stream, the (L+1, M, K) taps, the (M, K, n) tap spectra of all block
+# lengths together (12 MB at paper scale; n is N_b, or fde._one_block_spectra_len
+# for N_b = T_c, whose T_c subbands are never formed), and that one-block bank's
+# (K(K-1)/2, Q, T_c) Gram factors and one model's (K(K+1)/2, T_c) Gram rows have
+# the same bound.  The block length scan has its own cap (blockopt.MAX_COHERENCE).
 MAX_STREAM_BYTES = 2**28
 
 
@@ -174,11 +174,13 @@ class SimConfig:
         _check_bytes("M x T_c", (self.M, self.T_c), "stream")
         _check_bytes("K x T_c", (self.K, self.T_c), "symbol stream")
         _check_bytes("(L+1) x M x K", (self.L + 1, self.M, self.K), "taps array")
-        spectra = sum(
-            min(n_b, _short_fft_len(self.L, n_b)) if n_b == self.T_c else n_b
-            for n_b in self.block_lens
-        )
+        spectra = sum(_one_block_spectra_len(self.L, n) if n == self.T_c else n
+                      for n in self.block_lens)
         _check_bytes("M x K x sum(n)", (self.M, self.K, spectra), "tap spectra")
+        if self.T_c in self.block_lens:  # the one-block bank's T_c-long Gram arrays
+            pairs, Q = self.K * (self.K - 1) // 2, len(self.methods) * len(self.ebn0_grid)
+            _check_bytes("K(K-1)/2 x Q x T_c", (pairs, Q, self.T_c), "Gram factors")
+            _check_bytes("K(K+1)/2 x T_c", (pairs + self.K, self.T_c), "Gram rows")
         if self.N_sim < 1:
             raise ConfigurationError("N_sim must be >= 1")
         if self.workers < 1:

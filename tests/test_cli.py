@@ -119,21 +119,26 @@ class TestOptimizeBlock:
 
     def test_subbands_above_cap_exit_2(self, capsys, tmp_path, monkeypatch):
         # The (M, K, N_b) subbands of a block length below T_c are bounded
-        # like the streams: 4 GiB here, rejected before any channel is drawn.
+        # like the streams, and so are the T_c-long Gram factors of the
+        # one-block N_b = T_c: 4 GiB each here, rejected before any channel
+        # is drawn.
         def fail(*_):
             raise AssertionError("realization started")
 
         monkeypatch.setattr(simulate, "_realization_taps", fail)
-        code, _, err = run_cli(
-            capsys, "sweep", "--users", "256", "--antennas", "256", "--taps", "4",
-            "--coherence", "8192", "--block-lens", "4096", "--realizations", "1",
-            "--ebn0", "10", "--output-dir", str(tmp_path),
-        )
-        assert code == 2
-        assert err.splitlines() == [
-            f"error: M x K x sum(n) = 256 x 256 x 4096 tap spectra exceeds"
-            f" {simulate.MAX_STREAM_BYTES} bytes"
-        ]
+        for coherence, message in [
+            ("8192", "M x K x sum(n) = 256 x 256 x 4096 tap spectra"),
+            ("4096", "K(K-1)/2 x Q x T_c = 32640 x 2 x 4096 Gram factors"),
+        ]:
+            code, _, err = run_cli(
+                capsys, "sweep", "--users", "256", "--antennas", "256", "--taps", "4",
+                "--coherence", coherence, "--block-lens", "4096", "--realizations", "1",
+                "--ebn0", "10", "--output-dir", str(tmp_path),
+            )
+            assert code == 2
+            assert err.splitlines() == [
+                f"error: {message} exceeds {simulate.MAX_STREAM_BYTES} bytes"
+            ]
 
     @pytest.mark.parametrize("block_lens", ["64", "2048"])
     def test_singular_gram_exit_2(self, capsys, tmp_path, block_lens):

@@ -332,29 +332,44 @@ class TestConfigValidation:
     def test_subband_cap(self):
         # A realization holds the (M, K, N_b) subbands of every block length
         # below T_c at once, with the short spectra of N_b = T_c: 12 MB at
-        # paper scale, inside the cap; 4 GiB here is not.
+        # paper scale, inside the cap; 4 GiB here is not.  The one-block
+        # N_b = T_c = 4096 at 256 x 256 holds only 64-point spectra, but its
+        # 17 GB of Gram factors are refused.
         SimConfig(K=2, M=64, L=127, T_c=50000, block_lens=(256, 1024, 4096, 50000))
         SimConfig(K=256, M=256, L=3, T_c=4096, block_lens=(100, 156))  # 2**28 bytes
         with pytest.raises(ConfigurationError, match="sum\\(n\\) = 256 x 256 x 257"):
             SimConfig(K=256, M=256, L=3, T_c=4096, block_lens=(100, 157))
         with pytest.raises(ConfigurationError, match="256 x 256 x 4096 tap spectra exceeds"):
             SimConfig(K=256, M=256, L=3, T_c=8192, N_sim=1, block_lens=(4096,))
+        with pytest.raises(ConfigurationError, match="32640 x 8 x 4096 Gram factors exceeds"):
+            SimConfig(K=256, M=256, L=3, T_c=4096, N_sim=1, block_lens=(4096,))
 
     def test_one_block_counts_its_short_spectra(self):
         # N_b = T_c forms no subbands of its length, only the taps' spectra
         # at its short block: a 204.8 MB stream of T_c = 200000 passes with
         # N_b 1024 and T_c (1024 + 512 spectra), though 64 x 2 x 201024
-        # subbands would not, and so does N_b = T_c = 4096 alone at
-        # 256 x 256 (64 spectra).  At L = 255 the short block of T_c = 1024
-        # is T_c itself, whose 1 GiB of spectra are refused.
+        # subbands would not; its 3.2 MB of Gram factors and 9.6 MB of Gram
+        # rows are inside the cap too.  At L = 255 the short block of
+        # T_c = 1024 is T_c itself, whose 1 GiB of spectra are refused.
         SimConfig(M=64, L=127, T_c=200000, N_sim=1, ebn0_grid=(10.0,),
                   block_lens=(1024, 200000))
-        SimConfig(K=256, M=256, L=3, T_c=4096, N_sim=1, block_lens=(4096,))
         with pytest.raises(ConfigurationError, match="64 x 2 x 201024 tap spectra exceeds"):
             SimConfig(M=64, L=127, T_c=200001, N_sim=1, ebn0_grid=(10.0,),
                       block_lens=(1024, 200000))
         with pytest.raises(ConfigurationError, match="256 x 256 x 1024 tap spectra exceeds"):
             SimConfig(K=256, M=256, L=255, T_c=1024, N_sim=1, block_lens=(1024,))
+
+    def test_one_block_bounds_its_gram_arrays(self):
+        # The one-block bank's (K(K-1)/2, Q, T_c) factors and one model's
+        # (K(K+1)/2, T_c) Gram rows are T_c long.  At T_c = 2**14 the cap
+        # holds 1024 rows: 44 users with one model (Q = 1) fit, their factors
+        # for both methods (Q = 2) do not, and 45 users' Gram rows do not.
+        kw = dict(M=64, L=3, T_c=2**14, N_sim=1, ebn0_grid=(10.0,), block_lens=(2**14,))
+        SimConfig(K=44, methods=("WF",), **kw)
+        with pytest.raises(ConfigurationError, match="946 x 2 x 16384 Gram factors exceeds"):
+            SimConfig(K=44, **kw)
+        with pytest.raises(ConfigurationError, match="1035 x 16384 Gram rows exceeds"):
+            SimConfig(K=45, methods=("WF",), **kw)
 
     def test_overlap_defaults_to_memory(self, monkeypatch):
         # The sweep equalizes every stream with overlap L' = L.
