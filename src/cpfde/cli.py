@@ -258,7 +258,8 @@ def _check_fde_oracle() -> tuple[bool, str]:
     # Both banks through overlap_save_stream against the dense filter, on
     # one-block streams: the filter bank at N_b, and the one-block bank of the
     # sweep's N_b = T_c, whose matched filter at N_b = 65 runs on a block of
-    # 64 and the wrapped one (one user keeps that dense filter small).
+    # 64 and the wrapped one (one user keeps that dense filter small), or
+    # comes from an N_b = 16 pass over the stream, as in a sweep.
     rng = np.random.default_rng(7)
     worst = 0.0
     for M, K, L, N_b in [(6, 2, 3, 16)] * 20 + [(3, 1, 3, 65)] * 2:
@@ -276,8 +277,14 @@ def _check_fde_oracle() -> tuple[bool, str]:
         dense = fde.time_domain_wf(r, cir, bm)
         # The stacked vector is newest-first; the stream runs oldest-first.
         stream = r.reshape(M, N_b, order="F")[:, ::-1]
-        for build in (fde.build_filter_bank, fde.build_one_block_bank):
-            est = fde.overlap_save_stream(stream, build(taps, [bm], cfg), cfg)[0]
+        ests = [fde.overlap_save_stream(stream, build(taps, [bm], cfg), cfg)[0]
+                for build in (fde.build_filter_bank, fde.build_one_block_bank)]
+        if N_b == 65:
+            short, matched = fde.FdeConfig(block_len=16, overlap=L), fde.MatchedFilter(K, N_b, L)
+            fde.overlap_save_stream(stream, fde.build_filter_bank(taps, [bm], short), short, matched)
+            bank = fde.build_one_block_bank(taps, [bm], cfg)
+            ests.append(fde.overlap_save_stream(stream, bank, cfg, matched)[0])
+        for est in ests:
             fast = est[:, ::-1].reshape(-1, order="F")
             worst = max(worst, np.linalg.norm(fast - dense) / np.linalg.norm(dense))
     return worst < 1e-9, f"max relative error {worst:.3g}"

@@ -23,10 +23,12 @@ equalize_block, in the same stacks, itself.
 
 A stream of one block, the paper's N_b = T_c, gets its bank from
 build_one_block_bank, which holds the taps' spectra at convolve_transmit's
-short block instead of the N_b subbands (twice the stream).
-overlap_save_stream then forms the matched filter, a circular correlation
-with the L+1 taps, by overlap-save at that short block (Falconer et al., IEEE
-Commun. Mag. 2002) and solves on the N_b subbands.  Both banks agree with
+short block instead of the N_b subbands (twice the stream).  Its matched
+filter is a circular correlation with the L+1 taps, which overlap-save forms
+(Falconer et al., IEEE Commun. Mag. 2002): a multi-block pass over the same
+stream forms it on the way, keeping its blocks' unsolved products in a
+MatchedFilter, and otherwise overlap_save_stream forms it at that short
+block.  The rows are then solved on the N_b subbands.  Both banks agree with
 explicit per-subband filters F^H G_f F to a relative 1e-12 (rounding: the
 arithmetic is ordered differently).
 
@@ -52,7 +54,7 @@ giving NaN or rounding noise.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,19 +102,38 @@ class FilterBank:
     effective-noise diagonal, g / D; mult (K(K-1)/2, Q, N_b) and rpiv
     (K, Q, N_b) hold the LDL^H multipliers L[i, k] (k < i, in the order k,
     then i) and the reciprocal pivots 1 / d_k of every Gram matrix
-    g^2 H^H D^-1 H + I/sigma_x^2 = L diag(d) L^H.
+    g^2 H^H D^-1 H + I/sigma_x^2 = L diag(d) L^H.  With keep_matched,
+    equalize_block follows each block's Q*K estimate rows with its Q*K
+    matched-filter rows g H^H D^-1 r, transformed back like them.
     """
 
     subbands: np.ndarray
     weights: np.ndarray
     mult: np.ndarray
     rpiv: np.ndarray
+    keep_matched: bool = False
 
     def subset(self, lo: int, hi: int) -> FilterBank:
         """The bank of models lo..hi-1 alone, on views of this bank's arrays."""
-        return FilterBank(
-            self.subbands, self.weights[lo:hi], self.mult[:, lo:hi], self.rpiv[:, lo:hi]
+        return replace(
+            self, weights=self.weights[lo:hi], mult=self.mult[:, lo:hi], rpiv=self.rpiv[:, lo:hi]
         )
+
+
+class MatchedFilter:
+    """Room for a stream's matched-filter rows, handed from a multi-block pass
+    to a one-block bank.
+
+    rows is an empty (n_rows, T) array until overlap_save_stream, with a bank
+    of N_b subbands and this overlap, writes the n_rows = Q*K rows
+    g H^H D^-1 r of a T-sample stream there (its circular correlation with
+    the taps).  A one-block bank of the same models and overlap then solves
+    them in place into its estimates.
+    """
+
+    def __init__(self, n_rows: int, T: int, overlap: int):
+        self.rows = np.empty((n_rows, T), dtype=np.complex128)
+        self.overlap = overlap
 
 
 def unitary_dft_matrix(n: int) -> np.ndarray:
@@ -316,14 +337,16 @@ def _equalize_block(r, bank: FilterBank, pooled: bool) -> np.ndarray:
     """(B, Q*K, N_b) estimates, in time order, of the time-order (B, M, N_b) blocks r.
 
     A bank without factors (mult None) gives the matched-filter outputs
-    instead, transformed back to time like the estimates.  Pooled, a stack of
+    instead, transformed back to time like the estimates, and a keep_matched
+    bank gives both, in (B, 2*Q*K, N_b).  Pooled, a stack of
     _PARALLEL_MIN_BYTES or more splits its transform rows and its subband
     chunks over the pool.
     """
     M, K, N_b = bank.subbands.shape
     B = len(r)
     Rc = np.empty((B, M, N_b), dtype=np.complex128)
-    X = np.empty((B, len(bank.weights), K, N_b), dtype=np.complex128)
+    Q = len(bank.weights)
+    X = np.empty((B, 2 * Q if bank.keep_matched else Q, K, N_b), dtype=np.complex128)
     chunks = [
         (bank.subbands, Rc, bank.weights, X, bank.mult, bank.rpiv, lo, hi)
         for lo, hi in _subband_chunks(N_b, (K + 1) * M)
@@ -350,6 +373,8 @@ def _transform_rows(r, Rc, lo, hi) -> None:
 def _solve_subbands(H, Rc, weights, X, mult, rpiv, lo, hi) -> None:
     """Write every model's matched-filter output on subbands lo..hi-1 to X
     (B, Q, K, N_b) and, with mult, solve it with the factors mult and rpiv.
+    An X of (B, 2Q, K, N_b) keeps a copy of the unsolved outputs in its last
+    Q models.
 
     H holds the (M, K, N_b) subbands, Rc (B, M, N_b) the conjugated transforms
     of B blocks' rows and weights the (Q, M) g / D.  The products H conj(R_f),
@@ -358,16 +383,19 @@ def _solve_subbands(H, Rc, weights, X, mult, rpiv, lo, hi) -> None:
     """
     H = H[:, :, lo:hi]
     M, K, n = H.shape
+    Q = len(weights)
     P = H * Rc[:, :, None, lo:hi]
-    b = X[..., lo:hi]
+    b = X[:, :Q, :, lo:hi]
     S = (weights @ P.reshape(len(P), M, -1).view(np.float64)).view(np.complex128)
     np.conjugate(S.reshape(b.shape), out=b)
+    if X.shape[1] > Q:
+        X[:, Q:, :, lo:hi] = b
     if mult is not None:
         _ldl_solve(mult[..., lo:hi], rpiv[:, None, :, lo:hi], b.transpose(2, 0, 1, 3))
 
 
 def overlap_save_stream(
-    r: np.ndarray, bank: FilterBank, cfg: FdeConfig
+    r: np.ndarray, bank: FilterBank, cfg: FdeConfig, matched: MatchedFilter | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Equalize an M x T_c stream block-wise with overlap and edge discard.
 
@@ -382,8 +410,12 @@ def overlap_save_stream(
     The blocks go to equalize_block in stacks of consecutive blocks, views of
     the stream (the clamped final block alone); the stream is not written.
     A bank of build_one_block_bank whose spectra are shorter than N_b takes
-    a stream of one block (N_b = T) only, whose matched filter it forms by
-    overlap-save at that short length (_equalize_one_block).
+    a stream of one block (N_b = T) only.  It solves the stream's
+    matched-filter rows in place into its estimates: rows that a pass of its
+    short spectra forms (_matched_filter), or matched's.  With matched, any
+    stream of one block takes that route, and a longer one writes those rows
+    to matched in its own pass: its blocks' unsolved products, transformed
+    back with the estimates.
     """
     r = np.asarray(r, dtype=np.complex128)
     M, K, n_spec = bank.subbands.shape
@@ -395,68 +427,103 @@ def overlap_save_stream(
     T = r.shape[1]
     if T < N_b:
         raise ConfigurationError(f"stream length {T} shorter than block length {N_b}")
+    rows = len(bank.weights) * K
+    if matched is not None and (matched.rows.shape, matched.overlap) != ((rows, T), cfg.overlap):
+        raise DimensionError(
+            f"matched-filter rows {matched.rows.shape} at overlap {matched.overlap} for a"
+            f" {rows} x {T} stream at overlap {cfg.overlap}"
+        )
     edge = np.zeros(T, dtype=bool)
     edge[T - cfg.overlap :] = True
+    if T == N_b and (n_spec != N_b or matched is not None):
+        return _equalize_one_block(r, bank, cfg, matched), edge
     if n_spec != N_b:
-        if T != N_b:
-            raise DimensionError(f"a one-block bank for N_b = {N_b} got a stream of {T}")
-        return _equalize_one_block(r, bank, cfg), edge
-    out = np.empty((len(bank.weights) * K, T), dtype=np.complex128)
-    _overlap_save(r, bank, N_b - cfg.overlap, out, T)
+        raise DimensionError(f"a one-block bank for N_b = {N_b} got a stream of {T}")
+    out = np.empty((rows, T), dtype=np.complex128)
+    if matched is None:
+        _overlap_save(r, bank, N_b - cfg.overlap, out)
+    else:
+        _matched_filter(r, bank, cfg.overlap, matched.rows, out)
     return out, edge
 
 
-def _equalize_one_block(r: np.ndarray, bank: FilterBank, cfg: FdeConfig) -> np.ndarray:
+def _equalize_one_block(r, bank: FilterBank, cfg: FdeConfig, matched) -> np.ndarray:
     """The Q*K x N_b estimates of an M x N_b stream of one block, from a bank of short spectra.
 
-    The matched-filter outputs, a circular correlation of the stream with the
-    taps, come from the stack kernels without a solve, by overlap-save at the
-    bank's short length S (Falconer et al., IEEE Commun. Mag. 2002): its
-    blocks advance by step = S - cfg.overlap, and the last step positions
-    come from one wrapped block, the stream's tail and then its first
-    cfg.overlap samples.  Their Q*K rows are transformed, solved with the
-    bank's factors and transformed back.
+    The matched-filter rows are matched's, or else _matched_filter forms them
+    by overlap-save at the bank's short length (Falconer et al., IEEE Commun.
+    Mag. 2002).  They are transformed, solved with the bank's factors and
+    transformed back, in place.
     """
-    M, K, S = bank.subbands.shape
+    K = bank.subbands.shape[1]
     N_b = cfg.block_len
-    step = S - cfg.overlap
-    matched = FilterBank(bank.subbands, bank.weights, None, None)
-    X = np.empty((len(bank.weights) * K, N_b), dtype=np.complex128)
-    _overlap_save(r, matched, step, X, N_b - step)
-    wrapped = np.concatenate([r[:, N_b - step :], r[:, : cfg.overlap]], axis=1)
-    X[:, N_b - step :] = _equalize_block(wrapped[None], matched, pooled=False)[0, :, :step]
+    if matched is None:
+        X = np.empty((len(bank.weights) * K, N_b), dtype=np.complex128)
+        _matched_filter(r, bank, cfg.overlap, X)
+    else:
+        X = matched.rows
     np.fft.fft(X, axis=-1, out=X)
     _ldl_solve(bank.mult, bank.rpiv, X.reshape(-1, K, N_b).transpose(1, 0, 2))
     np.fft.ifft(X, axis=-1, out=X)
     return X
 
 
-def _overlap_save(r, bank, step, out, end) -> None:
+def _matched_filter(r, bank: FilterBank, overlap: int, rows, out=None) -> None:
+    """Write the matched-filter rows of the stream r, its circular correlation
+    with the taps, to rows by overlap-save with the bank's spectra; with out,
+    the same pass writes the bank's estimates to out.
+
+    A block of n = step + overlap samples gives the correlation at its first
+    step positions.  The blocks within the stream (_overlap_save, which keeps
+    their unsolved products for rows) give every position but the last
+    overlap.  The c blocks that wrap round the end, c step >= overlap, give
+    the last c step: they read the stream's tail, then its first overlap
+    samples.
+    """
+    n = bank.subbands.shape[-1]
+    step, T = n - overlap, r.shape[1]
+    unsolved = replace(bank, mult=None, rpiv=None)
+    if out is None:
+        _overlap_save(r, unsolved, step, rows)
+    else:
+        _overlap_save(r, replace(bank, keep_matched=True), step, out, rows)
+    c = -(-overlap // step)
+    if c:
+        wrapped = np.concatenate([r[:, T - c * step :], r[:, :overlap]], axis=1)
+        blocks = np.lib.stride_tricks.sliding_window_view(wrapped, n, axis=1)[:, ::step]
+        mf = _equalize_block(blocks.transpose(1, 0, 2), unsolved, pooled=False)
+        rows[:, T - c * step :] = mf[..., :step].transpose(1, 0, 2).reshape(len(rows), -1)
+
+
+def _overlap_save(r, bank, step, out, matched=None) -> None:
     """Write to out the positions that r's blocks at multiples of step emit and,
-    where these stop short of position end, the clamped final block's: the
-    stacks run through equalize_block, or in contiguous ranges through
-    _equalize_job_block on the pool.
+    where these stop short of the end, the clamped final block's; a
+    keep_matched bank writes its matched-filter rows at the same positions to
+    matched.  The stacks run through equalize_block, or in contiguous ranges
+    through _equalize_job_block on the pool.
     """
     M, K, N_b = bank.subbands.shape
     T = r.shape[1]
     n = (T - N_b) // step + 1  # regular blocks
     size = _stack_len(M, K, N_b)
     stacks = [(j * step, min(size, n - j)) for j in range(0, n, size)]  # (start, blocks)
-    if (T - N_b) % step and n * step < end:
+    if (T - N_b) % step:
         stacks.append((T - N_b, 1))  # clamped final block
     windows = np.lib.stride_tricks.sliding_window_view(r, N_b, axis=1)
     parts = _split(len(stacks), r.nbytes)
     if len(parts) == 1:
-        _equalize_stacks(equalize_block, windows, bank, step, stacks, out)
+        _equalize_stacks(equalize_block, windows, bank, step, stacks, out, matched)
     else:
-        # Contiguous stack ranges write disjoint stretches of out.
-        jobs = [(_equalize_job_block, windows, bank, step, stacks[lo:hi], out)
+        # Contiguous stack ranges write disjoint stretches of out (and matched).
+        jobs = [(_equalize_job_block, windows, bank, step, stacks[lo:hi], out, matched)
                 for lo, hi in parts]
         _map(_equalize_stacks, jobs)
 
 
-def _equalize_stacks(equalize, windows, bank, step, stacks, out) -> None:
-    """Equalize stacks of blocks and write the stream positions they emit to out.
+def _equalize_stacks(equalize, windows, bank, step, stacks, out, matched=None) -> None:
+    """Equalize stacks of blocks and write the stream positions they emit to out,
+    and with matched the positions of the matched-filter rows that follow the
+    estimate rows of a keep_matched bank.
 
     windows (M, T - N_b + 1, N_b) are the stream's blocks in time order;
     stacks are (s, B) for B blocks starting at s, s + step, ...  Block j of
@@ -465,14 +532,16 @@ def _equalize_stacks(equalize, windows, bank, step, stacks, out) -> None:
     """
     last = windows.shape[1] - 1
     n = last // step + 1  # regular blocks
-    kept = out[:, : n * step].reshape(len(out), n, step)
+    targets = [out] if matched is None else [out, matched]
     for s, B in stacks:
         blocks = windows[:, s : s + (B - 1) * step + 1 : step].transpose(1, 0, 2)
         est = equalize(blocks[..., ::-1], bank)[..., ::-1]  # newest-first in
-        if s % step == 0:
-            kept[:, s // step : s // step + B] = est[..., :step].transpose(1, 0, 2)
-        if s + (B - 1) * step == last:
-            out[:, n * step :] = est[-1, :, n * step - last :]
+        for dst, e in zip(targets, np.split(est, len(targets), axis=1)):
+            if s % step == 0:
+                kept = dst[:, : n * step].reshape(len(dst), n, step)
+                kept[:, s // step : s // step + B] = e[..., :step].transpose(1, 0, 2)
+            if s + (B - 1) * step == last:
+                dst[:, n * step :] = e[-1, :, n * step - last :]
 
 
 def time_domain_wf(r_stacked: np.ndarray, H_cir: np.ndarray, bm: BussgangModel) -> np.ndarray:

@@ -30,6 +30,7 @@ from ._pool import _set_threads, _thread_count
 from .errors import ConfigurationError
 from .fde import (
     FdeConfig,
+    MatchedFilter,
     _one_block_spectra_len,
     _stack_len,
     build_filter_bank,
@@ -50,9 +51,10 @@ MAX_EBN0_DB = 300.0
 # at the last Eb/N0 point); paper scale (M=64, T_c=50000) is 51 MB.  The K x T_c
 # symbol stream, the (L+1, M, K) taps, the (M, K, n) tap spectra of all block
 # lengths together (12 MB at paper scale; n is N_b, or fde._one_block_spectra_len
-# for N_b = T_c, whose T_c subbands are never formed), and that one-block bank's
-# (K(K-1)/2, Q, T_c) Gram factors and one model's (K(K+1)/2, T_c) Gram rows have
-# the same bound.  The block length scan has its own cap (blockopt.MAX_COHERENCE).
+# for N_b = T_c, whose T_c subbands are never formed), the (K(K-1)/2, Q, N_b)
+# Gram factors of all block lengths together and one model's (K(K+1)/2, N_b)
+# Gram rows at the largest N_b have the same bound.  The block length scan has
+# its own cap (blockopt.MAX_COHERENCE).
 MAX_STREAM_BYTES = 2**28
 
 
@@ -177,10 +179,11 @@ class SimConfig:
         spectra = sum(_one_block_spectra_len(self.L, n) if n == self.T_c else n
                       for n in self.block_lens)
         _check_bytes("M x K x sum(n)", (self.M, self.K, spectra), "tap spectra")
-        if self.T_c in self.block_lens:  # the one-block bank's T_c-long Gram arrays
-            pairs, Q = self.K * (self.K - 1) // 2, len(self.methods) * len(self.ebn0_grid)
-            _check_bytes("K(K-1)/2 x Q x T_c", (pairs, Q, self.T_c), "Gram factors")
-            _check_bytes("K(K+1)/2 x T_c", (pairs + self.K, self.T_c), "Gram rows")
+        # Every N_b's bank lives from the first Eb/N0 point to the last.
+        pairs, Q = self.K * (self.K - 1) // 2, len(self.methods) * len(self.ebn0_grid)
+        longest = max(self.block_lens, default=0)
+        _check_bytes("K(K-1)/2 x Q x sum(N_b)", (pairs, Q, sum(self.block_lens)), "Gram factors")
+        _check_bytes("K(K+1)/2 x max(N_b)", (pairs + self.K, longest), "Gram rows")
         if self.N_sim < 1:
             raise ConfigurationError("N_sim must be >= 1")
         if self.workers < 1:
@@ -373,6 +376,13 @@ def _run_one_realization(args):
     keep its N_b subbands unformed.  Each point's Q*K estimate rows are
     scored at once.
 
+    A point visits its N_b as listed, except that the smallest multi-block
+    N_b and then N_b = T_c come last: the smallest one's pass writes the
+    stream's matched-filter rows into a MatchedFilter, which N_b = T_c
+    solves in place into its estimates, so no pass of its own transforms the
+    M-row stream again.  The smallest N_b has the smallest bank and
+    temporaries to hold beside those rows.
+
     Each point's noise comes from _noise_ahead: where a CPU would idle, a
     helper thread draws the next point's noise while this point is
     quantized, equalized and scored, the same draws as add_noise's.
@@ -395,24 +405,32 @@ def _run_one_realization(args):
         bit_err = np.empty(shape, dtype=np.int64)
         banks = {}
         last = len(cfg.ebn0_grid) - 1
+        feeder = None  # the N_b whose pass forms N_b = T_c's matched filter
+        if cfg.T_c in cfg.block_lens and len(cfg.block_lens) > 1:
+            feeder = min(cfg.block_lens)
+        visits = sorted(cfg.block_lens, key=lambda n_b: (n_b == cfg.T_c, n_b == feeder))
         for i, (ebn0, noise_i) in enumerate(zip(cfg.ebn0_grid, drawn)):
             sigma_x2 = sigma_x2_by_ebn0[ebn0]
             r = np.multiply(np.sqrt(sigma_x2), hx, out=hx if i == last else None)
             _receive(cfg, taps, r, sigma_x2, rng, noise_i)
-            for j, n_b in enumerate(cfg.block_lens):
+            matched = None
+            for n_b in visits:
+                j = cfg.block_lens.index(n_b)
                 fde_cfg = FdeConfig(block_len=n_b, overlap=cfg.L)
                 if i == 0:
                     build = build_one_block_bank if n_b == cfg.T_c else build_filter_bank
                     banks[n_b] = build(taps, models, fde_cfg)
                 bank = (banks[n_b] if i < last else banks.pop(n_b)).subset(i * Q, (i + 1) * Q)
-                out = overlap_save_stream(r, bank, fde_cfg)[0]
+                if n_b == feeder:  # written here, solved in place by N_b = T_c
+                    matched = MatchedFilter(Q * cfg.K, cfg.T_c, cfg.L)
+                out = overlap_save_stream(r, bank, fde_cfg, matched)[0]
                 # Per unit symbol energy, against the unit constellation: a
                 # fixed unit change, not blind scaling.
                 xhat = out.reshape(Q, cfg.K, -1)[..., :n] / np.sqrt(sigma_x2)
                 sq[i, j] = np.sum(np.abs(xhat - unit_syms[:, :n]) ** 2, axis=(1, 2))
                 bit_err[i, j] = _bit_errors(sent, demap_symbols(xhat, cfg.modulation))
                 del bank, out, xhat  # before the next N_b's bank is built
-            del r  # before the next point's stream is made
+            del r, matched  # before the next point's stream is made
     return sq, bit_err
 
 

@@ -128,7 +128,7 @@ class TestOptimizeBlock:
         monkeypatch.setattr(simulate, "_realization_taps", fail)
         for coherence, message in [
             ("8192", "M x K x sum(n) = 256 x 256 x 4096 tap spectra"),
-            ("4096", "K(K-1)/2 x Q x T_c = 32640 x 2 x 4096 Gram factors"),
+            ("4096", "K(K-1)/2 x Q x sum(N_b) = 32640 x 2 x 4096 Gram factors"),
         ]:
             code, _, err = run_cli(
                 capsys, "sweep", "--users", "256", "--antennas", "256", "--taps", "4",
@@ -139,6 +139,28 @@ class TestOptimizeBlock:
             assert err.splitlines() == [
                 f"error: {message} exceeds {simulate.MAX_STREAM_BYTES} bytes"
             ]
+
+    def test_gram_factors_of_every_block_length_above_cap_exit_2(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        # Every N_b's bank lives from the first Eb/N0 point to the last, so
+        # the Gram factors of all block lengths are bounded together: at
+        # N_b 100 and 156 the subbands are 2**28 bytes, inside the cap, but
+        # the factors of four points' eight models are 1.07 GB.
+        def fail(*_):
+            raise AssertionError("realization started")
+
+        monkeypatch.setattr(simulate, "_realization_taps", fail)
+        code, _, err = run_cli(
+            capsys, "sweep", "--users", "256", "--antennas", "256", "--taps", "4",
+            "--coherence", "4096", "--block-lens", "100,156", "--realizations", "1",
+            "--output-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert err.splitlines() == [
+            "error: K(K-1)/2 x Q x sum(N_b) = 32640 x 8 x 256 Gram factors exceeds"
+            f" {simulate.MAX_STREAM_BYTES} bytes"
+        ]
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("block_lens", ["64", "2048"])
     def test_singular_gram_exit_2(self, capsys, tmp_path, block_lens):

@@ -651,6 +651,71 @@ class TestOneBlockRoute:
         np.testing.assert_array_equal(r, 1.0)
 
 
+class TestHandedMatchedFilter:
+    """A multi-block pass writes a one-block bank's matched-filter rows."""
+
+    def stream(self, L=15, T=250, seed=48):
+        rng = np.random.default_rng(seed)
+        M, K = 5, 2
+        taps = random_taps(rng, L, M, K)
+        models = [bussgang_model(taps, rho, 0.7, s) for s in (0.5, 4.0) for rho in (0.0, 0.3)]
+        r = rng.standard_normal((M, T)) + 1j * rng.standard_normal((M, T))
+        cfg = FdeConfig(block_len=T, overlap=L)
+        return taps, models, r, cfg, fde.build_one_block_bank(taps, models, cfg)
+
+    def handed(self, taps, models, r, cfg, one_block, N_b):
+        """(matched rows, multi-block estimates, one-block estimates) of an N_b pass."""
+        feed = FdeConfig(block_len=N_b, overlap=cfg.overlap)
+        matched = fde.MatchedFilter(len(models) * taps.n_users, r.shape[1], cfg.overlap)
+        multi = overlap_save_stream(r, build_filter_bank(taps, models, feed), feed, matched)[0]
+        rows = matched.rows.copy()
+        return rows, multi, overlap_save_stream(r, one_block, cfg, matched)[0]
+
+    # At L = 15 the short block is 64 and its step 49.  T = 211 is a
+    # multiple of the step of N_b = 64 past its first block, T = 250 ends
+    # in a clamped final block, T = N_b + 1 (N_b 64 and 99) in a clamped
+    # block one sample on, and N_b = 20 and 30, below 2L + 1 = 31 so that
+    # their Gram lags alias, step 5 and 15: three wrapped blocks give the
+    # last 15 positions of 20.  The short block of T = 64 is T itself, and
+    # that stream of one block reads the rows too.
+    @pytest.mark.parametrize("T, N_b", [(211, 64), (250, 64), (65, 64), (250, 20), (211, 30),
+                                        (100, 99), (64, 20)])
+    def test_matches_the_own_short_pass(self, T, N_b):
+        taps, models, r, cfg, one_block = self.stream(T=T)
+        rows, multi, est = self.handed(taps, models, r, cfg, one_block, N_b)
+        own = np.empty_like(rows)
+        fde._matched_filter(r, one_block, cfg.overlap, own)
+        assert_close(rows, own)
+        assert_close(est, overlap_save_stream(r, one_block, cfg)[0])
+        # The pass's own estimates are bitwise those of a pass without it.
+        feed = FdeConfig(block_len=N_b, overlap=cfg.overlap)
+        plain = overlap_save_stream(r, build_filter_bank(taps, models, feed), feed)[0]
+        np.testing.assert_array_equal(multi, plain)
+
+    def test_bitwise_for_any_thread_count(self):
+        # On 1, 2 and 5 threads (pool floor 0: stacks split over the pool,
+        # and chunks of 5 subbands) and serially, every array is bitwise the same.
+        taps, models, r, cfg, one_block = self.stream(T=300, seed=49)
+        serial = self.handed(taps, models, r, cfg, one_block, 40)
+        for threads in (1, 2, 5):
+            with pool_threads(threads, chunk_bytes=5 * (taps.n_users + 1) * 5 * 16):
+                run = self.handed(taps, models, r, cfg, one_block, 40)
+            for a, b in zip(serial, run):
+                np.testing.assert_array_equal(b, a)
+
+    def test_rejects_mismatched_rows_or_overlap(self):
+        taps, models, r, cfg, one_block = self.stream(T=100, seed=50)
+        feed = FdeConfig(block_len=40, overlap=cfg.overlap)
+        bank = build_filter_bank(taps, models, feed)
+        rows = len(models) * taps.n_users
+        for matched in (fde.MatchedFilter(rows - 1, 100, 15), fde.MatchedFilter(rows, 99, 15),
+                        fde.MatchedFilter(rows, 100, 16)):
+            with pytest.raises(DimensionError, match="matched-filter rows"):
+                overlap_save_stream(r, bank, feed, matched)
+            with pytest.raises(DimensionError, match="matched-filter rows"):
+                overlap_save_stream(r, one_block, cfg, matched)
+
+
 class TestDiscardBenefit:
     def test_discard_lowers_interior_mse(self):
         # statistical: discarding the corrupted overlap beats no discard

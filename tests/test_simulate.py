@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import itertools
 import os
 import signal
 import subprocess
@@ -325,18 +326,23 @@ class TestConfigValidation:
             SimConfig(K=65, M=1, L=3, T_c=T_c, block_lens=(8,))
         with pytest.raises(ConfigurationError, match="K x T_c = 100000000 x 2048"):
             SimConfig(K=10**8, N_sim=1, block_lens=(64,))
-        SimConfig(K=256, M=256, L=255, T_c=1024, block_lens=(256,))  # 2**28-byte taps
+        # 2**28-byte taps; one model keeps its 32640 x 1 x 256 Gram factors inside the cap.
+        SimConfig(K=256, M=256, L=255, T_c=1024, ebn0_grid=(10.0,), methods=("WF",),
+                  block_lens=(256,))
         with pytest.raises(ConfigurationError, match=r"\(L\+1\) x M x K = 257 x 256 x 256"):
             SimConfig(K=256, M=256, L=256, T_c=1024, block_lens=(257,))
 
     def test_subband_cap(self):
         # A realization holds the (M, K, N_b) subbands of every block length
         # below T_c at once, with the short spectra of N_b = T_c: 12 MB at
-        # paper scale, inside the cap; 4 GiB here is not.  The one-block
-        # N_b = T_c = 4096 at 256 x 256 holds only 64-point spectra, but its
-        # 17 GB of Gram factors are refused.
+        # paper scale, inside the cap; 4 GiB here is not.  It holds every
+        # N_b's Gram factors at once too: 2**28 bytes of subbands at N_b 100
+        # and 156 come with 1.07 GB of factors for 8 models, which are
+        # refused.  The one-block N_b = T_c = 4096 at 256 x 256 holds only
+        # 64-point spectra, but its 17 GB of Gram factors are refused.
         SimConfig(K=2, M=64, L=127, T_c=50000, block_lens=(256, 1024, 4096, 50000))
-        SimConfig(K=256, M=256, L=3, T_c=4096, block_lens=(100, 156))  # 2**28 bytes
+        with pytest.raises(ConfigurationError, match="32640 x 8 x 256 Gram factors exceeds"):
+            SimConfig(K=256, M=256, L=3, T_c=4096, block_lens=(100, 156))
         with pytest.raises(ConfigurationError, match="sum\\(n\\) = 256 x 256 x 257"):
             SimConfig(K=256, M=256, L=3, T_c=4096, block_lens=(100, 157))
         with pytest.raises(ConfigurationError, match="256 x 256 x 4096 tap spectra exceeds"):
@@ -440,9 +446,10 @@ class TestEngine:
 
     def test_every_block_length_crosses_solve_subbands(self, monkeypatch):
         # The multi-block N_b = 16 equalizes its blocks through
-        # equalize_block, and the one-block N_b = T_c = 128 forms its matched
-        # filter there, at one Eb/N0 point and at two.  Both form their
-        # matched-filter outputs with _solve_subbands.  Scaling
+        # equalize_block, and its pass forms the matched filter of the
+        # one-block N_b = T_c = 128 there too; alone, N_b = T_c forms it
+        # there itself.  At one Eb/N0 point and at two, every route forms
+        # its matched-filter outputs with _solve_subbands.  Scaling
         # equalize_block's result moves every row, and so does a fault in
         # that kernel.
         original, solve = fde.equalize_block, fde._solve_subbands
@@ -451,13 +458,13 @@ class TestEngine:
             solve(H, Rc, weights, X, mult, rpiv, lo, hi)
             X[..., lo:hi] *= 1.01
 
-        for grid in ((10.0,), (0.0, 10.0)):
-            cfg = self.small_cfg(N_sim=1, ebn0_grid=grid)
+        for grid, block_lens in itertools.product(((10.0,), (0.0, 10.0)), ((16, 128), (128,))):
+            cfg = self.small_cfg(N_sim=1, ebn0_grid=grid, block_lens=block_lens)
             base = run_experiment(cfg)
             monkeypatch.setattr(fde, "equalize_block", lambda R, bank: original(R, bank) * 1.01)
             scaled = run_experiment(cfg)
             monkeypatch.setattr(fde, "equalize_block", original)
-            assert {r.n_b for r in scaled.rows} == {16, 128}
+            assert {r.n_b for r in scaled.rows} == set(block_lens)
             for a, b in zip(base.rows, scaled.rows):
                 assert b.mse != a.mse
 
@@ -469,14 +476,17 @@ class TestEngine:
 
     def test_one_block_length_listed_first_gives_the_same_rows(self):
         # The grid's order of block lengths orders the rows and nothing
-        # else, at one Eb/N0 point and at three.
+        # else, at one Eb/N0 point and at three: N_b = T_c listed first,
+        # and the multi-block N_b unsorted, whose smallest forms N_b = T_c's
+        # matched filter wherever it is listed.
         for grid in ((10.0,), (0.0, 10.0, 20.0)):
-            last = run_experiment(self.small_cfg(block_lens=(16, 20, 128), ebn0_grid=grid))
-            first = run_experiment(self.small_cfg(block_lens=(128, 16, 20), ebn0_grid=grid))
-            assert [r.n_b for r in first.rows[:2]] == [128, 128]
-            assert sorted(first.rows, key=row_key) == sorted(last.rows, key=row_key)
-            for key, mse in last.realization_mse.items():
-                np.testing.assert_array_equal(first.realization_mse[key], mse)
+            last = run_experiment(self.small_cfg(block_lens=(16, 20, 32, 128), ebn0_grid=grid))
+            for block_lens in ((128, 16, 20, 32), (32, 128, 16, 20), (20, 32, 16, 128)):
+                other = run_experiment(self.small_cfg(block_lens=block_lens, ebn0_grid=grid))
+                assert [r.n_b for r in other.rows[: 2 * len(block_lens) : 2]] == list(block_lens)
+                assert sorted(other.rows, key=row_key) == sorted(last.rows, key=row_key)
+                for key, mse in last.realization_mse.items():
+                    np.testing.assert_array_equal(other.realization_mse[key], mse)
 
     def test_one_block_subbands_built_once_per_realization(self, monkeypatch):
         # Each N_b gets one bank per realization, built at the first point
