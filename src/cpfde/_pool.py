@@ -47,17 +47,16 @@ def _set_threads(n: int) -> None:
     _threads = n
 
 
-def _map(fn, jobs: list[tuple], nbytes: int | None = None) -> None:
+def _map(fn, jobs: list[tuple]) -> None:
     """Run fn(*job) for every job: on the calling thread and helper threads of
-    a pool of its own, or inline with one thread or job, or for a call on
-    fewer than _PARALLEL_MIN_BYTES nbytes.
+    a pool of its own, or inline with one thread or job.
 
     The threads take the jobs in order, one at a time, as they come free, and
     the calling thread works rather than waits.  An exception in any job is
     raised here once every thread has stopped.
     """
     n = min(_thread_count(), len(jobs))
-    if n < 2 or (nbytes is not None and nbytes < _PARALLEL_MIN_BYTES):
+    if n < 2:
         for job in jobs:
             fn(*job)
         return

@@ -9,8 +9,9 @@ Dense matrices (block-Toeplitz / block-circulant) are validation aids for small
 instances only; the streaming path never forms them.  freq_channel and the
 inverse transform of convolve_transmit split their antenna rows over the
 thread pool of _pool when the call is large, bitwise as one serial call.
-convolve_transmit and add_noise hold no intermediate of a stream's size: they
-work a range of blocks or rows (_RANGE_BYTES) at a time.
+convolve_transmit is an overlap-save, so each range of its blocks is
+independent of the others; it and add_noise hold no intermediate of a
+stream's size: they work a range of blocks or rows (_RANGE_BYTES) at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._pool import _map, _split
 from .errors import ConfigurationError, DimensionError
@@ -253,19 +255,19 @@ def convolve_transmit(taps: ChannelTaps, x: np.ndarray) -> np.ndarray:
     """Pass a K x T symbol stream through the channel: y[n] = sum_l H_l x[n-l].
 
     Symbols before the stream start are zero.  The convolution is an FFT
-    overlap-add over time: input blocks of nfft - L samples are transformed
-    (nfft a power of 2 of at least 4(L+1), 64 minimum, points, or one block
-    covering the whole stream when that is shorter), multiplied by the tap
-    spectra per frequency bin and transformed back, and each block's L-sample
-    tail is added to the head of the next.  The result is noiseless;
-    add_noise adds receiver noise.
+    overlap-save over time, as the equalizer's: the stream, with L zeros in
+    front, is cut into blocks of nfft samples that start every nfft - L
+    samples (nfft a power of 2 of at least 4(L+1), 64 minimum, points, or
+    one block covering the whole stream when that is shorter); each block is
+    transformed, multiplied by the tap spectra per frequency bin and
+    transformed back, and its last nfft - L samples are the output's.  The
+    result is noiseless; add_noise adds receiver noise.
 
     The blocks go through the product and the inverse transform a range at a
-    time, a multiple of 8 blocks of at most about _RANGE_BYTES of spectra,
-    and each range's last tail is carried into the next.  The result is
-    bitwise that of one range of all blocks: OpenBLAS rounds a batched
-    product of a multiple of 8 columns as the leading columns of a wider
-    one, and a last range of one block joins the one before it.
+    time, a multiple of 8 blocks of at most about _RANGE_BYTES of spectra.
+    The result is bitwise that of one range of all blocks: OpenBLAS rounds a
+    batched product of a multiple of 8 columns as the leading columns of a
+    wider one, and a last range of one block joins the one before it.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 2 or x.shape[0] != taps.n_users:
@@ -277,9 +279,9 @@ def convolve_transmit(taps: ChannelTaps, x: np.ndarray) -> np.ndarray:
     nfft = _short_fft_len(L, T)
     step = nfft - L
     n_blk = -(-T // step)
-    xb = np.zeros((K, n_blk * step), dtype=np.complex128)
-    xb[:, :T] = x
-    Xf = np.fft.fft(xb.reshape(K, n_blk, step), n=nfft, axis=-1)
+    xp = np.zeros((K, L + n_blk * step), dtype=np.complex128)
+    xp[:, L : L + T] = x
+    Xf = np.fft.fft(sliding_window_view(xp, nfft, axis=-1)[:, ::step], axis=-1)
     Hf = np.fft.fft(taps.taps, n=nfft, axis=0)
     # The largest odd multiple of 8 blocks within _RANGE_BYTES (at least 8): a
     # power of 2 would put the transposing copy of _inverse_rows on a stride
@@ -295,38 +297,25 @@ def convolve_transmit(taps: ChannelTaps, x: np.ndarray) -> np.ndarray:
     # Every range's spectra and blocks go to the front of the same two buffers.
     size = nfft * M * max(b - a for a, b in zip(starts, ends))
     spectra, times = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
-    tail = None
     for b0, b1 in zip(starts, ends):
         n = nfft * M * (b1 - b0)
         yf = spectra[:n].reshape(nfft, M, b1 - b0)
         np.matmul(Hf, Xf[:, b0:b1].transpose(2, 0, 1), out=yf)
         yb = times[:n].reshape(M, b1 - b0, nfft)
         _map(_inverse_rows, [(yf, yb, lo, hi) for lo, hi in _split(M, yf.nbytes)])
-        tail = _overlap_add(y, yb, b0 * step, step, tail)
+        _save(y, yb[..., L:], b0 * step)
     return y
 
 
-def _overlap_add(y, yb, start, step, tail):
-    """Write the blocks yb (M, n, nfft), which start at sample start of y and
-    advance by step, into y with their tails added to the next heads; tail is
-    the block before's, added to the first head.  Returns the last tail."""
-    M, n, nfft = yb.shape
-    L = nfft - step
-    full = min(n, (y.shape[1] - start) // step)  # blocks inside y
-    blocks = y[:, start : start + full * step].reshape(M, full, step, copy=False)
-    blocks[...] = yb[:, :full, :step]
-    if full > 1:
-        blocks[:, 1:, :L] += yb[:, : full - 1, step:]
-    if full < n:  # the stream's last block, cut at its end
-        part = y[:, start + full * step :]
-        rest = part.shape[1]
-        part[...] = yb[:, full, :rest]
-        if full:
-            part[:, :L] += yb[:, full - 1, step : step + rest]
-    if tail is not None:
-        head = y[:, start : start + L]
-        head += tail[:, : head.shape[1]]
-    return yb[:, -1, step:].copy()
+def _save(y, kept, start) -> None:
+    """Write the kept samples (M, n, step) of n blocks into y from sample start
+    on, block after block; the stream's last block is cut at its end."""
+    M, n, step = kept.shape
+    part = y[:, start : start + n * step]
+    full = part.shape[1] // step
+    part[:, : full * step].reshape(M, full, step, copy=False)[...] = kept[:, :full]
+    if full < n:
+        part[:, full * step :] = kept[:, full, : part.shape[1] - full * step]
 
 
 def _inverse_rows(yf, yb, lo, hi) -> None:

@@ -176,6 +176,11 @@ def _one_block_spectra_len(overlap: int, N_b: int) -> int:
     return min(_short_fft_len(overlap, N_b), N_b)
 
 
+def _lag_len(L: int) -> int:
+    """The transform length of the taps' 2L+1 weighted-autocorrelation lags."""
+    return _next_pow2(2 * L + 1)
+
+
 def _lag_bank(taps: ChannelTaps, models: Sequence[BussgangModel], N_b: int, n_spec: int):
     """The bank of every model's Gram factors at N_b subbands and the taps' spectra at n_spec.
 
@@ -191,7 +196,7 @@ def _lag_bank(taps: ChannelTaps, models: Sequence[BussgangModel], N_b: int, n_sp
     L, M, K = taps.memory, taps.n_rx, taps.n_users
     weights, gram_weights, loads = _model_weights(models, M)
     rows = np.ascontiguousarray(taps.taps.transpose(1, 2, 0))
-    n = _next_pow2(2 * L + 1)
+    n = _lag_len(L)
     lags = np.fft.ifft(_gram_sums(np.fft.fft(rows, n, axis=-1), gram_weights), axis=-1)
     Q = len(models)
     mult = np.empty((K * (K - 1) // 2, Q, N_b), dtype=np.complex128)

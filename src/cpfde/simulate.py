@@ -21,6 +21,7 @@ import numpy as np
 from .channel import (
     ChannelTaps,
     PowerDelayProfile,
+    _short_fft_len,
     add_noise,
     convolve_transmit,
     generate_channel,
@@ -31,6 +32,7 @@ from .errors import ConfigurationError
 from .fde import (
     FdeConfig,
     MatchedFilter,
+    _lag_len,
     _one_block_spectra_len,
     _stack_len,
     build_filter_bank,
@@ -48,13 +50,10 @@ MAX_EBN0_DB = 300.0
 
 # Largest M x T_c complex128 receive stream, in bytes.  A realization holds at
 # most two such streams at once, the noiseless and the received one (one array
-# at the last Eb/N0 point); paper scale (M=64, T_c=50000) is 51 MB.  The K x T_c
-# symbol stream, the (L+1, M, K) taps, the (M, K, n) tap spectra of all block
-# lengths together (12 MB at paper scale; n is N_b, or fde._one_block_spectra_len
-# for N_b = T_c, whose T_c subbands are never formed), the (K(K-1)/2, Q, N_b)
-# Gram factors of all block lengths together and one model's (K(K+1)/2, N_b)
-# Gram rows at the largest N_b have the same bound.  The block length scan has
-# its own cap (blockopt.MAX_COHERENCE).
+# at the last Eb/N0 point); paper scale (M=64, T_c=50000) is 51 MB.  Every
+# other array that grows with the config has the same bound (the checks of
+# SimConfig name each); the block length scan has its own cap
+# (blockopt.MAX_COHERENCE).
 MAX_STREAM_BYTES = 2**28
 
 
@@ -184,6 +183,10 @@ class SimConfig:
         longest = max(self.block_lens, default=0)
         _check_bytes("K(K-1)/2 x Q x sum(N_b)", (pairs, Q, sum(self.block_lens)), "Gram factors")
         _check_bytes("K(K+1)/2 x max(N_b)", (pairs + self.K, longest), "Gram rows")
+        n_lag, nfft = _lag_len(self.L), _short_fft_len(self.L, self.T_c)
+        _check_bytes("M x K(K+1)/2 x n_lag", (self.M, pairs + self.K, n_lag), "Gram products")
+        _check_bytes("Q x K(K+1)/2 x n_lag", (Q, pairs + self.K, n_lag), "Gram sums")
+        _check_bytes("M x K x nfft", (self.M, self.K, nfft), "transmit spectra")
         if self.N_sim < 1:
             raise ConfigurationError("N_sim must be >= 1")
         if self.workers < 1:

@@ -245,7 +245,7 @@ class TestConvolveTransmit:
         T=st.integers(1, 300),
         seed=st.integers(0, 10**6),
     )
-    def test_fft_overlap_add_matches_direct_sum(self, M, K, L, T, seed):
+    def test_fft_overlap_save_matches_direct_sum(self, M, K, L, T, seed):
         rng = np.random.default_rng(seed)
         taps = random_taps(rng, L, M, K)
         x = rng.standard_normal((K, T)) + 1j * rng.standard_normal((K, T))
@@ -255,7 +255,7 @@ class TestConvolveTransmit:
         assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_multi_block_stream_matches_direct_sum(self):
-        # Long enough for many overlap-add blocks, with a ragged last block.
+        # Long enough for many overlap-save blocks, with a ragged last block.
         rng = np.random.default_rng(15)
         taps = random_taps(rng, 31, 3, 2)
         x = rng.standard_normal((2, 5001)) + 1j * rng.standard_normal((2, 5001))
@@ -304,27 +304,23 @@ def whole_array_convolution(taps, x):
     nfft = min(channel._next_pow2(max(4 * (L + 1), 64)), channel._next_pow2(T + L))
     step = nfft - L
     n_blk = -(-T // step)
-    xb = np.zeros((K, n_blk * step), dtype=complex)
-    xb[:, :T] = x
-    Xf = np.fft.fft(xb.reshape(K, n_blk, step), n=nfft, axis=-1)
-    yf = np.fft.fft(taps.taps, n=nfft, axis=0) @ Xf.transpose(2, 0, 1)
+    xp = np.zeros((K, L + n_blk * step), dtype=complex)
+    xp[:, L : L + T] = x
+    xb = np.stack([xp[:, b * step : b * step + nfft] for b in range(n_blk)], axis=1)
+    yf = np.fft.fft(taps.taps, n=nfft, axis=0) @ np.fft.fft(xb, axis=-1).transpose(2, 0, 1)
     yb = np.fft.ifft(yf, axis=0).transpose(1, 2, 0)  # (M, n_blk, nfft)
-    y = np.zeros((M, n_blk * step + L), dtype=complex)
-    for b in range(n_blk):  # the head of block b is written, then its tail added
-        y[:, b * step : (b + 1) * step] = yb[:, b, :step]
-    for b in range(n_blk - 1):
-        y[:, (b + 1) * step : (b + 1) * step + L] += yb[:, b, step:]
-    return y[:, :T]
+    # Each block keeps its last step samples.
+    return yb[:, :, L:].reshape(M, n_blk * step)[:, :T]
 
 
 class TestConvolveRanges:
     @pytest.mark.parametrize("blocks", [8, 24])
     @pytest.mark.parametrize("T", [1, 100, 8 * 49, 9 * 49, 9 * 49 + 1, 17 * 49 - 3, 40 * 49 + 20])
     def test_ranges_are_bitwise_the_whole_array(self, monkeypatch, T, blocks):
-        # nfft = 64 and step = 49 at L = 15.  Ranges of 8 or 24 blocks with a
-        # carried tail, the last range whole, partial, cut inside the stream's
-        # last block, or of one block (joined to the range before), give
-        # bitwise the one-range result, with its rows split over the pool.
+        # nfft = 64 and step = 49 at L = 15.  Ranges of 8 or 24 blocks, the
+        # last range whole, partial, cut inside the stream's last block, or of
+        # one block (joined to the range before), give bitwise the one-range
+        # result, with its rows split over the pool.
         rng = np.random.default_rng(20 + T)
         M, K = 5, 2
         taps = random_taps(rng, 15, M, K)
@@ -333,9 +329,9 @@ class TestConvolveRanges:
         monkeypatch.setattr(_pool, "_PARALLEL_MIN_BYTES", 0)
         monkeypatch.setattr(_pool, "_threads", 2)
         calls = []
-        original = channel._overlap_add
+        original = channel._save
         monkeypatch.setattr(
-            channel, "_overlap_add", lambda *a: calls.append(a[1].shape[1]) or original(*a)
+            channel, "_save", lambda *a: calls.append(a[1].shape[1]) or original(*a)
         )
         y = convolve_transmit(taps, x)
         n_blk = -(-T // 49)

@@ -162,6 +162,27 @@ class TestOptimizeBlock:
         ]
         assert not list(tmp_path.iterdir())
 
+    def test_gram_products_above_cap_exit_2(self, capsys, tmp_path, monkeypatch):
+        # 128 users, antennas and taps: every array of the realization but
+        # the bank build's pair products of the taps' 256-point spectra
+        # (4.3 GB) is inside the cap, and those are refused before any
+        # channel is drawn.
+        def fail(*_):
+            raise AssertionError("realization started")
+
+        monkeypatch.setattr(simulate, "_realization_taps", fail)
+        code, _, err = run_cli(
+            capsys, "sweep", "--users", "128", "--antennas", "128", "--taps", "128",
+            "--coherence", "128", "--block-lens", "128", "--realizations", "1",
+            "--output-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert err.splitlines() == [
+            "error: M x K(K+1)/2 x n_lag = 128 x 8256 x 256 Gram products exceeds"
+            f" {simulate.MAX_STREAM_BYTES} bytes"
+        ]
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("block_lens", ["64", "2048"])
     def test_singular_gram_exit_2(self, capsys, tmp_path, block_lens):
         # 4 users on 2 antennas at 200 dB: WF's Gram matrix is singular to

@@ -326,9 +326,11 @@ class TestConfigValidation:
             SimConfig(K=65, M=1, L=3, T_c=T_c, block_lens=(8,))
         with pytest.raises(ConfigurationError, match="K x T_c = 100000000 x 2048"):
             SimConfig(K=10**8, N_sim=1, block_lens=(64,))
-        # 2**28-byte taps; one model keeps its 32640 x 1 x 256 Gram factors inside the cap.
-        SimConfig(K=256, M=256, L=255, T_c=1024, ebn0_grid=(10.0,), methods=("WF",),
-                  block_lens=(256,))
+        # 2**28-byte taps and one model's 32640 x 1 x 256 Gram factors are
+        # inside the cap, but the bank build's 69 GB of pair products are not.
+        with pytest.raises(ConfigurationError, match="256 x 32896 x 512 Gram products"):
+            SimConfig(K=256, M=256, L=255, T_c=1024, ebn0_grid=(10.0,), methods=("WF",),
+                      block_lens=(256,))
         with pytest.raises(ConfigurationError, match=r"\(L\+1\) x M x K = 257 x 256 x 256"):
             SimConfig(K=256, M=256, L=256, T_c=1024, block_lens=(257,))
 
@@ -349,6 +351,27 @@ class TestConfigValidation:
             SimConfig(K=256, M=256, L=3, T_c=8192, N_sim=1, block_lens=(4096,))
         with pytest.raises(ConfigurationError, match="32640 x 8 x 4096 Gram factors exceeds"):
             SimConfig(K=256, M=256, L=3, T_c=4096, N_sim=1, block_lens=(4096,))
+
+    def test_bank_build_and_transmit_cap(self):
+        # A bank build forms the (M, K(K+1)/2, n_lag) pair products of the
+        # taps' spectra at n_lag = 256 points (L = 127 or 64) and their
+        # (Q, K(K+1)/2, n_lag) sums for every model; the transmit convolution
+        # forms (nfft, M, K) tap spectra, nfft = 1024 at L = 255 and
+        # T_c = 1000.  Each has the cap of the streams.
+        with pytest.raises(ConfigurationError, match="128 x 8256 x 256 Gram products exceeds"):
+            SimConfig(K=128, M=128, L=127, T_c=128, block_lens=(128,))
+        with pytest.raises(ConfigurationError, match="256 x 32896 x 256 Gram products exceeds"):
+            SimConfig(K=256, M=256, L=64, T_c=1024, ebn0_grid=(10.0,), methods=("WF",),
+                      block_lens=(65,))
+        kw = dict(K=64, M=4, L=127, T_c=128, block_lens=(128,))
+        SimConfig(ebn0_grid=tuple(range(15)), **kw)
+        with pytest.raises(ConfigurationError,
+                           match=r"Q x K\(K\+1\)/2 x n_lag = 32 x 2080 x 256 Gram sums exceeds"):
+            SimConfig(ebn0_grid=tuple(range(16)), **kw)
+        SimConfig(K=1, M=16384, L=255, T_c=1000, block_lens=(256,))
+        with pytest.raises(ConfigurationError,
+                           match="M x K x nfft = 16385 x 1 x 1024 transmit spectra exceeds"):
+            SimConfig(K=1, M=16385, L=255, T_c=1000, block_lens=(256,))
 
     def test_one_block_counts_its_short_spectra(self):
         # N_b = T_c forms no subbands of its length, only the taps' spectra
